@@ -3,7 +3,7 @@ elliptic Calogero-Moser systems."""
 
 from . import calogero, elliptic, exact, formal, liealg, ratfunc, sphere
 from .elliptic import Lattice, PoleProximityError
-from .exact import Mat, Quad
+from .exact import Mat
 from .liealg import (
     GradedDecomposition,
     MatrixAlgebra,
@@ -29,7 +29,6 @@ __all__ = [
     "Lattice",
     "PoleProximityError",
     "Mat",
-    "Quad",
     "GradedDecomposition",
     "MatrixAlgebra",
     "RootSystem",

@@ -341,7 +341,6 @@ def hamiltonian(sys_, state):
         elif sys_.family == "B":
             h = h + 2 * lat.wp(q).sum()
     h = complex(h)
-    h = h if abs(h.imag) > 1e-30 else h
     return sys_.sign() * (h.real if abs(h.imag) < 1e-9 * max(1.0, abs(h.real)) else h)
 
 

@@ -351,13 +351,14 @@ def cmd_involution(args):
         powers = [p for p in powers if p % 2 == 0]
     specs = [(p, 1) for p in powers]
     sys_, state = calogero.conservation_initial_data(args.family, args.n, rng)
+    w = abs(sys_.lattice.omega1)
     for _ in range(10):
         try:
             table = calogero.involution_table(sys_, state, specs)
             break
         except (calogero.CollisionError, ValueError):
             state = calogero.random_state(sys_, rng, p_scale=0.12,
-                                          lo=0.2 * 30, hi=0.88 * 30)
+                                          lo=0.2 * w, hi=0.88 * w)
     else:
         print("error: could not sample a usable state", file=sys.stderr)
         return 3

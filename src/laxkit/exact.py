@@ -1,172 +1,24 @@
 """Exact scalars and exact linear algebra.
 
 Everything structural in this package (root systems, matrix realizations,
-graded decompositions, genus-zero function spaces) is computed over exact
-fields: the rationals, extended by sqrt(2) for the 7-dimensional realization
-of G2 and by sqrt(3) for its root coordinates.  Scalars are plain ``int``,
-``fractions.Fraction``, or :class:`Quad` (an element of Q(sqrt(d))); integer
+graded decompositions, genus-zero function spaces) is computed over the
+rationals.  Scalars are plain ``int`` or ``fractions.Fraction``; integer
 entries stay integers so that the hot commutator loops run on machine ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
-    "Quad",
     "Mat",
-    "sqrt2",
-    "sqrt3",
-    "fdiv",
-    "is_integer_scalar",
-    "as_integer",
     "rref",
     "nullspace",
     "rank",
     "ColumnSolver",
     "mat_inverse",
-    "scalar_str",
 ]
-
-
-class Quad:
-    """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
-
-    ``d`` must be a positive non-square integer; elements with different
-    ``d`` never mix.  Arithmetic coerces ints and Fractions.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=2):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
-        self.d = d
-
-    def _coerce(self, other):
-        if isinstance(other, Quad):
-            if other.d != self.d:
-                raise TypeError(f"mixed quadratic fields Q(sqrt{self.d})/Q(sqrt{other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Quad(other, 0, self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Quad(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Quad(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Quad(o.a - self.a, o.b - self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Quad(self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.a * self.a - self.d * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("zero element of quadratic field")
-        return Quad(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return Quad(-self.a, -self.b, self.d)
-
-    def __eq__(self, other):
-        if isinstance(other, Quad):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * float(self.d) ** 0.5
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"({self.a}+{self.b}*sqrt{self.d})"
-
-
-def sqrt2(coeff=1):
-    return Quad(0, coeff, 2)
-
-
-def sqrt3(coeff=1):
-    return Quad(0, coeff, 3)
-
-
-def fdiv(a, b):
-    """Exact division that never produces floats."""
-    if isinstance(a, Quad) or isinstance(b, Quad):
-        if not isinstance(a, Quad):
-            a = Quad(a, 0, b.d)
-        return a / b
-    return Fraction(a) / Fraction(b)
-
-
-def is_integer_scalar(x):
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, Quad):
-        return x.b == 0 and x.a.denominator == 1
-    return False
-
-
-def as_integer(x):
-    if not is_integer_scalar(x):
-        raise ValueError(f"not an integer scalar: {x!r}")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator
-    return x.a.numerator
-
-
-def scalar_str(x):
-    """Serialize an exact scalar, fractions as 'p/q' strings."""
-    if isinstance(x, Quad):
-        return f"{x.a}+{x.b}*sqrt({x.d})"
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +136,7 @@ def rref(rows, pivot_cols=None):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = fdiv(1, a[r][c])
+        inv = Fraction(1, a[r][c])
         a[r] = [inv * x for x in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:
@@ -318,26 +170,12 @@ def nullspace(rows, ncols=None):
 
 
 def rank(rows):
-    """Matrix rank by fraction-free (Bareiss) elimination when the entries
-    are rational, falling back to field elimination otherwise."""
+    """Matrix rank by fraction-free (Bareiss) elimination on the rows with
+    their denominators cleared."""
     if not rows or not rows[0]:
         return 0
-    flat = [x for r in rows for x in r]
-    if all(isinstance(x, (int, Fraction)) for x in flat):
-        den = 1
-        for x in flat:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // _gcd(den, x.denominator)
-        a = [[int(x * den) if isinstance(x, Fraction) else x * den for x in r] for r in rows]
-        return _bareiss_rank(a)
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return _bareiss_rank([[int(x * den) for x in r] for r in rows])
 
 
 def _bareiss_rank(a):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Mat, fdiv, mat_inverse
+from .exact import Mat, mat_inverse
 
 __all__ = [
     "MatrixLaurent",
@@ -165,13 +165,6 @@ class MOpExpansion:
         if p == -1 and self.nu:
             c = c + self.dec.h.scale(self.nu)
         return c
-
-    def full_series(self):
-        out = dict(self.series.coeffs)
-        if self.nu:
-            h = self.dec.h.scale(self.nu)
-            out[-1] = out[-1] + h if -1 in out else h
-        return MatrixLaurent(self.dec, out, self.series.trunc)
 
 
 def validate_mop(m):
@@ -337,7 +330,7 @@ def _exp_nilpotent(b, t):
     term = Mat.identity(n)
     k = 1
     while True:
-        term = (term @ b).scale(fdiv(t, k))
+        term = (term @ b).scale(Fraction(t, k))
         if term.is_zero():
             return acc
         acc = acc + term
@@ -467,7 +460,7 @@ def _extract_kappa(l0, alpha):
     exact least squares, then confirm it exactly."""
     w = _mat_vec(l0, alpha)
     den = _vec_dot(alpha, alpha)
-    kappa = fdiv(_vec_dot(w, alpha), den)
+    kappa = Fraction(_vec_dot(w, alpha), den)
     ok = all(x == kappa * a for x, a in zip(w, alpha))
     return kappa, ok
 
@@ -481,8 +474,8 @@ def _solve_sym_rank2(w, alpha):
     a0 = alpha[j0]
     # row j0 of w: alpha_{j0} beta + beta_{j0} alpha; fix beta_{j0} from the
     # diagonal entry w[j0][j0] = 2 alpha_{j0} beta_{j0}
-    bj0 = fdiv(w.rows[j0][j0], 2 * a0)
-    beta = [fdiv(w.rows[j0][j] - bj0 * alpha[j], a0) for j in range(n)]
+    bj0 = Fraction(w.rows[j0][j0], 2 * a0)
+    beta = [Fraction(w.rows[j0][j] - bj0 * alpha[j], a0) for j in range(n)]
     return beta if (_outer(alpha, beta) + _outer(beta, alpha)) == w else None
 
 
@@ -495,7 +488,7 @@ def _solve_skew_rank2(w, alpha):
     a0 = alpha[j0]
     # row j0: alpha_{j0} beta^t - beta_{j0} alpha^t; pick the representative
     # of beta mod alpha with beta_{j0} = 0
-    beta = [fdiv(w.rows[j0][j], a0) for j in range(n)]
+    beta = [Fraction(w.rows[j0][j], a0) for j in range(n)]
     beta[j0] = 0
     return beta if (_outer(alpha, beta) - _outer(beta, alpha)) == w else None
 
@@ -527,7 +520,7 @@ def validate_tyurin_form(alg, dec, e, g=None):
         lm1 = e.coefficient(-1)
         # L_{-1} = alpha beta^t with beta^t alpha = 0
         j0 = next(j for j, a in enumerate(alpha) if a)
-        beta = [fdiv(lm1.rows[j0][j], alpha[j0]) for j in range(n)]
+        beta = [Fraction(lm1.rows[j0][j], alpha[j0]) for j in range(n)]
         if _outer(alpha, beta) != lm1:
             violations.append("residue is not alpha beta^t")
         if _vec_dot(beta, alpha) != 0:
@@ -567,7 +560,7 @@ def validate_tyurin_form(alg, dec, e, g=None):
         w2 = lm2 @ siginv
         # L_{-2} = nu alpha alpha^t sigma
         j0 = next(j for j, a in enumerate(alpha) if a)
-        nu = fdiv(w2.rows[j0][j0], alpha[j0] * alpha[j0])
+        nu = Fraction(w2.rows[j0][j0], alpha[j0] * alpha[j0])
         if _outer(alpha, alpha).scale(nu) != w2:
             violations.append("second-order residue is not nu alpha alpha^t sigma")
         extras["nu"] = nu

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ColumnSolver, Mat, Quad, as_integer, fdiv, rank, rref, sqrt3
+from .exact import ColumnSolver, Mat, rank, rref
 
 __all__ = [
     "RootSystem",
@@ -186,8 +186,8 @@ def build_root_system(family, rank):
     elif family == "G2":
         if rank != 2:
             raise ValueError("G2 has rank 2")
-        a1 = (Fraction(1), Fraction(0))
-        a2 = (Fraction(-3, 2), sqrt3(Fraction(1, 2)))
+        # coordinates of the functionals on the Cartan coordinates (t1, t2)
+        a1, a2 = (1, 0), (-1, 1)
         simple = (a1, a2)
         mult_list = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
         roots, exps = [], {}
@@ -459,14 +459,18 @@ def _skew3(x):
 
 
 def _g2_element(a_mat, a1, a2):
-    """7x7 matrix [[0, -a2^t, -a1^t], [a1, A, [a2]/sqrt2], [a2, [a1]/sqrt2, -A^t]]."""
-    half = Quad(0, Fraction(1, 2), 2)  # 1/sqrt(2) = sqrt(2)/2
-    s1 = _skew3(a1).scale(half)
-    s2 = _skew3(a2).scale(half)
+    """7x7 matrix [[0, -2 a2^t, -2 a1^t], [a1, A, [a2]], [a2, [a1], -A^t]].
+
+    The realization preserves sigma = [[1, 0, 0], [0, 0, 2], [0, 2, 0]] and
+    has integer basis matrices; it is the conjugate by diag(sqrt(2), 1, ..., 1)
+    of the form-symmetric realization, whose skew blocks carry 1/sqrt(2).
+    """
+    s1 = _skew3(a1)
+    s2 = _skew3(a2)
     rows = [[0] * 7 for _ in range(7)]
     for i in range(3):
-        rows[0][1 + i] = -a2[i]
-        rows[0][4 + i] = -a1[i]
+        rows[0][1 + i] = -2 * a2[i]
+        rows[0][4 + i] = -2 * a1[i]
         rows[1 + i][0] = a1[i]
         rows[4 + i][0] = a2[i]
         for j in range(3):
@@ -483,7 +487,6 @@ _G2_T_LABELS = ((1, 0), (1, 1), (-2, -1))  # multiplicity vectors of t_1, t_2, t
 def _g2_basis():
     basis, labels = [], []
     zero3 = [[0] * 3 for _ in range(3)]
-    r2 = Quad(0, 1, 2)
     for d in ([1, -1, 0], [0, 1, -1]):
         basis.append(_g2_element([[d[i] if i == j else 0 for j in range(3)] for i in range(3)], [0] * 3, [0] * 3))
         labels.append((0, 0))
@@ -496,10 +499,10 @@ def _g2_basis():
             ti, tj = _G2_T_LABELS[i], _G2_T_LABELS[j]
             labels.append((ti[0] - tj[0], ti[1] - tj[1]))  # weight t_i - t_j
     for i in range(3):
-        a1 = [r2 if k == i else 0 for k in range(3)]
+        a1 = [1 if k == i else 0 for k in range(3)]
         basis.append(_g2_element(zero3, a1, [0] * 3))
         labels.append(_G2_T_LABELS[i])
-        a2 = [r2 if k == i else 0 for k in range(3)]
+        a2 = [1 if k == i else 0 for k in range(3)]
         basis.append(_g2_element(zero3, [0] * 3, a2))
         labels.append(tuple(-c for c in _G2_T_LABELS[i]))
     return basis, labels
@@ -533,8 +536,8 @@ def _sigma_for(kind, rank):
         rows = [[0] * 7 for _ in range(7)]
         rows[0][0] = 1
         for i in range(3):
-            rows[1 + i][4 + i] = 1
-            rows[4 + i][1 + i] = 1
+            rows[1 + i][4 + i] = 2
+            rows[4 + i][1 + i] = 2
         return Mat(rows)
     raise ValueError(kind)
 
@@ -796,7 +799,7 @@ def graded_subspaces(alg, h):
         for i in range(b.n):
             for j in range(b.m):
                 if b.rows[i][j]:
-                    lam = fdiv(y.rows[i][j], b.rows[i][j])
+                    lam = Fraction(y.rows[i][j], b.rows[i][j])
                     break
             if lam is not None:
                 break
@@ -804,10 +807,9 @@ def graded_subspaces(alg, h):
             raise ValueError("zero basis element")
         if not (y - b.scale(lam)).is_zero():
             raise ValueError("basis element is not an ad(h) eigenvector; h outside the Cartan subalgebra")
-        try:
-            degrees.append(as_integer(lam))
-        except ValueError:
-            raise ValueError(f"non-integer ad(h) eigenvalue {lam}: invalid grading element") from None
+        if lam.denominator != 1:
+            raise ValueError(f"non-integer ad(h) eigenvalue {lam}: invalid grading element")
+        degrees.append(lam.numerator)
     return GradedDecomposition(alg, h, degrees)
 
 

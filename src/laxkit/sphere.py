@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Mat, fdiv, nullspace, rref
+from .exact import Mat, nullspace, rref
 from .ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
 
 __all__ = [
@@ -80,8 +80,8 @@ class SphereConfig:
     def __post_init__(self):
         if self.dec.alg.kind == "g2":
             raise NotImplementedError(
-                "genus-zero realization works over exact rationals; the G2 "
-                "realization needs Q(sqrt2) matrix entries"
+                "genus-zero slices are not supported for G2: the N dim g "
+                "slice count is not established for its gradings"
             )
         pts = list(self.p_points) + list(self.q_points) + list(self.gamma_points)
         if len(set(pts)) != len(pts):
@@ -395,14 +395,6 @@ class SliceWindow:
                 return None
         return out
 
-    def minimal_band(self, mat, start):
-        """Smallest S with mat in the span of degrees [start, start + S];
-        None if no sub-window up to the top contains it."""
-        for hi in range(start, self.hi + 1):
-            if self.decompose_in(mat, start, hi) is not None:
-                return hi - start
-        return None
-
     def minimal_band_of_bracket(self, m, i, n, j):
         """Smallest S for the commutator of basis elements (m, i) and (n, j),
         computed entirely in sample space (exact by the degree argument)."""
@@ -670,7 +662,7 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
         gf = Fraction(g)
         lc = {p: cfg.to_reference_frame(gidx, l.laurent_coefficient(gf, p)) for p in range(-k, 2)}
         mc = {p: cfg.to_reference_frame(gidx, m_op.laurent_coefficient(gf, p)) for p in range(-k, k + 1)}
-        nu = fdiv(mc[-1].rows[j0][j0], h.rows[j0][j0]) if k >= 1 else Fraction(0)
+        nu = Fraction(mc[-1].rows[j0][j0], h.rows[j0][j0]) if k >= 1 else Fraction(0)
         nus[g] = nu
         mreg = dict(mc)
         mreg[-1] = mc[-1] - h.scale(nu)

@@ -120,6 +120,36 @@ def test_involution_even_filter_for_d(tmp_path):
     assert data["max_abs_bracket"] < 1e-6
 
 
+def test_involution_retry_samples_inside_the_lattice_period(tmp_path, monkeypatch):
+    # the first bracket evaluation collides; the resampled state must come
+    # from the lattice of conservation_initial_data (omega1 = 40)
+    from laxkit import calogero
+
+    real_table, real_state = calogero.involution_table, calogero.random_state
+    tables, bounds = [], []
+
+    def flaky_table(sys_, state, specs, **kw):
+        tables.append((abs(sys_.lattice.omega1), state.q.real.copy()))
+        if len(tables) == 1:
+            raise calogero.CollisionError("forced collision")
+        return real_table(sys_, state, specs, **kw)
+
+    def recording_state(sys_, rng, **kw):
+        bounds.append((kw["lo"], kw["hi"]))
+        return real_state(sys_, rng, **kw)
+
+    monkeypatch.setattr(calogero, "involution_table", flaky_table)
+    monkeypatch.setattr(calogero, "random_state", recording_state)
+    path = tmp_path / "i.json"
+    assert run(["involution", "--family", "A", "--n", "2", "--powers", "2",
+                "--seed", "4", "--out", str(path)]) == 0
+    assert len(tables) == 2
+    w, q = tables[1]
+    assert w == 40.0
+    assert bounds == [(0.2 * w, 0.88 * w)]
+    assert all(0.2 * w <= x <= 0.88 * w for x in q)
+
+
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grading": {"family": "C", "rank": 3, "root": 1}}))

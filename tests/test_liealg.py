@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from laxkit import liealg as la
-from laxkit.exact import Mat, Quad
+from laxkit.exact import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +40,26 @@ def test_expansions_reconstruct_roots_exactly():
             assert acc == r
 
 
-def test_g2_root_coordinates_use_sqrt3():
+def test_g2_roots_are_integral_cartan_functionals():
     rs = la.build_root_system("G2", 2)
     a1, a2 = rs.simple_roots
-    assert a1 == (Fraction(1), Fraction(0))
-    assert a2[0] == Fraction(-3, 2) and a2[1] == Quad(0, Fraction(1, 2), 3)
+    alg = la.matrix_realization("g2", 2)
+    assert [a1, a2] == la._simple_root_functionals(alg) == [(1, 0), (-1, 1)]
+    for r in rs.positive_roots:
+        assert all(type(c) is int for c in r)
+
+
+def _is_integral(m):
+    return all(isinstance(x, (int, Fraction)) and Fraction(x).denominator == 1 for x in m.flatten())
+
+
+def test_g2_realization_and_gradings_are_integral():
+    alg = la.matrix_realization("g2", 2)
+    assert all(_is_integral(b) for b in alg.basis)
+    assert _is_integral(alg.sigma)
+    for idx in (1, 2):
+        _, dec = la.catalog_grading("g2", 2, idx)
+        assert _is_integral(dec.h)
 
 
 @pytest.mark.parametrize("family,rank,index,depth", [
