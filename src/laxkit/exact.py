@@ -120,8 +120,27 @@ def rref(rows, pivot_cols=None):
     Returns (new_rows, pivot_columns).  Input is not modified.  If
     ``pivot_cols`` is given, pivots are only sought in the first that many
     columns (the rest are carried along, e.g. an augmented block).
+
+    The elimination is fraction-free.  Every row is kept as a primitive
+    integer vector: denominators cleared and content divided out at the
+    start, and after each step the row becomes the primitive part of an
+    integer combination with the pivot row.  Each row then stays a rational
+    multiple of the row that elimination over Q (same pivot choices) holds,
+    and its entries never exceed those of Bareiss elimination.  At the end
+    pivot rows are divided by their pivot entry and every other row by its
+    tracked multiple, which gives the rational elimination's rows entry for
+    entry; integral entries come out as ``int``.
     """
-    a = [list(r) for r in rows]
+    a, snum, sden = [], [], []
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (s // x.denominator) for x in row]
+        g = math.gcd(*ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+        a.append(ints)
+        snum.append(s)
+        sden.append(max(g, 1))
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     stop = ncols if pivot_cols is None else pivot_cols
@@ -135,18 +154,40 @@ def rref(rows, pivot_cols=None):
                 break
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = Fraction(1, a[r][c])
-        a[r] = [inv * x for x in a[r]]
+        for v in (a, snum, sden):
+            v[r], v[pr] = v[pr], v[r]
+        prow = a[r]
+        piv = prow[c]
         for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i == r or not f:
+                continue
+            g = math.gcd(piv, f)
+            pg, fg = piv // g, f // g
+            new = [pg * x - fg * y for x, y in zip(a[i], prow)]
+            h = math.gcd(*new)
+            if h > 1:
+                new = [x // h for x in new]
+                sden[i] *= h
+            snum[i] *= pg
+            a[i] = new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    for i, row in enumerate(a):
+        if i < r:
+            d = row[pivots[i]]
+            if d != 1:
+                a[i] = [_exact_quotient(x, d) for x in row]
+        elif snum[i] != sden[i]:
+            a[i] = [_exact_quotient(x * sden[i], snum[i]) for x in row]
     return a, pivots
+
+
+def _exact_quotient(x, d):
+    q, rem = divmod(x, d)
+    return Fraction(x, d) if rem else q
 
 
 def nullspace(rows, ncols=None):
@@ -170,37 +211,8 @@ def nullspace(rows, ncols=None):
 
 
 def rank(rows):
-    """Matrix rank by fraction-free (Bareiss) elimination on the rows with
-    their denominators cleared."""
-    if not rows or not rows[0]:
-        return 0
-    den = math.lcm(*(x.denominator for r in rows for x in r))
-    return _bareiss_rank([[int(x * den) for x in r] for r in rows])
-
-
-def _bareiss_rank(a):
-    nrows, ncols = len(a), len(a[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                a[i][j] = (piv * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Matrix rank: the pivot count of the fraction-free :func:`rref`."""
+    return len(rref(rows)[1])
 
 
 class ColumnSolver:

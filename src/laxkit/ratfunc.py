@@ -133,13 +133,14 @@ class Poly:
 
     def shift(self, c):
         """Compose with z -> z + c (Taylor recentering at c)."""
-        out = Poly([])
-        zc = Poly([c, 1])
-        power = Poly([1])
-        for a in self.coeffs:
-            out = out + power * a
-            power = power * zc
-        return out
+        if not c:
+            return self
+        # repeated synthetic division by (z - c), in place (Horner's scheme)
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return Poly(a)
 
     def reversed_coeffs(self, upto=None):
         """Coefficients of z^deg * p(1/z), optionally padded to length upto+1."""
@@ -159,6 +160,24 @@ class Poly:
         if self.is_zero():
             return "Poly(0)"
         return "Poly(" + " + ".join(f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
+
+
+def _divide_out(coeffs, c, limit=None):
+    """Divide the nonzero polynomial with these coefficients by (z - c), by
+    synthetic division, as often as it divides (at most ``limit`` times).
+    Returns (times, quotient coefficients)."""
+    k = 0
+    while k != limit:
+        q = [0] * (len(coeffs) - 1)
+        acc = 0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = acc * c + coeffs[i]
+            q[i - 1] = acc
+        if acc * c + coeffs[0] != 0:
+            break
+        coeffs = q
+        k += 1
+    return k, coeffs
 
 
 def _series_inverse(coeffs, nterms):
@@ -201,13 +220,30 @@ class RatFunc:
 
     @classmethod
     def zero(cls):
-        return cls(Poly([]))
+        return cls(Poly([]), Poly([1]), reduce=False)
+
+    @classmethod
+    def over_poles(cls, num, poles):
+        """num / prod (z - c)^k over poles = {c: k}, reduced by dividing out
+        the pole factors at which num vanishes; the same function as
+        ``RatFunc(num, den)``, without a polynomial gcd."""
+        if num.is_zero():
+            return cls.zero()
+        coeffs = num.coeffs
+        den = Poly([1])
+        for c, k in poles.items():
+            common, coeffs = _divide_out(coeffs, c, k)
+            for _ in range(k - common):
+                den = den * Poly([-c, 1])
+        return cls(Poly(coeffs), den, reduce=False)
 
     def is_zero(self):
         return self.num.is_zero()
 
     def __add__(self, other):
         other = _coerce(other)
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -223,6 +259,11 @@ class RatFunc:
 
     def __mul__(self, other):
         other = _coerce(other)
+        # a nonzero constant factor keeps the quotient reduced
+        if other.num.degree == 0 and other.den.degree == 0:
+            return RatFunc(self.num * other.num.coeffs[0], self.den, reduce=False)
+        if self.num.degree == 0 and self.den.degree == 0:
+            return RatFunc(other.num * self.num.coeffs[0], other.den, reduce=False)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -275,9 +316,7 @@ class RatFunc:
             return None
         if point is INF:
             return self.den.degree - self.num.degree
-        n = self.num.shift(point).valuation()
-        d = self.den.shift(point).valuation()
-        return n - d
+        return _divide_out(self.num.coeffs, point)[0] - _divide_out(self.den.coeffs, point)[0]
 
     def laurent_at(self, point, upto):
         """Laurent coefficients at a finite point or INF, degrees <= upto.
@@ -339,15 +378,8 @@ class RatFunc:
                 if o is not None and o < 0:
                     orders[INF] = -o
                 continue
-            mult = 0
-            lin = Poly([-c, 1])
-            while True:
-                q, r = den.divmod(lin)
-                if r.is_zero():
-                    den = q
-                    mult += 1
-                else:
-                    break
+            mult, coeffs = _divide_out(den.coeffs, c)
+            den = Poly(coeffs)
             if mult:
                 orders[c] = mult
         return orders, den.degree
@@ -368,6 +400,21 @@ def rat_z():
 
 def rat_const(c):
     return RatFunc(Poly.const(Fraction(c)))
+
+
+def _add_unreduced(acc, num, den):
+    """acc + num/den on unreduced (num, den) pairs (acc None for zero);
+    numerators add directly over equal denominators."""
+    if acc is None:
+        return num, den
+    n, d = acc
+    if d == den:
+        return n + num, d
+    return n * den + num * d, d * den
+
+
+def _reduce(acc):
+    return RatFunc.zero() if acc is None else RatFunc(*acc)
 
 
 class RationalMatrix:
@@ -407,22 +454,37 @@ class RationalMatrix:
     def scale(self, c):
         return RationalMatrix([[a * c for a in r] for r in self.rows])
 
-    def __matmul__(self, other):
+    def _product_sums(self, other):
+        """Entries of self @ other as unreduced (num, den) pairs, None where
+        no product term is nonzero."""
         ocols = list(zip(*other.rows))
         out = []
         for row in self.rows:
             orow = []
             for col in ocols:
-                acc = RatFunc.zero()
+                acc = None
                 for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
+                    if not (a.num.is_zero() or b.num.is_zero()):
+                        acc = _add_unreduced(acc, a.num * b.num, a.den * b.den)
                 orow.append(acc)
             out.append(orow)
-        return RationalMatrix(out)
+        return out
+
+    def __matmul__(self, other):
+        # one reduction per entry; reduced forms are unique, so this equals
+        # the sum of the reduced products
+        return RationalMatrix([[_reduce(e) for e in r] for r in self._product_sums(other)])
 
     def comm(self, other):
-        return self @ other - other @ self
+        out = []
+        for ra, rb in zip(self._product_sums(other), other._product_sums(self)):
+            row = []
+            for a, b in zip(ra, rb):
+                if b is not None:
+                    a = _add_unreduced(a, -b[0], b[1])
+                row.append(_reduce(a))
+            out.append(row)
+        return RationalMatrix(out)
 
     @property
     def T(self):
@@ -446,11 +508,18 @@ class RationalMatrix:
         return all(e.is_zero() for r in self.rows for e in r)
 
     def laurent_coefficient(self, point, degree):
+        return self.laurent_coefficients(point, degree, degree)[degree]
+
+    def laurent_coefficients(self, point, lo, hi):
+        """Laurent coefficient matrices at a point for degrees lo..hi, as a
+        dict degree -> Mat, from one expansion of each entry."""
         from .exact import Mat
 
-        return Mat(
-            [[e.laurent_at(point, degree).get(degree, Fraction(0)) for e in r] for r in self.rows]
-        )
+        tails = [[e.laurent_at(point, hi) for e in r] for r in self.rows]
+        zero = Fraction(0)
+        return {
+            p: Mat([[t.get(p, zero) for t in r] for r in tails]) for p in range(lo, hi + 1)
+        }
 
     def order_at(self, point):
         """Pointwise minimum of entry orders (None if identically zero)."""

@@ -170,33 +170,31 @@ def divisor_for_degree(cfg, m):
     return d
 
 
+def _skeleton(divisor):
+    """(zeros, poles, count) with the sections of the divisor spanned by
+    zeros z^i / prod (z - c)^w over poles = {c: w}, for i < count."""
+    zeros = Poly([1])
+    poles = {}
+    total = 0
+    for c, w in divisor.items():
+        total += w
+        if c is INF:
+            continue
+        if w > 0:
+            poles[Fraction(c)] = w
+        for _ in range(-w):
+            zeros = zeros * Poly([-Fraction(c), 1])
+    return zeros, poles, max(total + 1, 0)
+
+
 def section_basis(divisor):
     """Exact basis of scalar rational functions f with (f) + D >= 0.
 
     At genus zero the space has dimension deg D + 1 (empty if deg D < 0):
     numerator monomials times the fixed zero/pole skeleton.
     """
-    zeros = Poly([1])
-    poles = Poly([1])
-    total = 0
-    for c, w in divisor.items():
-        total += w
-        if c is INF:
-            continue
-        lin = Poly([-Fraction(c), 1])
-        for _ in range(abs(w)):
-            if w > 0:
-                poles = poles * lin
-            else:
-                zeros = zeros * lin
-    if total < 0:
-        return []
-    out = []
-    mono = Poly([1])
-    for _ in range(total + 1):
-        out.append(RatFunc(zeros * mono, poles))
-        mono = mono * Poly.x()
-    return out
+    zeros, poles, count = _skeleton(divisor)
+    return [RatFunc.over_poles(Poly([0] * i + [1]) * zeros, poles) for i in range(count)]
 
 
 @dataclass
@@ -259,26 +257,55 @@ def _expansion_condition_rows(cfg, scalars, p_range, mode):
     return rows, n_aux
 
 
-def _assemble(cfg, scalars, coords):
+def _assemble(cfg, div, vectors):
+    """The matrix functions sum_{si,bi} v[si dim + bi] s_si b_bi, one per
+    coordinate vector v, for the section basis s of the divisor and the
+    algebra basis b.
+
+    The sections share one skeleton, s_si = zeros z^si / poles, so every
+    entry is zeros P(z) / poles, where the coefficients of P are that
+    entry's coordinates.  Each entry is built once and reduced by the pole
+    factors at which P vanishes (zeros and poles are coprime), with no
+    polynomial gcd."""
     alg = cfg.alg
-    out = RationalMatrix.zeros(alg.size)
-    for si, f in enumerate(scalars):
-        for bi, b in enumerate(alg.basis):
-            c = coords[si * alg.dim + bi]
-            if c:
-                out = out + RationalMatrix.from_scalar_matrix(b, f * c)
+    dim = alg.dim
+    zeros, poles, count = _skeleton(div)
+    # nonzero (basis index, entry) pairs of the algebra basis at each (u, v)
+    support = [
+        [[(bi, b.rows[u][v]) for bi, b in enumerate(alg.basis) if b.rows[u][v]] for v in range(alg.size)]
+        for u in range(alg.size)
+    ]
+    zero = RatFunc.zero()
+    out = []
+    for coords in vectors:
+        rows = []
+        for srow in support:
+            row = []
+            for sup in srow:
+                if not sup:
+                    row.append(zero)
+                    continue
+                p = Poly([sum(coords[si * dim + bi] * e for bi, e in sup) for si in range(count)])
+                row.append(RatFunc.over_poles(zeros * p, poles))
+            rows.append(row)
+        out.append(RationalMatrix(rows))
     return out
+
+
+def _lax_slice_basis(cfg, div):
+    """Basis of the algebra-valued functions with (L) + div >= 0 that meet
+    the local expansion conditions at every gamma point (the divisor must
+    carry the depth at the gamma points)."""
+    scalars = section_basis(div)
+    depth = cfg.dec.depth
+    rows, _ = _expansion_condition_rows(cfg, scalars, range(-depth, depth), "lax")
+    return _assemble(cfg, div, nullspace(rows, len(scalars) * cfg.alg.dim))
 
 
 def build_homogeneous_subspace(cfg, m, check_dim=True):
     """Exact basis of the degree-m subspace; dimension must be N dim(g)."""
     div = divisor_for_degree(cfg, m)
-    scalars = section_basis(div)
-    dec = cfg.dec
-    rows, _ = _expansion_condition_rows(cfg, scalars, range(-dec.depth, dec.depth), "lax")
-    ncand = len(scalars) * cfg.alg.dim
-    null = nullspace(rows, ncand) if rows else [[1 if i == j else 0 for i in range(ncand)] for j in range(ncand)]
-    basis = [_assemble(cfg, scalars, v) for v in null]
+    basis = _lax_slice_basis(cfg, div)
     expected = cfg.n_points * cfg.alg.dim
     if check_dim and len(basis) != expected:
         raise SliceDimensionError(expected, len(basis), m)
@@ -292,12 +319,7 @@ def build_lax_space(cfg, pole_orders):
     div = dict(pole_orders)
     for g in cfg.gamma_points:
         div[g] = cfg.dec.depth
-    scalars = section_basis(div)
-    dec = cfg.dec
-    rows, _ = _expansion_condition_rows(cfg, scalars, range(-dec.depth, dec.depth), "lax")
-    ncand = len(scalars) * cfg.alg.dim
-    null = nullspace(rows, ncand) if rows else [[1 if i == j else 0 for i in range(ncand)] for j in range(ncand)]
-    return Slice(None, [_assemble(cfg, scalars, v) for v in null], div)
+    return Slice(None, _lax_slice_basis(cfg, div), div)
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +484,15 @@ def connection_form_tail(cfg, omega, gamma_index):
     gamma = cfg.gamma_points[gamma_index]
     h_g = cfg.grading_element_at(gamma_index)
     rm = omega - RationalMatrix.from_scalar_matrix(h_g, 1 / (z - Fraction(gamma)))
-    out = {}
-    for p in range(-cfg.dec.depth - 2, 0):
-        c = rm.laurent_coefficient(Fraction(gamma), p)
-        if not c.is_zero():
-            out[p] = c
-    return out
+    coeffs = rm.laurent_coefficients(Fraction(gamma), -cfg.dec.depth - 2, -1)
+    return {p: c for p, c in coeffs.items() if not c.is_zero()}
 
 
 def pairing_one_form(l1, l2, omega=None):
     """Scalar F with F dz = <L, (d - ad omega) L'> under the trace pairing."""
     f = (l1 @ l2.derivative()).trace()
     if omega is not None:
-        f = f - (l1 @ (omega @ l2 - l2 @ omega)).trace()
+        f = f - (l1 @ omega.comm(l2)).trace()
     return f
 
 
@@ -557,11 +575,8 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
         raise ValueError(f"need {l_val + 1} normalization points, got {len(norm_points)}")
     grad = gradient_invariant(l, power, alg.has_defining_form)
     pole_point = Fraction(pole_point)
-    tail = {
-        -i: grad.laurent_coefficient(pole_point, order - i) if order - i >= 0 else None
-        for i in range(1, order + 1)
-    }
-    sing = {i: m for i, m in tail.items() if m is not None and not m.is_zero()}
+    coeffs = grad.laurent_coefficients(pole_point, 0, order - 1)
+    sing = {p - order: m for p, m in coeffs.items() if not m.is_zero()}
     d = -min(sing, default=0)
     div = {pole_point: d}
     for q in cfg.q_points:
@@ -573,8 +588,7 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     scalars = section_basis(div)
     rows, n_aux = _expansion_condition_rows(cfg, scalars, range(-k, 0), "mop")
     ncand = len(scalars) * alg.dim
-    prenorm = nullspace(rows, ncand + n_aux) if rows else None
-    prenorm_dim = len(prenorm) if prenorm is not None else ncand + n_aux
+    prenorm_dim = len(nullspace(rows, ncand + n_aux))
     expected = alg.dim * (d + l_val + 1)
     # affine part: singular match at the pole point, zeros at norm points
     aug = [row + [Fraction(0)] for row in rows]
@@ -624,7 +638,7 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
-    m_op = _assemble(cfg, scalars, x[:ncand])
+    m_op = _assemble(cfg, div, [x[:ncand]])[0]
     nus = {g: x[ncand + gi] for gi, g in enumerate(cfg.gamma_points)}
     return MOperatorResult(m_op, prenorm_dim, expected, d, l_val, nus)
 
@@ -660,8 +674,8 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
     ok = True
     for gidx, g in enumerate(cfg.gamma_points):
         gf = Fraction(g)
-        lc = {p: cfg.to_reference_frame(gidx, l.laurent_coefficient(gf, p)) for p in range(-k, 2)}
-        mc = {p: cfg.to_reference_frame(gidx, m_op.laurent_coefficient(gf, p)) for p in range(-k, k + 1)}
+        lc = {p: cfg.to_reference_frame(gidx, c) for p, c in l.laurent_coefficients(gf, -k, 1).items()}
+        mc = {p: cfg.to_reference_frame(gidx, c) for p, c in m_op.laurent_coefficients(gf, -k, k).items()}
         nu = Fraction(mc[-1].rows[j0][j0], h.rows[j0][j0]) if k >= 1 else Fraction(0)
         nus[g] = nu
         mreg = dict(mc)
@@ -673,10 +687,12 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
             if not dec.in_filtration(mreg[p], p):
                 bad.append(("m-expansion", p))
         # degrees below -k-1 must be absent
-        if bracket.order_at(gf) is not None and bracket.order_at(gf) < -k - 1:
-            bad.append(("pole-order", bracket.order_at(gf)))
+        order = bracket.order_at(gf)
+        if order is not None and order < -k - 1:
+            bad.append(("pole-order", order))
         z_dot = -nu
-        br = {p: cfg.to_reference_frame(gidx, bracket.laurent_coefficient(gf, p)) for p in range(-k - 1, 1)}
+        br = {p: cfg.to_reference_frame(gidx, c)
+              for p, c in bracket.laurent_coefficients(gf, -k - 1, 0).items()}
         bottom = br[-k - 1] - lc[-k].scale(-k * z_dot)
         if not bottom.is_zero():
             bad.append(("bottom", -k - 1))

@@ -68,48 +68,22 @@ def test_criterion_02_slice_dimensions():
 
 def test_criterion_03_cocycle():
     t0 = time.time()
-    rng = random.Random(SEED)
     alg, dec = la.catalog_grading("gl", 2, 1)
     cfg = sp.SphereConfig(dec, (F(0),), (INF,), (F(3),))
-    win = sp.SliceWindow(cfg, -3, 3)
     omega = sp.standard_connection_form(cfg)
     assert sp.connection_form_tail(cfg, omega, 0) == {}
-
-    def member(m):
-        out = None
-        for b in win.slices[m].basis:
-            c = rng.randint(-2, 2)
-            if c:
-                t = b.scale(rat_const(c))
-                out = t if out is None else out + t
-        return out if out is not None else win.slices[m].basis[0].scale(rat_const(0))
-
-    # holomorphy: empty tails at every gamma point for random pairs
-    for _ in range(6):
-        l1, l2 = member(rng.randint(-2, 2)), member(rng.randint(-2, 2))
-        for g in cfg.gamma_points:
-            assert sp.cocycle_holomorphy_tail(cfg, l1, l2, omega, g) == {}
-    # cocycle identity, exact, on 50 random triples
-    for _ in range(50):
-        f1, f2, f3 = (member(rng.randint(-2, 2)) for _ in range(3))
-        s = (sp.cocycle_eta(cfg, f1.comm(f2), f3, omega)
-             + sp.cocycle_eta(cfg, f2.comm(f3), f1, omega)
-             + sp.cocycle_eta(cfg, f3.comm(f1), f2, omega))
-        assert s == 0
-    # locality over the window m+n in [-6, 6]
-    nonzero = set()
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            if any(sp.cocycle_eta(cfg, bi, bj, omega) != 0
-                   for bi in win.slices[m].basis for bj in win.slices[n].basis):
-                nonzero.add(m + n)
-    bound = max((abs(s) for s in nonzero), default=0)
-    for s in range(-6, 7):
-        if abs(s) > bound:
-            assert s not in nonzero
+    checks = {c["name"]: c for c in cli._suite_cocycle(SEED, triples=50)}
     elapsed = time.time() - t0
-    _line(3, "cocycle", elapsed < 60.0,
+    locality = checks["cocycle/locality"]
+    bound = locality["locality_bound"]
+    ok = all(c["passed"] for c in checks.values()) and elapsed < 60.0
+    _line(3, "cocycle", ok,
           f"holomorphy + 50 exact triples + locality bound {bound}, {elapsed:.1f}s (< 60s)")
+    assert sorted(checks) == ["cocycle/holomorphy", "cocycle/jacobi-identity", "cocycle/locality"]
+    assert all(c["passed"] for c in checks.values()), [c for c in checks.values() if not c["passed"]]
+    assert checks["cocycle/jacobi-identity"]["count"] == 50
+    # locality over the window m + n in [-6, 6]: no nonzero sum beyond the bound
+    assert all(abs(s) <= bound < 6 for s in locality["nonzero_sums"])
     assert elapsed < 60.0
 
 

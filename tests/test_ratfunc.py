@@ -76,3 +76,70 @@ def test_matrix_operations():
     assert m.trace() == z + z * z
     ev = m.eval(F(2))
     assert ev[0, 0] == 2 and ev[0, 1] == 1
+
+
+def _reduced_sum(terms):
+    """Entrywise reference: reduced products added one at a time."""
+    acc = RatFunc(Poly([]))
+    for a, b in terms:
+        p = RatFunc(a.num * b.num, a.den * b.den)
+        acc = RatFunc(acc.num * p.den + p.num * acc.den, acc.den * p.den)
+    return acc
+
+
+def _key(e):
+    return e.num.coeffs, e.den.coeffs
+
+
+def test_matmul_and_comm_match_entrywise_reduced_sums():
+    z = rat_z()
+    a = RationalMatrix([
+        [1 / (z - 1), 1 / (z - 1), z / (z + 2)],
+        [z * z, rat_const(0), 1 / ((z - 1) * (z + 2))],
+        [rat_const(F(3, 2)), (z - 1) / (z + 2), rat_const(0)],
+    ])
+    b = RationalMatrix([
+        [1 / (z - 1), z, rat_const(0)],
+        [-1 / (z - 1), 1 / (z + 2), (z + 2) / (z - 1)],
+        [rat_const(0), (z - 1) / z, rat_const(7)],
+    ])
+    prod = a @ b
+    # entry (0, 0) cancels to zero over the shared pole 1/(z-1)^2
+    assert prod.rows[0][0].is_zero() and _key(prod.rows[0][0]) == _key(RatFunc.zero())
+    for x, y in ((a, b), (b, a)):
+        cols = list(zip(*y.rows))
+        ref = [[_reduced_sum(zip(row, col)) for col in cols] for row in x.rows]
+        assert [[_key(e) for e in r] for r in (x @ y).rows] == [[_key(e) for e in r] for r in ref]
+    ab, ba = a @ b, b @ a
+    ref = [[RatFunc(p.num * q.den - q.num * p.den, p.den * q.den) for p, q in zip(r1, r2)]
+           for r1, r2 in zip(ab.rows, ba.rows)]
+    assert [[_key(e) for e in r] for r in a.comm(b).rows] == [[_key(e) for e in r] for r in ref]
+
+
+def test_shortcuts_keep_the_reduced_form():
+    z = rat_z()
+    f = (z - 1) * (z + 2) / ((z - 3) * (z - 1) ** 2)
+    g = (z + 5) / ((z - 3) * (z - 1) ** 2)
+    # equal denominators, constant factors, and the factored denominator
+    assert _key(f + g) == _key(RatFunc(f.num * g.den + g.num * f.den, f.den * g.den))
+    assert _key(f * F(-2, 3)) == _key(RatFunc(f.num * F(-2, 3), f.den))
+    num = Poly([6, -5, -2, 1])  # (z - 1)(z + 2)(z - 3)
+    poles = {F(1): 2, F(3): 1, F(-5): 1}
+    den = Poly([1])
+    for c, k in poles.items():
+        for _ in range(k):
+            den = den * Poly([-c, 1])
+    assert _key(RatFunc.over_poles(num, poles)) == _key(RatFunc(num, den))
+    assert RatFunc.over_poles(Poly([]), poles).is_zero()
+    h = RatFunc(num, den)
+    assert [h.order_at(c) for c in (F(1), F(3), F(-5), F(-2), F(0))] == [-1, 0, -1, 1, 0]
+
+
+def test_laurent_coefficients_match_single_degrees():
+    z = rat_z()
+    m = RationalMatrix([[z / (z - 1) ** 2, rat_const(0)], [(z + 1) / z, z * z]])
+    for point in (F(1), F(0), INF):
+        coeffs = m.laurent_coefficients(point, -3, 2)
+        assert sorted(coeffs) == list(range(-3, 3))
+        for p, c in coeffs.items():
+            assert c.rows == tuple(tuple(e.laurent_at(point, p).get(p, 0) for e in r) for r in m.rows)

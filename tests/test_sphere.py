@@ -121,6 +121,47 @@ def test_framed_sp4_slices_and_rank_deficiency_report(rng):
     assert exc.value.achieved == 11 and exc.value.expected == 10
 
 
+def _assemble_by_sums(cfg, scalars, coords):
+    """Reference assembly: a RationalMatrix sum of scalar times basis terms."""
+    alg = cfg.alg
+    out = RationalMatrix.zeros(alg.size)
+    for si, f in enumerate(scalars):
+        for bi, b in enumerate(alg.basis):
+            c = coords[si * alg.dim + bi]
+            if c:
+                out = out + RationalMatrix.from_scalar_matrix(b, f * c)
+    return out
+
+
+def _entries(mat):
+    return [[(e.num.coeffs, e.den.coeffs) for e in row] for row in mat.rows]
+
+
+@pytest.mark.parametrize("kind,p_points,gammas,framed", [
+    ("sp", (F(0),), (F(3), F(5)), True),
+    ("gl", (F(0), F(-7, 2)), (F(3), F(5, 3)), False),
+])
+def test_assemble_matches_sum_of_terms(kind, p_points, gammas, framed):
+    rng = random.Random(11)
+    alg, dec = la.catalog_grading(kind, 2, 1)
+    frames = tuple(fm.random_group_element(alg, rng) for _ in gammas) if framed else None
+    cfg = sp.SphereConfig(dec, p_points, (INF,), gammas, frames)
+    for m in (-1, 1):
+        div = sp.divisor_for_degree(cfg, m)
+        scalars = sp.section_basis(div)
+        ncand = len(scalars) * alg.dim
+        rows, _ = sp._expansion_condition_rows(cfg, scalars, range(-dec.depth, dec.depth), "lax")
+        # slice vectors (whose entries cancel pole factors) and random ones
+        vectors = sp.nullspace(rows, ncand) + [
+            [rng.choice([0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
+             for _ in range(ncand)]
+            for _ in range(2)
+        ]
+        got = sp._assemble(cfg, div, vectors)
+        for v, mat in zip(vectors, got):
+            assert _entries(mat) == _entries(_assemble_by_sums(cfg, scalars, v))
+
+
 def test_g2_rejected():
     alg, dec = la.catalog_grading("g2", 2, 2)
     with pytest.raises(NotImplementedError):
