@@ -23,6 +23,7 @@ reverses time but changes no conserved quantity.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +61,22 @@ FAMILIES = ("A", "B", "C", "D")
 
 
 class CollisionError(RuntimeError):
-    """Particle collision or pole encounter; carries the partial trajectory."""
+    """Particle collision or pole encounter; carries the partial trajectory.
 
-    def __init__(self, message, trajectory=None):
+    ``kind`` names the argument that hit the lattice (``q_i-q_j``,
+    ``q_i+q_j``, ``q_i``, ``q0``, ``q_i-q0`` or ``q_i+q0``) and
+    ``particles`` its 1-based particle indices, when known."""
+
+    def __init__(self, message, trajectory=None, kind=None, particles=()):
         super().__init__(message)
         self.trajectory = trajectory
+        self.kind = kind
+        self.particles = tuple(particles)
+
+
+# half-period of the square lattice of ``conservation_initial_data``, which
+# the CLI's ``cm`` command uses by default
+CONSERVATION_PERIOD = 40.0
 
 
 def default_couplings(family, n):
@@ -146,9 +158,9 @@ class CMState:
 def _collision_arguments(sys_, q):
     """All sigma/wp arguments that must stay away from the lattice.
 
-    Layout, relied on by ``equations_of_motion``: q_i - q_j (i != j, row
-    major), then for B/C/D q_i + q_j (all i, j, row major) and q_i, then for
-    B q0, q_i - q0 and q_i + q0."""
+    Layout, relied on by ``equations_of_motion`` and ``_argument_label``:
+    q_i - q_j (i != j, row major), then for B/C/D q_i + q_j (all i, j, row
+    major) and q_i, then for B q0, q_i - q0 and q_i + q0."""
     n = sys_.n
     args = []
     diff = q[:, None] - q[None, :]
@@ -163,70 +175,158 @@ def _collision_arguments(sys_, q):
     return np.concatenate(args) if args else np.array([])
 
 
-def check_state(sys_, state):
-    args = _collision_arguments(sys_, state.q)
-    if args.size:
-        d = sys_.lattice.lattice_distance(args)
-        lim = sys_.lattice.guard * abs(sys_.lattice.omega1)
-        if np.any(d < lim):
-            raise CollisionError("particle collision (argument on the lattice)")
+def _argument_label(n, idx):
+    """(kind, 1-based particles) of entry ``idx`` of ``_collision_arguments``."""
+    m = n * (n - 1)
+    if idx < m:
+        i, r = divmod(idx, n - 1)
+        return "q_i-q_j", (i + 1, r + 1 if r < i else r + 2)
+    idx -= m
+    if idx < n * n:
+        i, j = divmod(idx, n)
+        return "q_i+q_j", (i + 1, j + 1)
+    idx -= n * n
+    if idx < n:
+        return "q_i", (idx + 1,)
+    if idx == n:
+        return "q0", ()
+    side, i = divmod(idx - n - 1, n)
+    return ("q_i-q0", "q_i+q0")[side], (i + 1,)
 
 
-def _a_block(sys_, q, p, z, fill_diag=True):
-    """gl-type block with entries f_ij s(z+q_j-q_i) s(z-q_j) s(q_i) /
-    (s(z) s(z-q_i) s(q_i-q_j) s(q_j)); diagonal p_j."""
+def _collision_error(sys_, args):
+    """CollisionError naming the first of ``args`` (laid out as by
+    ``_collision_arguments``) within the guard radius, or None."""
     lat = sys_.lattice
-    n = len(q)
-    s = lat.sigma
-    dmat = q[:, None] - q[None, :]
-    dsafe = dmat + np.eye(n) * 0.31234  # diagonal never used
-    num = s(z - dmat) * s(z - q)[None, :] * s(q)[:, None]
+    lim = lat.guard * abs(lat.omega1)
+    hit = np.flatnonzero(lat.lattice_distance(args) < lim)
+    if not hit.size:
+        return None
+    kind, particles = _argument_label(sys_.n, int(hit[0]))
+    label = kind
+    for sym, k in zip(("i", "j"), particles):
+        label = label.replace(f"_{sym}", f"_{k}")
+    return CollisionError(f"particle collision: argument {label} (kind {kind}) within "
+                          f"{lim:.1e} of a lattice point", kind=kind, particles=particles)
+
+
+def check_state(sys_, state):
+    """Raise CollisionError, naming the argument, if one of the state's
+    collision arguments lies within the guard radius of the lattice."""
+    err = _collision_error(sys_, _collision_arguments(sys_, state.q))
+    if err is not None:
+        raise err
+
+
+def _sigma_table(lat, args):
+    """Sigma of named argument groups in one call.
+
+    1-d groups are z-independent; 2-d groups carry the node axis first.
+    Returns the values under the same names and in the same shapes."""
+    sig = lat.sigma(np.concatenate([a.ravel() for a in args.values()]))
+    out = {}
+    i = 0
+    for name, a in args.items():
+        out[name] = sig[i:i + a.size].reshape(a.shape)
+        i += a.size
+    return out
+
+
+def _a_args(q, z):
+    """Arguments of ``_a_block`` at the nodes z (shape (K, 1))."""
+    d = (q[:, None] - q[None, :])[~np.eye(len(q), dtype=bool)]
+    return {"q": q, "d": d, "z": z, "z-q": z - q, "z-d": z - d}
+
+
+def _a_block(sys_, p, s):
+    """gl-type block over the nodes, shape (K, n, n): entries
+    f_ij s(z+q_j-q_i) s(z-q_j) s(q_i) / (s(z) s(z-q_i) s(q_i-q_j) s(q_j))
+    off the diagonal, p_j on it; ``s`` holds sigma at ``_a_args``."""
+    n = len(p)
+    off = ~np.eye(n, dtype=bool)
+    i, j = np.nonzero(off)
+    num = s["z-d"] * s["z-q"][:, j] * s["q"][i]
     with np.errstate(invalid="ignore", over="ignore"):
-        den = s(z) * s(z - q)[:, None] * s(dsafe) * s(q)[None, :]
-        a = np.asarray(sys_.couplings["f"], dtype=complex) * num / den
-    if fill_diag:
-        np.fill_diagonal(a, p)
-    else:
-        np.fill_diagonal(a, 0)
+        den = s["z"] * s["z-q"][:, i] * s["d"] * s["q"][j]
+        vals = np.asarray(sys_.couplings["f"], dtype=complex)[off] * num / den
+    a = np.zeros((len(s["z"]), n, n), dtype=complex)
+    a[:, off] = vals
+    a[:, np.arange(n), np.arange(n)] = p
     return a
 
 
-def _bc_blocks(sys_, q, z, symmetric):
-    """The two off-diagonal blocks, skew for B and symmetric for C (with
-    the extra diagonal entries in the symmetric case)."""
-    lat = sys_.lattice
-    n = len(q)
-    s = lat.sigma
+@functools.lru_cache(maxsize=None)
+def _pairs(n, diagonal=False):
+    """Index pairs a < b (a <= b with ``diagonal``), as from triu_indices;
+    read-only, since every caller shares them."""
+    pairs = np.triu_indices(n, 0 if diagonal else 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _bc_args(q, z, symmetric):
+    """Arguments of ``_bc_blocks`` beyond those of ``_a_args``."""
+    ps = (q[:, None] + q[None, :])[_pairs(len(q), symmetric)]
+    return {"ps": ps, "z-ps": z - ps, "z+ps": z + ps, "z+q": z + q}
+
+
+def _bc_blocks(sys_, s, symmetric):
+    """The two off-diagonal blocks over the nodes, skew for B and symmetric
+    for C (with the extra diagonal entries in the symmetric case).
+
+    For a pair a < b (a <= b if symmetric) with x = q_a + q_b,
+    B_ab = fB_ab s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and
+    C_ba = fC_ba s(z+x) s(z-q_a) / (s(z) s(z+q_b) s(x))."""
+    n = s["q"].size
+    a, b = _pairs(n, symmetric)
     fB = np.asarray(sys_.couplings["fB"], dtype=complex)
     fC = np.asarray(sys_.couplings["fC"], dtype=complex)
-    psum = q[:, None] + q[None, :]
-    # B_ji (j < i): fB s(z-q_j-q_i) s(z+q_i) / (s(z) s(z-q_j) s(q_i+q_j))
-    bfull = s(z - psum.T) * s(z + q)[None, :] / (s(z) * s(z - q)[:, None] * s(psum.T))
-    # C_ij (i > j): fC s(z+q_j+q_i) s(z-q_j) / (s(z) s(z+q_i) s(q_i+q_j))
-    cfull = s(z + psum) * s(z - q)[None, :] / (s(z) * s(z + q)[:, None] * s(psum))
-    B = np.zeros((n, n), dtype=complex)
-    C = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    il = np.tril_indices(n, -1)
-    B[iu] = (fB * bfull)[iu]
-    C[il] = (fC * cfull)[il]
-    if symmetric:
-        B = B + B.T
-        C = C + C.T
-        dq = 2 * q
-        bd = np.diag(fB) * s(z - dq) * s(z + q) / (s(z) * s(z - q) * s(dq))
-        cd = np.diag(fC) * s(z + dq) * s(z - q) / (s(z) * s(z + q) * s(dq))
-        B[np.diag_indices(n)] = bd
-        C[np.diag_indices(n)] = cd
-    else:
-        B = B - B.T
-        C = C - C.T
+    bval = fB[a, b] * (s["z-ps"] * s["z+q"][:, b] / (s["z"] * s["z-q"][:, a] * s["ps"]))
+    cval = fC[b, a] * (s["z+ps"] * s["z-q"][:, a] / (s["z"] * s["z+q"][:, b] * s["ps"]))
+    sign = 1.0 if symmetric else -1.0
+    B = np.zeros((len(s["z"]), n, n), dtype=complex)
+    C = np.zeros_like(B)
+    B[:, a, b] = bval
+    B[:, b, a] = sign * bval
+    C[:, a, b] = sign * cval
+    C[:, b, a] = cval
     return B, C
 
 
+def _border_args(q, q0, z):
+    """Arguments of the B border beyond those of ``_a_args``."""
+    zq0 = z - q0
+    return {"z-q0": zq0, "z-q0-q": zq0 - q, "z-q0+q": zq0 + q}
+
+
+def _b_lax(sys_, p, s):
+    """Bordered so(2n+1) matrix over the nodes: the A and skew B/C blocks
+    with the columns a_i = fa s(z-q0-q_i) s(z) / (s(z-q0) s(z-q_i) s(q_i))
+    and b_i = fb s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0) s(q_i))."""
+    n = len(p)
+    a = _a_block(sys_, p, s)
+    B, C = _bc_blocks(sys_, s, symmetric=False)
+    fa = np.asarray(sys_.couplings["fa"], dtype=complex)
+    fb = np.asarray(sys_.couplings["fb"], dtype=complex)
+    avec = fa * s["z-q0-q"] * s["z"] / (s["z-q0"] * s["z-q"] * s["q"])
+    bvec = fb * s["z-q0+q"] * s["z-q"] / (s["z"] * s["z-q0"] * s["q"])
+    L = np.zeros((len(s["z"]), 2 * n + 1, 2 * n + 1), dtype=complex)
+    L[:, :n, :n] = a
+    L[:, :n, n] = avec
+    L[:, :n, n + 1:] = B
+    L[:, n, :n] = -bvec
+    L[:, n, n + 1:] = -avec
+    L[:, n + 1:, :n] = C
+    L[:, n + 1:, n] = bvec
+    L[:, n + 1:, n + 1:] = -np.swapaxes(a, 1, 2)
+    return L
+
+
 def _d_lax(sys_, q, p, z):
-    """so(2n) Lax matrix: the weight form [[A, B], [C, -A^T]] (B, C skew)
-    conjugated by the torus gauge diag(h, 1/h), h_i = s(z+q_i/2) / s(z-q_i/2).
+    """so(2n) Lax matrix over the nodes z (shape (K, 1)): the weight form
+    [[A, B], [C, -A^T]] (B, C skew) conjugated by the torus gauge
+    diag(h, 1/h), h_i = s(z+q_i/2) / s(z-q_i/2).
 
     With Phi(x) = s(z - x) / (s(z) s(x)) and e_ij = (-1)^(i+j+1) the weight
     form has A_ii = p_i, A_ij = f_ij Phi(q_i - q_j), and for i < j
@@ -237,65 +337,66 @@ def _d_lax(sys_, q, p, z):
     z = +-q_i/2."""
     n = len(q)
     off = ~np.eye(n, dtype=bool)
-    iu = np.triu_indices(n, 1)
-    il = iu[::-1]
+    iu = _pairs(n)
     d = (q[:, None] - q[None, :])[off]
     ssum = (q[:, None] + q[None, :])[iu]
     x = np.concatenate([d, ssum, -ssum])
-    k = x.size
-    sig = sys_.lattice.sigma(np.concatenate([z - x, x, [z], z + q / 2, z - q / 2]))
-    phi = sig[:k] / (sig[2 * k] * sig[k:2 * k])
-    phi_d, phi_s, phi_m = np.split(phi, [d.size, d.size + ssum.size])
-    h = sig[2 * k + 1:2 * k + 1 + n] / sig[2 * k + 1 + n:]
+    s = _sigma_table(sys_.lattice, {"x": x, "z-x": z - x, "z": z,
+                                    "z+q/2": z + q / 2, "z-q/2": z - q / 2})
+    phi = s["z-x"] / (s["z"] * s["x"])
+    k, m = d.size, ssum.size
     e = (-1.0) ** (iu[0] + iu[1] + 1)
-    a = np.zeros((n, n), dtype=complex)
-    a[off] = np.asarray(sys_.couplings["f"])[off] * phi_d
-    np.fill_diagonal(a, p)
-    B = np.zeros((n, n), dtype=complex)
-    C = np.zeros((n, n), dtype=complex)
-    B[iu] = np.asarray(sys_.couplings["fB"])[iu] * e * phi_s
-    C[il] = -np.asarray(sys_.couplings["fC"])[il] * e * phi_m
-    g = np.concatenate([h, 1 / h])
-    return g[:, None] * np.block([[a, B - B.T], [C - C.T, -a.T]]) / g[None, :]
+    bval = np.asarray(sys_.couplings["fB"])[iu] * e * phi[:, k:k + m]
+    cval = -np.asarray(sys_.couplings["fC"]).T[iu] * e * phi[:, k + m:]
+    L = np.zeros((len(z), 2 * n, 2 * n), dtype=complex)
+    a = L[:, :n, :n]
+    a[:, off] = np.asarray(sys_.couplings["f"])[off] * phi[:, :k]
+    a[:, np.arange(n), np.arange(n)] = p
+    L[:, n:, n:] = -np.swapaxes(a, 1, 2)
+    i, j = iu
+    L[:, i, n + j] = bval
+    L[:, j, n + i] = -bval
+    L[:, n + j, i] = cval
+    L[:, n + i, j] = -cval
+    h = s["z+q/2"] / s["z-q/2"]
+    g = np.concatenate([h, 1 / h], axis=1)
+    return g[:, :, None] * L / g[:, None, :]
 
 
 def lax_matrix(sys_, state, z):
     """Spectral-parameter Lax matrix of the configured family at z.
 
-    Every family gives sigma-quotient entries that are elliptic in z, with
-    the fixed pole z = 0 and moving poles at ``moving_points``.  D uses the
+    ``z`` is a scalar, giving the (N, N) matrix, or a 1-d array of nodes,
+    giving the (K, N, N) stack of the matrices at each node; the state is
+    guarded once and sigma is evaluated in one call either way.  Every
+    family gives sigma-quotient entries that are elliptic in z, with the
+    fixed pole z = 0 and moving poles at ``moving_points``.  D uses the
     gauged weight form of ``_d_lax``; its flow is isospectral for n <= 3
     only."""
     check_state(sys_, state)
     q, p = state.q, state.p
-    n = sys_.n
-    lat = sys_.lattice
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError("z must be a scalar or a 1-d array of nodes")
+    nodes = zs.reshape(-1, 1)
     if sys_.family == "D":
-        return _d_lax(sys_, q, p, z)
-    a = _a_block(sys_, q, p, z)
-    if sys_.family == "A":
-        return a
-    if sys_.family == "C":
-        B, C = _bc_blocks(sys_, q, z, symmetric=True)
-        return np.block([[a, B], [C, -a.T]])
-    B, C = _bc_blocks(sys_, q, z, symmetric=False)
-    # family B: bordered so(2n+1) matrix
-    s = lat.sigma
-    fa = np.asarray(sys_.couplings["fa"], dtype=complex)
-    fb = np.asarray(sys_.couplings["fb"], dtype=complex)
-    q0 = sys_.q0
-    avec = fa * s(z - q0 - q) * s(z) / (s(z - q0) * s(z - q) * s(q))
-    bvec = fb * s(z - q0 + q) * s(z - q) / (s(z) * s(z - q0) * s(q))
-    L = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    L[:n, :n] = a
-    L[:n, n] = avec
-    L[:n, n + 1:] = B
-    L[n, :n] = -bvec
-    L[n, n + 1:] = -avec
-    L[n + 1:, :n] = C
-    L[n + 1:, n] = bvec
-    L[n + 1:, n + 1:] = -a.T
-    return L
+        L = _d_lax(sys_, q, p, nodes)
+    else:
+        args = _a_args(q, nodes)
+        if sys_.family in ("B", "C"):
+            args.update(_bc_args(q, nodes, symmetric=sys_.family == "C"))
+        if sys_.family == "B":
+            args.update(_border_args(q, sys_.q0, nodes))
+        s = _sigma_table(sys_.lattice, args)
+        if sys_.family == "A":
+            L = _a_block(sys_, p, s)
+        elif sys_.family == "C":
+            a = _a_block(sys_, p, s)
+            B, C = _bc_blocks(sys_, s, symmetric=True)
+            L = np.block([[a, B], [C, -np.swapaxes(a, 1, 2)]])
+        else:
+            L = _b_lax(sys_, p, s)
+    return L[0] if zs.ndim == 0 else L
 
 
 def family_sigma_matrix(family, n):
@@ -320,7 +421,7 @@ def family_sigma_matrix(family, n):
 
 def _pair_wp(lat, q, plus=False):
     n = len(q)
-    iu = np.triu_indices(n, 1)
+    iu = _pairs(n)
     args = (q[:, None] + q[None, :]) if plus else (q[:, None] - q[None, :])
     return lat.wp(args[iu]).sum()
 
@@ -374,12 +475,10 @@ def residue_hamiltonian(sys_, state, m=1, power=2, center=0.0, nodes=64, radius=
             radius = float(np.min(dist)) / 3.0
     if radius < 10 * lat.guard * abs(lat.omega1):
         raise ValueError("contour radius collides with a neighbouring pole")
-    acc = 0.0 + 0.0j
-    for k in range(nodes):
-        zk = center + radius * np.exp(2j * np.pi * k / nodes)
-        L = lax_matrix(sys_, state, zk)
-        acc += np.trace(np.linalg.matrix_power(L, power)) * (zk - center) ** (1 - m)
-    return acc / nodes
+    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    ls = lax_matrix(sys_, state, center + w)
+    traces = np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)
+    return np.sum(traces * w ** (1 - m)) / nodes
 
 
 def hamiltonian_from_residue(sys_, state, nodes=64):
@@ -404,10 +503,11 @@ def equations_of_motion(sys_, state):
 
     Every wp' argument is a collision argument, so one guarded wp' call on
     the collision arguments stands for ``check_state`` as well."""
+    args = _collision_arguments(sys_, state.q)
     try:
-        wpp = sys_.lattice.wp_prime(_collision_arguments(sys_, state.q))
+        wpp = sys_.lattice.wp_prime(args)
     except PoleProximityError:
-        raise CollisionError("particle collision (argument on the lattice)") from None
+        raise _collision_error(sys_, args) from None
     n = sys_.n
     m = n * (n - 1)
     off = ~np.eye(n, dtype=bool)
@@ -499,7 +599,8 @@ def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
                 ps.append(state.p.copy())
     except (CollisionError, PoleProximityError) as exc:
         traj = Trajectory(np.array(times), np.array(qs), np.array(ps), completed=False)
-        raise CollisionError(str(exc), trajectory=traj) from None
+        raise CollisionError(str(exc), trajectory=traj, kind=getattr(exc, "kind", None),
+                             particles=getattr(exc, "particles", ())) from None
     return Trajectory(np.array(times), np.array(qs), np.array(ps))
 
 
@@ -532,7 +633,7 @@ def random_state(sys_, rng, p_scale=0.7, lo=None, hi=None, min_gap=None):
     raise RuntimeError("could not sample a collision-free state")
 
 
-def conservation_initial_data(family, n, rng, period=40.0):
+def conservation_initial_data(family, n, rng, period=CONSERVATION_PERIOD):
     """System and seeded real state suited to long conservation runs: a
     square lattice with real period 2*``period``, evenly spread positions
     with jitter, and small momenta.
@@ -652,11 +753,8 @@ def _matrix_residue(sys_, state, center, order=1, nodes=64, cluster_tol=None):
     dist = lat.lattice_distance(poles - center)
     dist = dist[dist > cluster_tol]
     radius = float(np.min(dist)) / 3.0
-    acc = np.zeros((sys_.matrix_size, sys_.matrix_size), dtype=complex)
-    for k in range(nodes):
-        zk = center + radius * np.exp(2j * np.pi * k / nodes)
-        acc += lax_matrix(sys_, state, zk) * (zk - center) ** order
-    return acc / nodes
+    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return np.tensordot(w ** order, lax_matrix(sys_, state, center + w), 1) / nodes
 
 
 def tyurin_residue_check(sys_, state, flow_probe=None):
@@ -739,7 +837,7 @@ def expansion_violations(sys_, state, nodes=64):
         dist = lat.lattice_distance(poles - gamma)
         radius = float(np.min(dist[dist > 1e-12])) / 3.0
         w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        ls = np.array([lax_matrix(sys_, state, gamma + wk) for wk in w])
+        ls = lax_matrix(sys_, state, gamma + w)
         coeffs = np.tensordot(w[None, :] ** -degrees[:, None], ls, 1) / nodes
         scaled = np.abs(coeffs) * radius ** degrees[:, None, None]
         bad = (hd[:, None] - hd[None, :])[None] > degrees[:, None, None]
@@ -764,14 +862,15 @@ def run_conservation(sys_, state0, t_end, dt, scheme="rk4", z_samples=None,
         z_samples = [complex(rng.uniform(0.2, 0.6), rng.uniform(0.15, 0.5)) for _ in range(3)]
     traj = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=record_every)
     h0 = hamiltonian(sys_, traj.state(0))
-    l0 = {z: lax_matrix(sys_, traj.state(0), z) for z in z_samples}
+    zs = np.asarray(z_samples, dtype=complex)
+    l0 = lax_matrix(sys_, traj.state(0), zs)
     max_h = 0.0
     max_spec = 0.0
     for i in range(1, len(traj)):
         st = traj.state(i)
         max_h = max(max_h, abs(hamiltonian(sys_, st) - h0) / max(1e-300, abs(h0)))
-        for z in z_samples:
-            max_spec = max(max_spec, eigenvalue_drift(l0[z], lax_matrix(sys_, st, z)))
+        for a, b in zip(l0, lax_matrix(sys_, st, zs)):
+            max_spec = max(max_spec, eigenvalue_drift(a, b))
     report = {
         "family": sys_.family,
         "n": sys_.n,
@@ -796,6 +895,7 @@ def write_trajectory_csv(path, sys_, traj, z_samples=(), truncated=False):
     header = ["t"] + [f"q_{i+1}" for i in range(n)] + [f"p_{i+1}" for i in range(n)] + ["H"]
     for k in range(len(z_samples)):
         header.append(f"inv_p2_z{k+1}")
+    zs = np.asarray(z_samples, dtype=complex)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -805,8 +905,9 @@ def write_trajectory_csv(path, sys_, traj, z_samples=(), truncated=False):
             row += [x.real for x in st.q]
             row += [x.real for x in st.p]
             row.append(hamiltonian(sys_, st))
-            for z in z_samples:
-                row.append(complex(np.trace(lax_matrix(sys_, st, z) @ lax_matrix(sys_, st, z))).real)
+            if zs.size:
+                ls = lax_matrix(sys_, st, zs)
+                row += np.trace(ls @ ls, axis1=1, axis2=2).real.tolist()
             w.writerow(row)
         if truncated:
             w.writerow(["TRUNCATED"] + [""] * (len(header) - 1))

@@ -305,7 +305,7 @@ def cmd_cm(args):
     if tau.imag <= 0:
         print("error: tau must have positive imaginary part", file=sys.stderr)
         return 2
-    if args.period != 30.0 or tau != 1j:
+    if args.period != calogero.CONSERVATION_PERIOD or tau != 1j:
         lat = Lattice(args.period, args.period * tau)
         q0 = args.q0 if args.q0 is not None else 0.085 * args.period
         sys_ = calogero.CMSystem(args.family, args.n, lat, q0=q0)
@@ -409,7 +409,8 @@ def _build_parser():
     c.add_argument("--dt", type=float, default=1e-3)
     c.add_argument("--scheme", choices=("rk4", "leapfrog"), default="rk4")
     c.add_argument("--tau", default="1j", help="lattice ratio omega2/omega1")
-    c.add_argument("--period", type=float, default=30.0, help="half-period omega1")
+    c.add_argument("--period", type=float, default=calogero.CONSERVATION_PERIOD,
+                   help="half-period omega1")
     c.add_argument("--q0", type=float, default=None, help="frozen extra point (B family)")
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--out", help="trajectory CSV path")

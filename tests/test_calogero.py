@@ -120,6 +120,116 @@ def test_collision_guard():
         cm.check_state(sys_, cm.CMState(np.array([1.0, 1.0 + 1e-9]), np.zeros(2)))
 
 
+def test_collision_error_names_the_pair():
+    sys_ = make("A", 3)
+    st = cm.CMState(np.array([0.9, 2.5, 2.5 + 1e-9]), np.zeros(3))
+    with pytest.raises(cm.CollisionError, match=r"q_2-q_3") as exc:
+        cm.check_state(sys_, st)
+    assert (exc.value.kind, exc.value.particles) == ("q_i-q_j", (2, 3))
+    # the equations of motion locate the same argument from their own guard
+    with pytest.raises(cm.CollisionError, match=r"q_2-q_3 \(kind q_i-q_j\)"):
+        cm.equations_of_motion(sys_, st)
+
+
+def test_collision_error_names_the_frozen_point():
+    sys_ = make("B", 2)
+    st = cm.CMState(np.array([sys_.q0 + 1e-9, 1.3]), np.zeros(2))
+    for fn in (cm.check_state, cm.equations_of_motion):
+        with pytest.raises(cm.CollisionError, match=r"q_1-q0 \(kind q_i-q0\)") as exc:
+            fn(sys_, st)
+        assert (exc.value.kind, exc.value.particles) == ("q_i-q0", (1,))
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_argument_labels_follow_the_collision_layout(family):
+    n = 3
+    sys_ = make(family, n)
+    q = np.array([0.11, 0.23, 0.37], dtype=complex)
+    value = {"q_i-q_j": lambda i, j: q[i - 1] - q[j - 1], "q_i+q_j": lambda i, j: q[i - 1] + q[j - 1],
+             "q_i": lambda i: q[i - 1], "q0": lambda: sys_.q0,
+             "q_i-q0": lambda i: q[i - 1] - sys_.q0, "q_i+q0": lambda i: q[i - 1] + sys_.q0}
+    for k, arg in enumerate(cm._collision_arguments(sys_, q)):
+        kind, particles = cm._argument_label(n, k)
+        assert value[kind](*particles) == arg
+
+
+def test_integrate_keeps_the_collision_argument():
+    sys_ = make("A", 2)
+    st = cm.CMState(np.array([1.0, 1.0 + 1e-9]), np.zeros(2))
+    with pytest.raises(cm.CollisionError) as exc:
+        cm.integrate(sys_, st, 0.1, 1e-2)
+    assert exc.value.kind == "q_i-q_j" and exc.value.particles == (1, 2)
+    assert exc.value.trajectory is not None
+
+
+# ---------------------------------------------------------------------------
+# contour nodes as a batch axis
+# ---------------------------------------------------------------------------
+
+SKEW = Lattice(6.0, 2.0 + 5.0j)
+NODES = np.concatenate([0.35 * np.exp(2j * np.pi * np.arange(16) / 16),
+                        [0.21 + 0.37j, 1.1 - 0.4j, -0.9 + 1.3j]])
+
+
+def batch_case(family, n, lat):
+    sys_ = cm.CMSystem(family, n, lat, q0=0.51 * 6)
+    return sys_, cm.random_state(sys_, np.random.default_rng(10 * n + len(family)))
+
+
+def per_node(sys_, st, zs):
+    return np.array([cm.lax_matrix(sys_, st, z) for z in zs])
+
+
+@pytest.mark.parametrize("lat", [LAT, SKEW], ids=["square", "skewed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_lax_matrix_node_axis(family, n, lat):
+    sys_, st = batch_case(family, n, lat)
+    size = sys_.matrix_size
+    assert cm.lax_matrix(sys_, st, NODES[0]).shape == (size, size)
+    got = cm.lax_matrix(sys_, st, NODES)
+    assert got.shape == (len(NODES), size, size)
+    ref = per_node(sys_, st, NODES)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def reference_residue(sys_, st, m, power, radius, nodes=64):
+    """The per-node loop: trace sum and the mean size of its terms."""
+    acc, scale = 0.0, 0.0
+    for k in range(nodes):
+        zk = radius * np.exp(2j * np.pi * k / nodes)
+        term = np.trace(np.linalg.matrix_power(cm.lax_matrix(sys_, st, zk), power)) * zk ** (1 - m)
+        acc += term
+        scale += abs(term)
+    return acc / nodes, scale / nodes
+
+
+@pytest.mark.parametrize("power", [2, 4])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
+    sys_, st = batch_case(family, 3, LAT)
+    ref, scale = reference_residue(sys_, st, m, power, radius=0.2)
+    got = cm.residue_hamiltonian(sys_, st, m=m, power=power, radius=0.2)
+    assert abs(got - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_matrix_residue_matches_per_node_loop(order):
+    sys_, st = batch_case("A", 3, SKEW)
+    center = st.q[1]
+    got = cm._matrix_residue(sys_, st, center, order=order)
+    dist = sys_.lattice.lattice_distance(cm._pole_set(sys_, st) - center)
+    radius = float(np.min(dist[dist > 1e-4 * abs(SKEW.omega1)])) / 3.0
+    ref = np.zeros_like(got)
+    for k in range(64):
+        zk = center + radius * np.exp(2j * np.pi * k / 64)
+        ref += cm.lax_matrix(sys_, st, zk) * (zk - center) ** order
+    ref /= 64
+    scale = np.abs(cm.lax_matrix(sys_, st, center + radius)).max() * radius ** order
+    assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians: closed form vs residue route
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from laxkit import cli
@@ -97,6 +98,24 @@ def test_cm_collision_abort_exit_code(tmp_path, capsys):
     assert code == 3
     rows = list(csv.reader(open(traj)))
     assert rows[-1][0] == "TRUNCATED"
+
+
+@pytest.mark.parametrize("family,n,seed", [("A", 3, 1), ("B", 2, 4), ("D", 2, 7)])
+def test_cm_defaults_match_conservation_initial_data(family, n, seed, monkeypatch):
+    seen = {}
+    real = cli.calogero.run_conservation
+
+    def spy(sys_, state, *args, **kw):
+        seen["sys"], seen["state"] = sys_, state
+        return real(sys_, state, *args, **kw)
+
+    monkeypatch.setattr(cli.calogero, "run_conservation", spy)
+    assert run(["cm", "--family", family, "--n", str(n), "--T", "0", "--seed", str(seed)]) == 0
+    sys_, st = cli.calogero.conservation_initial_data(family, n, np.random.default_rng(seed))
+    got = seen["sys"]
+    assert (got.family, got.n, got.q0) == (sys_.family, sys_.n, sys_.q0)
+    assert (got.lattice.omega1, got.lattice.omega2) == (sys_.lattice.omega1, sys_.lattice.omega2)
+    assert np.array_equal(seen["state"].q, st.q) and np.array_equal(seen["state"].p, st.p)
 
 
 def test_cm_bad_tau_usage_error(capsys):
