@@ -15,6 +15,13 @@ gauge, is used.  It fails for D with n >= 4 and for the B and C matrices.
 Lax operator algebra at the moving poles: the A and D matrices meet them,
 the B and C matrices do not in the standard frame.
 
+The closed form reads one linear plan per system, built once by
+``CMSystem``: rows P q + c (c nonzero only in the B rows that hold q0) with
+weights w, a kinetic coefficient kappa and one (kind, particles) label each.
+H = kappa p.p + w . wp(P q + c), the equations of motion are its gradient
+(qdot = 2 kappa p, pdot = -P^T (w * wp'(P q + c))), and the collision guard
+names the label of the first row on the lattice.
+
 Sign convention: the stored Hamiltonian has a negative kinetic term, as the
 residue normalization produces it; ``physical_sign=True`` negates it, which
 reverses time but changes no conserved quantity.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +53,7 @@ __all__ = [
     "Trajectory",
     "random_state",
     "conservation_initial_data",
+    "conservation_z_samples",
     "spectral_invariants",
     "eigenvalue_drift",
     "poisson_bracket",
@@ -114,6 +123,7 @@ class CMSystem:
         if self.couplings is None:
             self.couplings = default_couplings(self.family, self.n)
         self._validate_couplings()
+        self._plan = _linear_plan(self.family, self.n, self.q0)
 
     def _validate_couplings(self):
         c = self.couplings
@@ -155,54 +165,63 @@ class CMState:
         return CMState(self.q.copy(), self.p.copy())
 
 
-def _collision_arguments(sys_, q):
-    """All sigma/wp arguments that must stay away from the lattice.
-
-    Layout, relied on by ``equations_of_motion`` and ``_argument_label``:
-    q_i - q_j (i != j, row major), then for B/C/D q_i + q_j (all i, j, row
-    major) and q_i, then for B q0, q_i - q0 and q_i + q0."""
-    n = sys_.n
-    args = []
-    diff = q[:, None] - q[None, :]
-    args.append(diff[~np.eye(n, dtype=bool)])
-    if sys_.family in ("B", "C", "D"):
-        args.append((q[:, None] + q[None, :]).ravel())
-        args.append(q)
-    if sys_.family == "B":
-        args.append(np.array([sys_.q0]))
-        args.append(q - sys_.q0)
-        args.append(q + sys_.q0)
-    return np.concatenate(args) if args else np.array([])
+_Plan = namedtuple("_Plan", "P c w kappa labels")
 
 
-def _argument_label(n, idx):
-    """(kind, 1-based particles) of entry ``idx`` of ``_collision_arguments``."""
-    m = n * (n - 1)
-    if idx < m:
-        i, r = divmod(idx, n - 1)
-        return "q_i-q_j", (i + 1, r + 1 if r < i else r + 2)
-    idx -= m
-    if idx < n * n:
-        i, j = divmod(idx, n)
-        return "q_i+q_j", (i + 1, j + 1)
-    idx -= n * n
-    if idx < n:
-        return "q_i", (idx + 1,)
-    if idx == n:
-        return "q0", ()
-    side, i = divmod(idx - n - 1, n)
-    return ("q_i-q0", "q_i+q0")[side], (i + 1,)
+def _linear_plan(family, n, q0):
+    """The arguments P q + c of a system's wp, wp' and collision guard, with
+    the weights w and kinetic coefficient kappa of H = kappa p.p + w . wp(P q
+    + c) and one (kind, 1-based particles) label per row.  Rows: q_i - q_j
+    (i != j); for B/C/D q_i + q_j (all i, j) and q_i; for B q0, q_i -+ q0."""
+    eye = np.eye(n)
+    singles = [(k,) for k in range(n)]
+    # (rows of P, constant, weight(s), kind, 0-based particles of each row)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    sections = [(eye[i] - eye[j], 0, 0.5 if family == "A" else 1.0, "q_i-q_j", zip(i, j))]
+    if family != "A":
+        i, j = np.divmod(np.arange(n * n), n)
+        w_sum = np.where(i == j, 2.0 if family == "C" else 0.0, 1.0)
+        sections += [(eye[i] + eye[j], 0, w_sum, "q_i+q_j", zip(i, j)),
+                     (eye, 0, 2.0 if family == "B" else 0.0, "q_i", singles)]
+    if family == "B":
+        sections += [(np.zeros((1, n)), q0, 0.0, "q0", [()]),
+                     (eye, -q0, 0.0, "q_i-q0", singles),
+                     (eye, q0, 0.0, "q_i+q0", singles)]
+    rows = [len(s[0]) for s in sections]
+    return _Plan(
+        P=np.concatenate([s[0] for s in sections]),
+        c=np.repeat(np.array([s[1] for s in sections], dtype=complex), rows),
+        w=np.concatenate([np.broadcast_to(s[2], r) for s, r in zip(sections, rows)]),
+        kappa=-0.5 if family == "A" else -1.0,
+        labels=tuple((kind, tuple(int(k) + 1 for k in ks))
+                     for _, _, _, kind, parts in sections for ks in parts))
+
+
+def _arguments(sys_, q):
+    """The plan's arguments P q + c at the positions q."""
+    plan = sys_._plan
+    return plan.P @ q + plan.c
+
+
+def _guarded(sys_, q, fn):
+    """``fn`` (a guarded lattice function) at the plan's arguments; a guard
+    hit becomes the CollisionError naming the argument."""
+    args = _arguments(sys_, q)
+    try:
+        return fn(args)
+    except PoleProximityError:
+        raise _collision_error(sys_, args) from None
 
 
 def _collision_error(sys_, args):
-    """CollisionError naming the first of ``args`` (laid out as by
-    ``_collision_arguments``) within the guard radius, or None."""
+    """CollisionError naming the first of the plan's arguments ``args``
+    within the guard radius, or None."""
     lat = sys_.lattice
     lim = lat.guard * abs(lat.omega1)
     hit = np.flatnonzero(lat.lattice_distance(args) < lim)
     if not hit.size:
         return None
-    kind, particles = _argument_label(sys_.n, int(hit[0]))
+    kind, particles = sys_._plan.labels[hit[0]]
     label = kind
     for sym, k in zip(("i", "j"), particles):
         label = label.replace(f"_{sym}", f"_{k}")
@@ -213,7 +232,7 @@ def _collision_error(sys_, args):
 def check_state(sys_, state):
     """Raise CollisionError, naming the argument, if one of the state's
     collision arguments lies within the guard radius of the lattice."""
-    err = _collision_error(sys_, _collision_arguments(sys_, state.q))
+    err = _collision_error(sys_, _arguments(sys_, state.q))
     if err is not None:
         raise err
 
@@ -419,29 +438,15 @@ def family_sigma_matrix(family, n):
 # ---------------------------------------------------------------------------
 
 
-def _pair_wp(lat, q, plus=False):
-    n = len(q)
-    iu = _pairs(n)
-    args = (q[:, None] + q[None, :]) if plus else (q[:, None] - q[None, :])
-    return lat.wp(args[iu]).sum()
-
-
 def hamiltonian(sys_, state):
-    """Second-order Hamiltonian in closed form (residue-normalized sign:
-    negative kinetic term; B family restricted to the frozen-q0 submanifold, constants
-    dropped)."""
-    check_state(sys_, state)
-    lat = sys_.lattice
-    q, p = state.q, state.p
-    if sys_.family == "A":
-        h = -0.5 * np.sum(p * p) + _pair_wp(lat, q)
-    else:
-        h = -np.sum(p * p) + 2 * _pair_wp(lat, q) + 2 * _pair_wp(lat, q, plus=True)
-        if sys_.family == "C":
-            h = h + 2 * lat.wp(2 * q).sum()
-        elif sys_.family == "B":
-            h = h + 2 * lat.wp(q).sum()
-    h = complex(h)
+    """Second-order Hamiltonian in closed form, kappa p.p + w . wp(P q + c)
+    over the system's plan (residue-normalized sign: negative kinetic term;
+    B family restricted to the frozen-q0 submanifold, constants dropped).
+
+    One guarded wp call on the plan's arguments stands for ``check_state``."""
+    plan = sys_._plan
+    wp = _guarded(sys_, state.q, sys_.lattice.wp)
+    h = complex(plan.kappa * np.sum(state.p * state.p) + plan.w @ wp)
     return sys_.sign() * (h.real if abs(h.imag) < 1e-9 * max(1.0, abs(h.real)) else h)
 
 
@@ -499,35 +504,14 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
 
 
 def equations_of_motion(sys_, state):
-    """(qdot, pdot) for the closed-form Hamiltonian, analytic gradients.
+    """(qdot, pdot) of the closed-form Hamiltonian: qdot = 2 kappa p and
+    pdot = -P^T (w * wp'(P q + c)), its gradient over the system's plan.
 
-    Every wp' argument is a collision argument, so one guarded wp' call on
-    the collision arguments stands for ``check_state`` as well."""
-    args = _collision_arguments(sys_, state.q)
-    try:
-        wpp = sys_.lattice.wp_prime(args)
-    except PoleProximityError:
-        raise _collision_error(sys_, args) from None
-    n = sys_.n
-    m = n * (n - 1)
-    off = ~np.eye(n, dtype=bool)
-    wp_d = np.zeros((n, n), dtype=complex)
-    wp_d[off] = wpp[:m]
-    if sys_.family == "A":
-        qdot = -state.p
-        pdot = -wp_d.sum(axis=1)
-    else:
-        # q_i + q_j for all i, j; its diagonal 2 q_i feeds the C term
-        wp_sum = wpp[m:m + n * n].reshape(n, n)
-        wp_s = np.where(off, wp_sum, 0)
-        qdot = -2 * state.p
-        pdot = -2 * (wp_d.sum(axis=1) + wp_s.sum(axis=1))
-        if sys_.family == "C":
-            pdot = pdot - 4 * np.diagonal(wp_sum)
-        elif sys_.family == "B":
-            pdot = pdot - 2 * wpp[m + n * n:m + n * n + n]
+    One guarded wp' call on the plan's arguments stands for ``check_state``."""
+    plan = sys_._plan
+    wpp = _guarded(sys_, state.q, sys_.lattice.wp_prime)
     s = sys_.sign()
-    return s * qdot, s * pdot
+    return s * 2 * plan.kappa * state.p, -s * (plan.P.T @ (plan.w * wpp))
 
 
 @dataclass
@@ -655,6 +639,13 @@ def conservation_initial_data(family, n, rng, period=CONSERVATION_PERIOD):
     state = CMState(q.astype(complex), p.astype(complex))
     check_state(sys_, state)
     return sys_, state
+
+
+def conservation_z_samples(lattice):
+    """The three spectral parameters 0.31+0.21i, 0.11+0.36i and 0.42+0.13i
+    times |omega1| at which long conservation runs sample L(z)."""
+    w = abs(lattice.omega1)
+    return [complex(0.31 * w, 0.21 * w), complex(0.11 * w, 0.36 * w), complex(0.42 * w, 0.13 * w)]
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,7 @@ def cmd_cm(args):
                                                          period=args.period)
         if args.q0 is not None:
             sys_ = calogero.CMSystem(args.family, args.n, sys_.lattice, q0=args.q0)
-    w = abs(sys_.lattice.omega1)
-    z_samples = [complex(0.31 * w, 0.21 * w), complex(0.11 * w, 0.36 * w),
-                 complex(0.42 * w, 0.13 * w)]
+    z_samples = calogero.conservation_z_samples(sys_.lattice)
     try:
         traj, report = calogero.run_conservation(sys_, state, args.T, args.dt,
                                                  scheme=args.scheme, z_samples=z_samples)

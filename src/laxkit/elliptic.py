@@ -88,6 +88,9 @@ class Lattice:
         self._k = 2 * ns + 1
         self._c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
         self._th1p0 = float((self._c * self._k).real.sum()) + 1j * float((self._c * self._k).imag.sum())
+        # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
+        la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
+        self._nbrs = np.concatenate([[0], la, -la])
         # quasi-period of the original first/second periods
         m1, n1 = self._int_coords(self.A)
         m2, n2 = self._int_coords(self.B)
@@ -123,11 +126,7 @@ class Lattice:
 
     def cell_distance(self, z0):
         """Distance to the lattice of points already reduced by ``reduce``."""
-        best = np.abs(z0)
-        for la in (self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br):
-            best = np.minimum(best, np.abs(z0 - la))
-            best = np.minimum(best, np.abs(z0 + la))
-        return best
+        return np.abs(z0[..., None] - self._nbrs).min(axis=-1)
 
     def _guard_check(self, z):
         """``reduce(z)``, raising PoleProximityError within the guard radius."""

@@ -18,7 +18,7 @@ from laxkit import liealg as la
 from laxkit import sphere as sp
 from laxkit.elliptic import Lattice, PoleProximityError
 from laxkit.exact import Mat
-from laxkit.ratfunc import INF, rat_const
+from laxkit.ratfunc import INF
 
 SEED = 20240817
 
@@ -115,26 +115,12 @@ def test_criterion_04_pole_elimination():
 
 
 def test_criterion_05_second_member_construction():
-    rng = random.Random(SEED)
-    alg, dec = la.catalog_grading("gl", 2, 1)
-    frames = (fm.random_group_element(alg, rng), fm.random_group_element(alg, rng))
-    cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), (F(3), F(5)), frames)
-    pole_orders = {F(0): 0, INF: 1, F(9): 1}
-    space = sp.build_lax_space(cfg, pole_orders)
-    dims_ok = []
-    for i in range(3):
-        lmat = None
-        for b in space.basis:
-            c = rng.randint(-2, 2)
-            if c:
-                t = b.scale(rat_const(c))
-                lmat = t if lmat is None else lmat + t
-        res = sp.construct_m_operator(cfg, lmat, power=2, pole_point=F(0), order=2,
-                                      norm_points=(F(7), F(11)))
-        assert res.prenorm_dim == res.expected_prenorm_dim
-        rep = sp.lax_tangency_check(cfg, lmat, res.matrix, pole_orders)
-        assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)
-        dims_ok.append(res.prenorm_dim)
+    checks = cli._suite_mops(SEED)
+    assert len(checks) == 3
+    for c in checks:
+        assert c["prenorm_dim"] == c["expected_prenorm_dim"], c
+        assert c["tangency_ok"], c
+    dims_ok = [c["prenorm_dim"] for c in checks]
     _line(5, "second-member", True,
           f"pre-normalization dims {dims_ok} match dim g (deg D + l + 1); tangency exact")
 
@@ -218,9 +204,7 @@ def test_criterion_08_cm_conservation_and_isospectrality():
     for family in ("A", "B", "C", "D"):
         for n in (2, 3):
             sys_, st = cm.conservation_initial_data(family, n, rng)
-            w = abs(sys_.lattice.omega1)
-            zs = [complex(0.31 * w, 0.21 * w), complex(0.11 * w, 0.36 * w),
-                  complex(0.42 * w, 0.13 * w)]
+            zs = cm.conservation_z_samples(sys_.lattice)
             _, rep = cm.run_conservation(sys_, st, 10.0, 1e-3, scheme="rk4", z_samples=zs)
             rows.append((family, n, rep["max_H_drift"], rep["max_spec_drift"]))
     elapsed = time.time() - t0

@@ -140,16 +140,28 @@ def test_collision_error_names_the_frozen_point():
         assert (exc.value.kind, exc.value.particles) == ("q_i-q0", (1,))
 
 
+def test_collision_error_names_a_doubled_position():
+    # q_1 + q_1 = 2 omega1 + 2e-9 sits on the lattice although q_1 does not
+    sys_ = make("D", 2)
+    st = cm.CMState(np.array([LAT.omega1 + 1e-9, 2.0]), np.zeros(2))
+    for fn in (cm.check_state, cm.equations_of_motion, cm.hamiltonian):
+        with pytest.raises(cm.CollisionError, match=r"q_1\+q_1 \(kind q_i\+q_j\)") as exc:
+            fn(sys_, st)
+        assert (exc.value.kind, exc.value.particles) == ("q_i+q_j", (1, 1))
+
+
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_argument_labels_follow_the_collision_layout(family):
     n = 3
     sys_ = make(family, n)
+    plan = sys_._plan
     q = np.array([0.11, 0.23, 0.37], dtype=complex)
     value = {"q_i-q_j": lambda i, j: q[i - 1] - q[j - 1], "q_i+q_j": lambda i, j: q[i - 1] + q[j - 1],
              "q_i": lambda i: q[i - 1], "q0": lambda: sys_.q0,
              "q_i-q0": lambda i: q[i - 1] - sys_.q0, "q_i+q0": lambda i: q[i - 1] + sys_.q0}
-    for k, arg in enumerate(cm._collision_arguments(sys_, q)):
-        kind, particles = cm._argument_label(n, k)
+    args = plan.P @ q + plan.c
+    assert len(plan.labels) == len(args) == len(plan.w)
+    for (kind, particles), arg in zip(plan.labels, args):
         assert value[kind](*particles) == arg
 
 
@@ -251,6 +263,13 @@ def test_closed_forms_small_n():
     manual = (-(p ** 2).sum() + 2 * LAT.wp(q[0] - q[1]) + 2 * LAT.wp(q[0] + q[1])
               + 2 * LAT.wp(q).sum())
     assert abs(cm.hamiltonian(sys_, st) - manual) < 1e-12
+    for family, extra in (("C", lambda q: 2 * LAT.wp(2 * q).sum()), ("D", lambda q: 0.0)):
+        sys_ = make(family, 2)
+        st = state_for(sys_)
+        q, p = st.q, st.p
+        manual = (-(p ** 2).sum() + 2 * LAT.wp(q[0] - q[1]) + 2 * LAT.wp(q[0] + q[1])
+                  + extra(q))
+        assert abs(cm.hamiltonian(sys_, st) - manual) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
