@@ -560,7 +560,8 @@ _STEPPERS = {"rk4": _rk4_step, "leapfrog": _leapfrog_step}
 
 def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
     """Fixed-step integration; aborts with the partial trajectory attached
-    on collision."""
+    on collision, naming the time of the failed step (t = 0 for a colliding
+    initial state)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in _STEPPERS:
@@ -571,6 +572,7 @@ def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
     qs = [state0.q.copy()]
     ps = [state0.p.copy()]
     state = state0.copy()
+    k = 0
     try:
         check_state(sys_, state)
         for k in range(1, nsteps + 1):
@@ -583,7 +585,8 @@ def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
                 ps.append(state.p.copy())
     except (CollisionError, PoleProximityError) as exc:
         traj = Trajectory(np.array(times), np.array(qs), np.array(ps), completed=False)
-        raise CollisionError(str(exc), trajectory=traj, kind=getattr(exc, "kind", None),
+        when = f"in the step to t = {k * dt:.6g}" if k else "at t = 0"
+        raise CollisionError(f"{exc} ({when})", trajectory=traj, kind=getattr(exc, "kind", None),
                              particles=getattr(exc, "particles", ())) from None
     return Trajectory(np.array(times), np.array(qs), np.array(ps))
 

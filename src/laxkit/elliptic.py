@@ -1,11 +1,15 @@
 """Numerical Weierstrass functions on a period lattice.
 
-Evaluation runs through Jacobi theta series after two exact-in-spirit
-reductions: the period basis is Gauss-reduced (so the nome satisfies
-|q| <= e^{-pi sqrt(3)/2} and a handful of series terms give full double
-precision), and the argument is translated to the fundamental cell with the
-quasi-periodicity factors of sigma and zeta restored afterwards.  All
-evaluators accept scalars or numpy arrays.
+The period basis is Gauss-reduced once per lattice, so the nome satisfies
+|q| <= e^{-pi sqrt(3)/2} and a handful of Jacobi theta terms give full
+double precision.  One evaluator serves sigma, zeta, wp and wp': it reduces
+the arguments once to the fundamental cell (sigma and zeta restore their
+quasi-periodicity factors from the integer shifts), guards them once and
+sums theta_1 and its derivatives along one row per argument.  sigma is
+entire and unguarded; zeta, wp and wp' raise PoleProximityError when any
+argument lies within the guard radius of a lattice point.  All functions
+take a scalar (returning a Python complex) or an array of any shape, and a
+value does not depend on the shape or length of the batch it came in.
 """
 
 from __future__ import annotations
@@ -85,9 +89,11 @@ class Lattice:
         while math.pi * im * ((nmax + 0.5) ** 2 - (2 * nmax + 1) * 0.51) < 46 and nmax < 64:
             nmax += 1
         ns = np.arange(nmax + 1)
-        self._k = 2 * ns + 1
-        self._c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
-        self._th1p0 = float((self._c * self._k).real.sum()) + 1j * float((self._c * self._k).imag.sum())
+        self._k = k = 2 * ns + 1
+        c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
+        # weight rows of theta_1 and its first three derivatives over sin(ku), cos(ku)
+        self._weights = (c, c * k, -(c * k * k), -(c * k**3))
+        self._th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
@@ -100,108 +106,90 @@ class Lattice:
     # -- reduction helpers ---------------------------------------------------
 
     def _int_coords(self, w):
-        x, y = self._real_coords(w)
-        m, n = round(float(x)), round(float(y))
-        if abs(x - m) > 1e-9 or abs(y - n) > 1e-9:
+        w0, m, n = self.reduce(w)
+        if abs(w0) > 1e-9 * abs(self.Ar):
             raise AssertionError("period is not a lattice vector of the reduced basis")
-        return m, n
-
-    def _real_coords(self, z):
-        d = (self.Ar * np.conj(self.Br)).imag
-        x = (z * np.conj(self.Br)).imag / d
-        y = (z * np.conj(self.Ar)).imag / -d
-        return x, y
+        return int(m), int(n)
 
     def reduce(self, z):
         """z0 in the fundamental cell plus integer shifts: z = z0 + m Ar + n Br."""
         z = np.asarray(z, dtype=complex)
-        x, y = self._real_coords(z)
-        m = np.round(x)
-        n = np.round(y)
+        d = (self.Ar * np.conj(self.Br)).imag
+        m = np.round((z * np.conj(self.Br)).imag / d)
+        n = np.round((z * np.conj(self.Ar)).imag / -d)
         return z - m * self.Ar - n * self.Br, m, n
 
     def lattice_distance(self, z):
+        """Distance from each argument to the nearest lattice point."""
         z0, _, _ = self.reduce(z)
-        return self.cell_distance(z0)
-
-    def cell_distance(self, z0):
-        """Distance to the lattice of points already reduced by ``reduce``."""
         return np.abs(z0[..., None] - self._nbrs).min(axis=-1)
 
-    def _guard_check(self, z):
-        """``reduce(z)``, raising PoleProximityError within the guard radius."""
-        z0, m, n = self.reduce(z)
-        lim = self.guard * abs(self.omega1)
-        if np.any(self.cell_distance(z0) < lim):
-            raise PoleProximityError(f"argument within {lim:.3e} of a lattice point")
-        return z0, m, n
+    # -- the evaluator ----------------------------------------------------------
 
-    # -- theta layer ----------------------------------------------------------
+    def _evaluate(self, z, formula, orders, guarded=True):
+        """``formula(z0, m, n, th)`` on the flattened ``z = z0 + m Ar + n Br``,
+        in the shape of ``z`` (a Python complex for a scalar).
 
-    def _theta_all(self, u, orders=(0, 1, 2, 3)):
-        u = np.asarray(u, dtype=complex)
-        out = {}
-        k = self._k.reshape((-1,) + (1,) * u.ndim)
-        c = self._c.reshape((-1,) + (1,) * u.ndim)
-        ku = k * u
-        s, co = np.sin(ku), np.cos(ku)
-        if 0 in orders:
-            out[0] = (c * s).sum(axis=0)
-        if 1 in orders:
-            out[1] = (c * k * co).sum(axis=0)
-        if 2 in orders:
-            out[2] = -(c * k * k * s).sum(axis=0)
-        if 3 in orders:
-            out[3] = -(c * k**3 * co).sum(axis=0)
-        return out
+        ``th`` holds theta_1 and its derivatives below order ``orders`` at
+        pi z0 / Ar.  The formula sees 1-d arrays only and every theta sum runs
+        along its own row, which keeps each value independent of the batch.
+        """
+        z = np.asarray(z, dtype=complex)
+        z0, m, n = self.reduce(z.ravel())
+        if guarded:
+            lim = self.guard * abs(self.omega1)
+            if np.abs(z0[:, None] - self._nbrs).min(initial=np.inf) < lim:
+                raise PoleProximityError(f"argument within {lim:.3e} of a lattice point")
+        ku = (np.pi * z0 / self.Ar)[:, None] * self._k
+        s = np.sin(ku)
+        co = np.cos(ku) if orders > 1 else None
+        th = [(t * w).sum(axis=-1) for t, w in zip((s, co, s, co)[:orders], self._weights)]
+        val = formula(z0, m, n, th)
+        return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
     # -- Weierstrass functions -------------------------------------------------
 
     def sigma(self, z):
-        """Weierstrass sigma (entire, odd, simple zeros on the lattice)."""
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-        z0, m, n = self.reduce(z)
-        u = np.pi * z0 / self.Ar
-        th = self._theta_all(u, orders=(0,))
-        base = (self.Ar / np.pi) * np.exp(self.eta_Ar * z0 * z0 / (2 * self.Ar)) * th[0] / self._th1p0
-        w = m * self.Ar + n * self.Br
-        etaw = m * self.eta_Ar + n * self.eta_Br
-        sign = (-1.0) ** (m + n + m * n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the quasi-periodicity factor overflows for arguments many
-            # periods out; callers guard ranges
-            val = sign * np.exp(etaw * (z0 + w / 2)) * base
-        return complex(val) if scalar else val
+        """Weierstrass sigma (entire, odd, simple zeros on the lattice); unguarded."""
+
+        def formula(z0, m, n, th):
+            base = (self.Ar / np.pi) * np.exp(self.eta_Ar * z0 * z0 / (2 * self.Ar)) * th[0] / self._th1p0
+            w = m * self.Ar + n * self.Br
+            etaw = m * self.eta_Ar + n * self.eta_Br
+            sign = (-1.0) ** (m + n + m * n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the quasi-periodicity factor overflows for arguments many
+                # periods out; callers guard ranges
+                return sign * np.exp(etaw * (z0 + w / 2)) * base
+
+        return self._evaluate(z, formula, 1, guarded=False)
 
     def zeta(self, z):
         """Weierstrass zeta (odd, quasi-periodic, simple poles)."""
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-        z0, m, n = self._guard_check(z)
-        u = np.pi * z0 / self.Ar
-        th = self._theta_all(u, orders=(0, 1))
-        val = self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * th[1] / th[0]
-        val = val + m * self.eta_Ar + n * self.eta_Br
-        return complex(val) if scalar else val
+
+        def formula(z0, m, n, th):
+            val = self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * th[1] / th[0]
+            return val + m * self.eta_Ar + n * self.eta_Br
+
+        return self._evaluate(z, formula, 2)
 
     def wp(self, z):
         """Weierstrass P function."""
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-        z0, _, _ = self._guard_check(z)
-        u = np.pi * z0 / self.Ar
-        th = self._theta_all(u, orders=(0, 1, 2))
-        r1 = th[1] / th[0]
-        val = -self.eta_Ar / self.Ar - (np.pi / self.Ar) ** 2 * (th[2] / th[0] - r1 * r1)
-        return complex(val) if scalar else val
+
+        def formula(z0, m, n, th):
+            r1 = th[1] / th[0]
+            return -self.eta_Ar / self.Ar - (np.pi / self.Ar) ** 2 * (th[2] / th[0] - r1 * r1)
+
+        return self._evaluate(z, formula, 3)
 
     def wp_prime(self, z):
         """Derivative of the Weierstrass P function."""
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-        z0, _, _ = self._guard_check(z)
-        u = np.pi * z0 / self.Ar
-        th = self._theta_all(u)
-        r1 = th[1] / th[0]
-        val = -((np.pi / self.Ar) ** 3) * (th[3] / th[0] - 3 * th[2] * r1 / th[0] + 2 * r1**3)
-        return complex(val) if scalar else val
+
+        def formula(z0, m, n, th):
+            r1 = th[1] / th[0]
+            return -((np.pi / self.Ar) ** 3) * (th[3] / th[0] - 3 * th[2] * r1 / th[0] + 2 * r1**3)
+
+        return self._evaluate(z, formula, 4)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -209,16 +197,13 @@ class Lattice:
         """|sigma(z+u) sigma(z-u) / (sigma(z)^2 sigma(u)^2) - (wp(u) - wp(z))|.
 
         Cross-checks the sigma and wp evaluation paths against each other
-        through the classical addition identity.
+        through the classical addition identity; the wp call guards all four
+        arguments.
         """
-        self._guard_check(z)
-        self._guard_check(u)
-        self._guard_check(np.asarray(z) + u)
-        self._guard_check(np.asarray(z) - u)
-        lhs = self.sigma(np.asarray(z) + u) * self.sigma(np.asarray(z) - u) / (
-            self.sigma(z) ** 2 * self.sigma(u) ** 2
-        )
-        return abs(lhs - (self.wp(u) - self.wp(z)))
+        args = np.array([z, u, z + u, z - u])
+        w = self.wp(args)
+        s = self.sigma(args)
+        return abs(s[2] * s[3] / (s[0] ** 2 * s[1] ** 2) - (w[1] - w[0]))
 
     def legendre_residual(self):
         """|eta1 omega2 - eta2 omega1 - i pi / 2|, zero up to roundoff."""

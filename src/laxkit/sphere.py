@@ -588,10 +588,13 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     scalars = section_basis(div)
     rows, n_aux = _expansion_condition_rows(cfg, scalars, range(-k, 0), "mop")
     ncand = len(scalars) * alg.dim
-    prenorm_dim = len(nullspace(rows, ncand + n_aux))
+    ncols = ncand + n_aux
+    red, pivots = rref(rows)
+    prenorm_dim = ncols - len(pivots)
     expected = alg.dim * (d + l_val + 1)
-    # affine part: singular match at the pole point, zeros at norm points
-    aug = [row + [Fraction(0)] for row in rows]
+    # affine part: singular match at the pole point, zeros at norm points,
+    # appended to the reduced condition rows
+    aug = [row + [0] for row in red[:len(pivots)]]
     size = alg.size
     tails = [f.laurent_at(pole_point, -1) for f in scalars]
     for i in range(1, d + 1):
@@ -629,7 +632,6 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
                 if nz:
                     aug.append(row + [Fraction(0)])
     red, pivots = rref(aug)
-    ncols = ncand + n_aux
     if any(p == ncols for p in pivots):
         raise ValueError("inconsistent constraint system (non-generic data)")
     if len(pivots) < ncols:

@@ -371,9 +371,14 @@ def test_collision_abort_carries_partial_trajectory():
     st = cm.CMState(np.array([0.4, 0.6]), np.array([0.0, 0.0]))  # attractive fall
     with pytest.raises(cm.CollisionError) as exc:
         cm.integrate(sys_, st, 20.0, 1e-2)
-    assert exc.value.trajectory is not None
-    assert not exc.value.trajectory.completed
-    assert len(exc.value.trajectory) >= 1
+    traj = exc.value.trajectory
+    assert traj is not None
+    assert not traj.completed
+    assert len(traj) >= 1
+    # the message names the step after the last recorded state
+    assert f"in the step to t = {traj.times[-1] + 1e-2:.6g})" in str(exc.value)
+    with pytest.raises(cm.CollisionError, match=r"\(at t = 0\)$"):
+        cm.integrate(sys_, cm.CMState(np.array([0.4, 0.4]), np.zeros(2)), 1.0, 1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_theta_series_against_mpmath():
     lat = Lattice(1.0, 1j)
     for v in (0.213, 0.31 + 0.12j):
         u = np.pi * v / lat.Ar
-        mine = lat._theta_all(np.asarray(u), orders=(0,))[0]
+        mine = lat._evaluate(v, lambda z0, m, n, th: th[0], 1)
         ref = complex(mp.jtheta(1, u, complex(lat.q)))
         assert abs(complex(mine) - ref) < 1e-13
 
@@ -136,6 +136,17 @@ def test_pole_guard(lat):
         lat.zeta(0.0)
     # sigma is entire: lattice points are fine and give (near) zero
     assert abs(lat.sigma(0.0)) < 1e-14
+    # one near-pole argument anywhere in a batch trips the guard
+    batch = np.linspace(0.1 + 0.2j, 0.9 + 0.7j, 25)
+    batch[11] = 2 * lat.omega2 + 1e-9
+    for fn in (lat.zeta, lat.wp, lat.wp_prime):
+        with pytest.raises(PoleProximityError):
+            fn(batch)
+    assert np.all(np.isfinite(lat.sigma(batch)))
+    # the residual's guard covers z + u, not only z and u
+    z = 0.3 + 0.2j
+    with pytest.raises(PoleProximityError):
+        lat.addition_identity_residual(z, 2 * lat.omega1 - z + 1e-9)
 
 
 def test_vectorized_matches_scalar(lat):
@@ -145,3 +156,18 @@ def test_vectorized_matches_scalar(lat):
         assert v.shape == arr.shape
         for i, z in enumerate(arr):
             assert abs(v[i] - fn(complex(z))) < 1e-13
+        # an empty batch (the plan of A with n = 1 has no rows)
+        assert fn(np.zeros(0, dtype=complex)).shape == (0,)
+        assert type(fn(np.complex128(arr[0]))) is complex
+        assert fn(arr[:2].reshape(1, 2)).shape == (1, 2)
+
+
+@pytest.mark.parametrize("lat", LATTICES + [Lattice(40, 40j)], ids=["tau=i", "tau=0.3+1.2i", "omega=40"])
+def test_values_independent_of_batch_shape(lat):
+    rng = np.random.default_rng(12)
+    z = abs(lat.omega1) * (rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200))
+    for fn in (lat.sigma, lat.zeta, lat.wp, lat.wp_prime):
+        whole = fn(z)
+        assert np.array_equal(np.array([fn(x) for x in z]), whole)
+        assert np.array_equal(np.concatenate([fn(z[i:i + 7]) for i in range(0, z.size, 7)]), whole)
+        assert np.array_equal(fn(z.reshape(8, 25)), whole.reshape(8, 25))
