@@ -20,8 +20,7 @@ import numpy as np
 
 from . import calogero, formal, liealg, sphere
 from .elliptic import Lattice
-from .ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
-from .exact import Mat
+from .ratfunc import INF, rat_const
 
 SCHEMA_VERSION = 1
 
@@ -223,19 +222,25 @@ def _suite_cocycle(seed, triples=50):
     return checks
 
 
-def _suite_mops(seed):
+def _mop_samples(seed):
+    """(M-operator result, tangency report) of the three seeded samples of
+    the mops suite."""
     rng = random.Random(seed)
     alg, dec = liealg.catalog_grading("gl", 2, 1)
     frames = (formal.random_group_element(alg, rng), formal.random_group_element(alg, rng))
     cfg = sphere.SphereConfig(dec, (Fraction(0),), (INF, Fraction(9)), (Fraction(3), Fraction(5)), frames)
     pole_orders = {Fraction(0): 0, INF: 1, Fraction(9): 1}
     space = sphere.build_lax_space(cfg, pole_orders)
-    checks = []
-    for i in range(3):
+    for _ in range(3):
         l = _rand_member(rng, space)
         res = sphere.construct_m_operator(cfg, l, power=2, pole_point=Fraction(0),
                                           order=2, norm_points=(Fraction(7), Fraction(11)))
-        rep = sphere.lax_tangency_check(cfg, l, res.matrix, pole_orders)
+        yield res, sphere.lax_tangency_check(cfg, l, res.matrix, pole_orders)
+
+
+def _suite_mops(seed):
+    checks = []
+    for i, (res, rep) in enumerate(_mop_samples(seed)):
         checks.append({
             "name": f"mops/gl2/sample{i}",
             "passed": res.prenorm_dim == res.expected_prenorm_dim and rep.ok,

@@ -9,6 +9,8 @@ the local coordinate 1/z.
 
 from __future__ import annotations
 
+import math
+import numbers
 from fractions import Fraction
 
 __all__ = ["INF", "Poly", "RatFunc", "RationalMatrix", "rat_z", "rat_const"]
@@ -73,14 +75,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return _dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -133,21 +128,7 @@ class Poly:
 
     def shift(self, c):
         """Compose with z -> z + c (Taylor recentering at c)."""
-        if not c:
-            return self
-        # repeated synthetic division by (z - c), in place (Horner's scheme)
-        a = list(self.coeffs)
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += c * a[j + 1]
-        return Poly(a)
-
-    def reversed_coeffs(self, upto=None):
-        """Coefficients of z^deg * p(1/z), optionally padded to length upto+1."""
-        rc = list(reversed(self.coeffs))
-        if upto is not None:
-            rc += [Fraction(0)] * (upto + 1 - len(rc))
-        return Poly(rc)
+        return Poly(_taylor(self.coeffs, c, len(self.coeffs))) if c else self
 
     def valuation(self):
         """Order of vanishing at 0 (inf for the zero polynomial)."""
@@ -162,22 +143,27 @@ class Poly:
         return "Poly(" + " + ".join(f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
 
 
-def _divide_out(coeffs, c, limit=None):
-    """Divide the nonzero polynomial with these coefficients by (z - c), by
-    synthetic division, as often as it divides (at most ``limit`` times).
-    Returns (times, quotient coefficients)."""
-    k = 0
-    while k != limit:
-        q = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * c + coeffs[i]
-            q[i - 1] = acc
-        if acc * c + coeffs[0] != 0:
-            break
-        coeffs = q
-        k += 1
-    return k, coeffs
+def _taylor(coeffs, c, n):
+    """The first n Taylor coefficients at c of the polynomial with these
+    Fraction coefficients, in integer arithmetic.  With c = a/b and the
+    polynomial P/L over the integers, q(w) = b^deg P(w/b) has integer
+    coefficients; its Taylor coefficients s_k at a (repeated synthetic
+    division by (w - a), in place, stopped after n passes) give the
+    polynomial's as s_k / (L b^(deg - k))."""
+    q, den = _ints(coeffs)
+    c = Fraction(c)
+    a, b, deg = c.numerator, c.denominator, len(q) - 1
+    q = [x * b ** (deg - j) for j, x in enumerate(q)]
+    for i in range(min(n, deg) if a else 0):
+        for j in range(deg - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+    return [Fraction(q[k], den * b ** (deg - k)) for k in range(min(n, deg + 1))]
+
+
+def _valuation(coeffs, c, limit=None):
+    """Order of vanishing at c of a nonzero polynomial (at most limit)."""
+    t = _taylor(coeffs, c, len(coeffs) if limit is None else limit)
+    return next((i for i, x in enumerate(t) if x), len(t))
 
 
 def _series_inverse(coeffs, nterms):
@@ -190,6 +176,66 @@ def _series_inverse(coeffs, nterms):
             s += coeffs[i] * inv[n - i]
         inv.append(-s / c0)
     return inv
+
+
+def _local(taylor, vq):
+    """(lead, coefficients) of the series with these Taylor coefficients
+    divided by t^vq, with its zero at t = 0 taken out; coefficients () if
+    every given coefficient vanishes."""
+    vp = next((i for i, c in enumerate(taylor) if c), None)
+    return (0, ()) if vp is None else (vp - vq, taylor[vp:])
+
+
+def _orders(nums, den, point):
+    """Order of every nums[k] / den at a point of P^1 (None for a zero
+    numerator), with the denominator's valuation taken once."""
+    if point is INF:
+        return [den.degree - a.degree if a.coeffs else None for a in nums]
+    vd = _valuation(den.coeffs, point)
+    return [_valuation(a.coeffs, point) - vd if a.coeffs else None for a in nums]
+
+
+def _laurent(nums, den, point, hi):
+    """Laurent expansions at a point or INF of every nums[k] / den, as
+    (lead, coefficients of degrees lead..hi) (None for a zero numerator).
+
+    Each entry is t^lead pc(t) / u(t) in the local coordinate t, with
+    u(0) != 0 (at INF, t = 1/z and the coefficients are reversed).  The
+    denominator is shifted and its series inverted once; each numerator is
+    expanded to degree hi only and convolved with it."""
+    if point is INF:
+        u = den.coeffs[::-1]
+        parts = [(den.degree - a.degree, a.coeffs[::-1]) for a in nums]
+    else:
+        vq, u = _local(_taylor(den.coeffs, point, len(den.coeffs)), 0)
+        parts = [_local(_taylor(a.coeffs, point, hi + vq + 1), vq) for a in nums]
+    inv = _series_inverse(u, max((hi - lead + 1 for lead, pc in parts if pc), default=1))
+    return [(lead, [sum(pc[x] * inv[k - x] for x in range(min(k + 1, len(pc))))
+                    for k in range(hi - lead + 1)]) if pc else None
+            for lead, pc in parts]
+
+
+def _poles_within(nums, den, points):
+    """``RatFunc.poles_within`` of every reduced nums[k] / den (None for a
+    zero numerator), from the numerator valuations at the listed roots of
+    den; the leftover takes a gcd only when den has roots off the list."""
+    points = list(dict.fromkeys(points))
+    mults = {c: _valuation(den.coeffs, c) for c in points if c is not INF}
+    off_list = den.degree > sum(mults.values())
+    out = []
+    for a in nums:
+        if not a.coeffs:
+            out.append(None)
+            continue
+        orders = {}
+        for c in points:
+            k = a.degree - den.degree if c is INF else mults[c] - _valuation(a.coeffs, c, mults[c])
+            if k > 0:
+                orders[c] = k
+        # the reduced denominator has degree den.degree - deg gcd(a, den)
+        finite = sum(k for c, k in orders.items() if c is not INF)
+        out.append((orders, den.degree - a.gcd(den).degree - finite if off_list else 0))
+    return out
 
 
 class RatFunc:
@@ -221,21 +267,6 @@ class RatFunc:
     @classmethod
     def zero(cls):
         return cls(Poly([]), Poly([1]), reduce=False)
-
-    @classmethod
-    def over_poles(cls, num, poles):
-        """num / prod (z - c)^k over poles = {c: k}, reduced by dividing out
-        the pole factors at which num vanishes; the same function as
-        ``RatFunc(num, den)``, without a polynomial gcd."""
-        if num.is_zero():
-            return cls.zero()
-        coeffs = num.coeffs
-        den = Poly([1])
-        for c, k in poles.items():
-            common, coeffs = _divide_out(coeffs, c, k)
-            for _ in range(k - common):
-                den = den * Poly([-c, 1])
-        return cls(Poly(coeffs), den, reduce=False)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -289,6 +320,8 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
+        if not isinstance(other, (RatFunc, numbers.Real)):
+            return NotImplemented
         other = _coerce(other)
         return self.num == other.num and self.den == other.den
 
@@ -312,47 +345,17 @@ class RatFunc:
 
         Returns None for the identically zero function.
         """
-        if self.is_zero():
-            return None
-        if point is INF:
-            return self.den.degree - self.num.degree
-        return _divide_out(self.num.coeffs, point)[0] - _divide_out(self.den.coeffs, point)[0]
+        return _orders([self.num], self.den, point)[0]
 
     def laurent_at(self, point, upto):
         """Laurent coefficients at a finite point or INF, degrees <= upto.
 
-        Returns a dict degree -> Fraction covering the pole tail and the
-        regular part up to ``upto`` in the local coordinate (z - point, or
-        1/z at infinity).
+        Returns a dict degree -> Fraction of the nonzero coefficients of the
+        pole tail and of the regular part up to ``upto`` in the local
+        coordinate (z - point, or 1/z at infinity).
         """
-        if self.is_zero():
-            return {}
-        if point is INF:
-            d = max(self.num.degree, self.den.degree)
-            p = self.num.reversed_coeffs(d)
-            q = self.den.reversed_coeffs(d)
-            shift_pow = self.den.degree - self.num.degree
-            f = RatFunc(p, q)
-            tail = f.laurent_at(Fraction(0), upto - shift_pow)
-            return {e + shift_pow: c for e, c in tail.items() if e + shift_pow <= upto}
-        p = self.num.shift(point)
-        q = self.den.shift(point)
-        vp, vq = p.valuation(), q.valuation()
-        lead = vp - vq
-        if lead > upto:
-            return {}
-        nterms = upto - lead + 1
-        pc = list(p.coeffs[vp:vp + nterms])
-        pc += [Fraction(0)] * (nterms - len(pc))
-        qc = list(q.coeffs[vq:vq + nterms])
-        qc += [Fraction(0)] * (nterms - len(qc))
-        qinv = _series_inverse(qc, nterms)
-        out = {}
-        for n in range(nterms):
-            s = sum(pc[i] * qinv[n - i] for i in range(n + 1))
-            if s:
-                out[lead + n] = s
-        return out
+        t = _laurent([self.num], self.den, point, upto)[0]
+        return {} if t is None else {t[0] + k: c for k, c in enumerate(t[1]) if c}
 
     def residue_at(self, point):
         """Residue of (this function) dz at the point; at infinity this is
@@ -370,19 +373,7 @@ class RatFunc:
         Returns (orders: dict, leftover_degree: int); a nonzero leftover
         degree means the function has poles outside the given list.
         """
-        orders = {}
-        den = self.den
-        for c in points:
-            if c is INF:
-                o = self.order_at(INF)
-                if o is not None and o < 0:
-                    orders[INF] = -o
-                continue
-            mult, coeffs = _divide_out(den.coeffs, c)
-            den = Poly(coeffs)
-            if mult:
-                orders[c] = mult
-        return orders, den.degree
+        return _poles_within([self.num], self.den, points)[0] or ({}, 0)
 
     def __repr__(self):
         return f"RatFunc({self.num!r}/{self.den!r})"
@@ -402,135 +393,176 @@ def rat_const(c):
     return RatFunc(Poly.const(Fraction(c)))
 
 
-def _add_unreduced(acc, num, den):
-    """acc + num/den on unreduced (num, den) pairs (acc None for zero);
-    numerators add directly over equal denominators."""
-    if acc is None:
-        return num, den
-    n, d = acc
-    if d == den:
-        return n + num, d
-    return n * den + num * d, d * den
+def _ints(coeffs):
+    """(integer coefficients, common denominator) of Fraction coefficients."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
-def _reduce(acc):
-    return RatFunc.zero() if acc is None else RatFunc(*acc)
+def _dot(row, col):
+    """sum_k row[k] * col[k] over polynomials, accumulated over one common
+    denominator in integer arithmetic."""
+    out, den = [], 1
+    for a, b in zip(row, col):
+        if a.coeffs and b.coeffs:
+            (ia, da), (ib, db) = _ints(a.coeffs), _ints(b.coeffs)
+            lcm = math.lcm(den, da * db)
+            out = [x * (lcm // den) for x in out] + [0] * (len(ia) + len(ib) - 1 - len(out))
+            f, den = lcm // (da * db), lcm
+            for i, x in enumerate(ia):
+                if x:
+                    for j, y in enumerate(ib):
+                        out[i + j] += f * x * y
+    return Poly([Fraction(x, den) for x in out])
+
+
+def _products(a, b):
+    """Numerators of the product of two numerator matrices."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 class RationalMatrix:
-    """Matrix of rational functions (the genus-zero algebra elements)."""
+    """Matrix of rational functions (the genus-zero algebra elements), kept
+    as one denominator polynomial ``den`` and a matrix ``nums`` of numerator
+    polynomials: entry (i, j) is nums[i][j] / den, not necessarily reduced.
 
-    __slots__ = ("rows", "n", "m")
+    Matrix operations work on that form with no per-entry gcd; ``rows``
+    reduces the entries when it is read.  It is not cached: no hot path
+    reads it, and a cache would keep a second copy of every coefficient of
+    long-lived matrices."""
+
+    __slots__ = ("nums", "den", "n", "m")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(e if isinstance(e, RatFunc) else _coerce(e) for e in r) for r in rows)
-        self.n = len(self.rows)
-        self.m = len(self.rows[0]) if self.rows else 0
+        entries = [[_coerce(e) for e in r] for r in rows]
+        den = Poly([1])  # the lcm of the entries' denominators
+        for e in (e for r in entries for e in r):
+            if e.num.coeffs and e.den != den:
+                den = den * (e.den // den.gcd(e.den))
+        self._set([[e.num * (den // e.den) for e in r] for r in entries], den)
+
+    def _set(self, nums, den):
+        self.nums = tuple(tuple(r) for r in nums)
+        self.den = den
+        self.n = len(self.nums)
+        self.m = len(self.nums[0]) if self.nums else 0
+
+    @classmethod
+    def over(cls, nums, den):
+        """The matrix with entries nums[i][j] / den."""
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
 
     @classmethod
     def zeros(cls, n, m=None):
-        m = n if m is None else m
-        z = RatFunc.zero()
-        return cls([[z] * m for _ in range(n)])
+        return cls.over([[Poly([])] * (n if m is None else m) for _ in range(n)], Poly([1]))
 
     @classmethod
     def from_scalar_matrix(cls, mat, f):
         """Constant matrix times a scalar rational function."""
-        return cls([[f * Fraction(e) if e else RatFunc.zero() for e in row] for row in mat.rows])
-
-    def __add__(self, other):
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return RationalMatrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c):
-        return RationalMatrix([[a * c for a in r] for r in self.rows])
-
-    def _product_sums(self, other):
-        """Entries of self @ other as unreduced (num, den) pairs, None where
-        no product term is nonzero."""
-        ocols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in ocols:
-                acc = None
-                for a, b in zip(row, col):
-                    if not (a.num.is_zero() or b.num.is_zero()):
-                        acc = _add_unreduced(acc, a.num * b.num, a.den * b.den)
-                orow.append(acc)
-            out.append(orow)
-        return out
-
-    def __matmul__(self, other):
-        # one reduction per entry; reduced forms are unique, so this equals
-        # the sum of the reduced products
-        return RationalMatrix([[_reduce(e) for e in r] for r in self._product_sums(other)])
-
-    def comm(self, other):
-        out = []
-        for ra, rb in zip(self._product_sums(other), other._product_sums(self)):
-            row = []
-            for a, b in zip(ra, rb):
-                if b is not None:
-                    a = _add_unreduced(a, -b[0], b[1])
-                row.append(_reduce(a))
-            out.append(row)
-        return RationalMatrix(out)
+        f = _coerce(f)
+        return cls.over([[f.num * Fraction(e) for e in row] for row in mat.rows], f.den)
 
     @property
-    def T(self):
-        return RationalMatrix(list(zip(*self.rows)))
+    def rows(self):
+        """The entries as reduced ``RatFunc``s."""
+        zero = RatFunc.zero()
+        return tuple(tuple(RatFunc(a, self.den) if a.coeffs else zero for a in r) for r in self.nums)
+
+    def _flat(self):
+        return [a for r in self.nums for a in r]
+
+    def _shape(self, flat):
+        return [flat[i:i + self.m] for i in range(0, len(flat), self.m)]
+
+    def _common(self, other):
+        """Numerators of self and other over one denominator (one lcm)."""
+        a, b, d = self.nums, other.nums, self.den
+        if d != other.den:
+            g = d.gcd(other.den)
+            fa, fb = other.den // g, d // g
+            a = [[x * fa for x in r] for r in a]
+            b = [[x * fb for x in r] for r in b]
+            d = d * fa
+        return a, b, d
+
+    def __add__(self, other):
+        a, b, d = self._common(other)
+        return RationalMatrix.over([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], d)
+
+    def __sub__(self, other):
+        a, b, d = self._common(other)
+        return RationalMatrix.over([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], d)
+
+    def __neg__(self):
+        return RationalMatrix.over([[-a for a in r] for r in self.nums], self.den)
+
+    def scale(self, c):
+        c = _coerce(c)
+        return RationalMatrix.over([[a * c.num for a in r] for r in self.nums], self.den * c.den)
+
+    def __matmul__(self, other):
+        return RationalMatrix.over(_products(self.nums, other.nums), self.den * other.den)
+
+    def comm(self, other):
+        ab, ba = _products(self.nums, other.nums), _products(other.nums, self.nums)
+        return RationalMatrix.over([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)],
+                                   self.den * other.den)
 
     def trace(self):
-        acc = RatFunc.zero()
+        acc = Poly([])
         for i in range(min(self.n, self.m)):
-            acc = acc + self.rows[i][i]
-        return acc
+            acc = acc + self.nums[i][i]
+        return RatFunc(acc, self.den)
 
     def derivative(self):
-        return RationalMatrix([[e.derivative() for e in r] for r in self.rows])
+        """(N' D - N D') / D^2."""
+        d, dd = self.den, self.den.derivative()
+        return RationalMatrix.over([[a.derivative() * d - a * dd for a in r] for r in self.nums], d * d)
 
     def eval(self, x):
         from .exact import Mat
 
-        return Mat([[e.eval(x) for e in r] for r in self.rows])
+        d = self.den.eval(x)
+        if d == 0:  # the reduced entries decide whether x is a pole
+            return Mat([[e.eval(x) for e in r] for r in self.rows])
+        return Mat([[a.eval(x) / d for a in r] for r in self.nums])
 
     def is_zero(self):
-        return all(e.is_zero() for r in self.rows for e in r)
+        return not any(a.coeffs for r in self.nums for a in r)
 
     def laurent_coefficient(self, point, degree):
         return self.laurent_coefficients(point, degree, degree)[degree]
 
     def laurent_coefficients(self, point, lo, hi):
-        """Laurent coefficient matrices at a point for degrees lo..hi, as a
-        dict degree -> Mat, from one expansion of each entry."""
+        """Laurent coefficient matrices at a point or INF for degrees lo..hi,
+        as a dict degree -> Mat, from one expansion of the denominator."""
         from .exact import Mat
 
-        tails = [[e.laurent_at(point, hi) for e in r] for r in self.rows]
+        tails = _laurent(self._flat(), self.den, point, hi)
         zero = Fraction(0)
-        return {
-            p: Mat([[t.get(p, zero) for t in r] for r in tails]) for p in range(lo, hi + 1)
-        }
+        out = {}
+        for p in range(lo, hi + 1):
+            flat = [zero if t is None or p < t[0] else t[1][p - t[0]] for t in tails]
+            out[p] = Mat(self._shape(flat))
+        return out
 
     def order_at(self, point):
         """Pointwise minimum of entry orders (None if identically zero)."""
-        orders = [e.order_at(point) for r in self.rows for e in r]
-        orders = [o for o in orders if o is not None]
-        return min(orders) if orders else None
+        return min((o for o in _orders(self._flat(), self.den, point) if o is not None), default=None)
+
+    def poles_within(self, points):
+        """``RatFunc.poles_within`` of every reduced entry, as rows (None for
+        a zero entry)."""
+        return self._shape(_poles_within(self._flat(), self.den, points))
 
     def matpow(self, p):
         if p < 0:
             raise ValueError("negative matrix power")
-        acc = RationalMatrix([[rat_const(1 if i == j else 0) for j in range(self.m)] for i in range(self.n)])
+        acc = RationalMatrix.over([[Poly([int(i == j)]) for j in range(self.m)] for i in range(self.n)],
+                                  Poly([1]))
         base = self
         while p:
             if p & 1:

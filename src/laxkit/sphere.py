@@ -172,19 +172,26 @@ def divisor_for_degree(cfg, m):
 
 def _skeleton(divisor):
     """(zeros, poles, count) with the sections of the divisor spanned by
-    zeros z^i / prod (z - c)^w over poles = {c: w}, for i < count."""
-    zeros = Poly([1])
-    poles = {}
-    total = 0
+    zeros z^i / poles for i < count, where poles = prod (z - c)^w over the
+    finite points with w > 0 and zeros the same product over w < 0."""
+    zeros, poles = Poly([1]), Poly([1])
     for c, w in divisor.items():
-        total += w
         if c is INF:
             continue
-        if w > 0:
-            poles[Fraction(c)] = w
-        for _ in range(-w):
-            zeros = zeros * Poly([-Fraction(c), 1])
-    return zeros, poles, max(total + 1, 0)
+        factor = Poly([-Fraction(c), 1])
+        for _ in range(abs(w)):
+            if w > 0:
+                poles = poles * factor
+            else:
+                zeros = zeros * factor
+    return zeros, poles, max(sum(divisor.values()) + 1, 0)
+
+
+def _sections(divisor):
+    """The section basis as one 1 x count matrix over the skeleton's
+    denominator."""
+    zeros, poles, count = _skeleton(divisor)
+    return RationalMatrix.over([[zeros * Poly([0] * i + [1]) for i in range(count)]], poles)
 
 
 def section_basis(divisor):
@@ -193,8 +200,7 @@ def section_basis(divisor):
     At genus zero the space has dimension deg D + 1 (empty if deg D < 0):
     numerator monomials times the fixed zero/pole skeleton.
     """
-    zeros, poles, count = _skeleton(divisor)
-    return [RatFunc.over_poles(Poly([0] * i + [1]) * zeros, poles) for i in range(count)]
+    return list(_sections(divisor).rows[0])
 
 
 @dataclass
@@ -210,7 +216,26 @@ class Slice:
         return len(self.basis)
 
 
-def _expansion_condition_rows(cfg, scalars, p_range, mode):
+def _support(basis):
+    """The nonzero (basis index, entry) pairs of the basis at each (u, v)."""
+    size = basis[0].n
+    return [[[(bi, b.rows[u][v]) for bi, b in enumerate(basis) if b.rows[u][v]] for v in range(size)]
+            for u in range(size)]
+
+
+def _section_row(values, sup, dim, width):
+    """(row, nonzero): the (u, v) entry of sum_{si,bi} x[si dim + bi]
+    values[si] b_bi as a row over ``width`` unknowns x, for the support
+    ``sup`` of the basis b at (u, v)."""
+    row = [0] * width
+    for si, c in enumerate(values):
+        if c:
+            for bi, e in sup:
+                row[si * dim + bi] = c * e
+    return row, bool(sup) and any(values)
+
+
+def _expansion_condition_rows(cfg, sections, p_range, mode):
     """Linear conditions imposing the local expansion shape at every gamma.
 
     mode "lax": coefficient at degree p lies in the level-p filtration for
@@ -224,29 +249,20 @@ def _expansion_condition_rows(cfg, scalars, p_range, mode):
     alg = cfg.alg
     size = alg.size
     k = dec.depth
-    ncand = len(scalars) * alg.dim
+    ncand = sections.m * alg.dim
     gammas = list(cfg.gamma_points)
     n_aux = len(gammas) if mode == "mop" else 0
     rows = []
     for gi, g in enumerate(gammas):
-        tails = [f.laurent_at(Fraction(g), k - 1) for f in scalars]
-        conj = cfg._conj_basis[gi]
+        tails = sections.laurent_coefficients(Fraction(g), -k, k - 1)
+        support = _support(cfg._conj_basis[gi])
         for p in p_range:
             for u in range(size):
                 for v in range(size):
                     if dec.delta[u][v] <= p:
                         continue
-                    row = [0] * (ncand + n_aux)
-                    nonzero = False
-                    for si, tail in enumerate(tails):
-                        c = tail.get(p)
-                        if not c:
-                            continue
-                        for bi in range(alg.dim):
-                            e = conj[bi].rows[u][v]
-                            if e:
-                                row[si * alg.dim + bi] = c * e
-                                nonzero = True
+                    row, nonzero = _section_row(tails[p].rows[0], support[u][v], alg.dim,
+                                                ncand + n_aux)
                     if mode == "mop" and p == -1:
                         hv = dec.h.rows[u][v]
                         if hv:
@@ -263,43 +279,27 @@ def _assemble(cfg, div, vectors):
     algebra basis b.
 
     The sections share one skeleton, s_si = zeros z^si / poles, so every
-    entry is zeros P(z) / poles, where the coefficients of P are that
-    entry's coordinates.  Each entry is built once and reduced by the pole
-    factors at which P vanishes (zeros and poles are coprime), with no
-    polynomial gcd."""
+    matrix is one denominator, the product of the poles, over the
+    numerators zeros P(z), where the coefficients of P are that entry's
+    coordinates."""
     alg = cfg.alg
     dim = alg.dim
     zeros, poles, count = _skeleton(div)
-    # nonzero (basis index, entry) pairs of the algebra basis at each (u, v)
-    support = [
-        [[(bi, b.rows[u][v]) for bi, b in enumerate(alg.basis) if b.rows[u][v]] for v in range(alg.size)]
-        for u in range(alg.size)
-    ]
-    zero = RatFunc.zero()
-    out = []
-    for coords in vectors:
-        rows = []
-        for srow in support:
-            row = []
-            for sup in srow:
-                if not sup:
-                    row.append(zero)
-                    continue
-                p = Poly([sum(coords[si * dim + bi] * e for bi, e in sup) for si in range(count)])
-                row.append(RatFunc.over_poles(zeros * p, poles))
-            rows.append(row)
-        out.append(RationalMatrix(rows))
-    return out
+    support = _support(alg.basis)
+    return [RationalMatrix.over([[zeros * Poly([sum(coords[si * dim + bi] * e for bi, e in sup)
+                                                  for si in range(count)]) for sup in srow]
+                                  for srow in support], poles)
+            for coords in vectors]
 
 
 def _lax_slice_basis(cfg, div):
     """Basis of the algebra-valued functions with (L) + div >= 0 that meet
     the local expansion conditions at every gamma point (the divisor must
     carry the depth at the gamma points)."""
-    scalars = section_basis(div)
+    sections = _sections(div)
     depth = cfg.dec.depth
-    rows, _ = _expansion_condition_rows(cfg, scalars, range(-depth, depth), "lax")
-    return _assemble(cfg, div, nullspace(rows, len(scalars) * cfg.alg.dim))
+    rows, _ = _expansion_condition_rows(cfg, sections, range(-depth, depth), "lax")
+    return _assemble(cfg, div, nullspace(rows, sections.m * cfg.alg.dim))
 
 
 def build_homogeneous_subspace(cfg, m, check_dim=True):
@@ -490,10 +490,8 @@ def connection_form_tail(cfg, omega, gamma_index):
 
 def pairing_one_form(l1, l2, omega=None):
     """Scalar F with F dz = <L, (d - ad omega) L'> under the trace pairing."""
-    f = (l1 @ l2.derivative()).trace()
-    if omega is not None:
-        f = f - (l1 @ omega.comm(l2)).trace()
-    return f
+    dl2 = l2.derivative()
+    return (l1 @ (dl2 if omega is None else dl2 - omega.comm(l2))).trace()
 
 
 def check_connection_form(cfg, omega):
@@ -585,9 +583,9 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
         div.setdefault(p, 0)
     for g in cfg.gamma_points:
         div[g] = k
-    scalars = section_basis(div)
-    rows, n_aux = _expansion_condition_rows(cfg, scalars, range(-k, 0), "mop")
-    ncand = len(scalars) * alg.dim
+    sections = _sections(div)
+    rows, n_aux = _expansion_condition_rows(cfg, sections, range(-k, 0), "mop")
+    ncand = sections.m * alg.dim
     ncols = ncand + n_aux
     red, pivots = rref(rows)
     prenorm_dim = ncols - len(pivots)
@@ -595,42 +593,17 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     # affine part: singular match at the pole point, zeros at norm points,
     # appended to the reduced condition rows
     aug = [row + [0] for row in red[:len(pivots)]]
-    size = alg.size
-    tails = [f.laurent_at(pole_point, -1) for f in scalars]
-    for i in range(1, d + 1):
-        target = sing.get(-i)
-        for u in range(size):
-            for v in range(size):
-                row = [0] * (ncand + n_aux)
-                nz = False
-                for si, t in enumerate(tails):
-                    c = t.get(-i)
-                    if not c:
-                        continue
-                    for bi, b in enumerate(alg.basis):
-                        e = b.rows[u][v]
-                        if e:
-                            row[si * alg.dim + bi] = c * e
-                            nz = True
+    tails = sections.laurent_coefficients(pole_point, -d, -1)
+    conditions = [(tails[-i].rows[0], sing.get(-i)) for i in range(1, d + 1)]
+    conditions += [(sections.eval(Fraction(pt)).rows[0], None) for pt in norm_points]
+    support = _support(alg.basis)
+    for values, target in conditions:
+        for u in range(alg.size):
+            for v in range(alg.size):
+                row, nz = _section_row(values, support[u][v], alg.dim, ncols)
                 rhs = target.rows[u][v] if target is not None else 0
                 if nz or rhs:
                     aug.append(row + [Fraction(rhs)])
-    for pt in norm_points:
-        vals = [f.eval(Fraction(pt)) for f in scalars]
-        for u in range(size):
-            for v in range(size):
-                row = [0] * (ncand + n_aux)
-                nz = False
-                for si, val in enumerate(vals):
-                    if not val:
-                        continue
-                    for bi, b in enumerate(alg.basis):
-                        e = b.rows[u][v]
-                        if e:
-                            row[si * alg.dim + bi] = val * e
-                            nz = True
-                if nz:
-                    aug.append(row + [Fraction(0)])
     red, pivots = rref(aug)
     if any(p == ncols for p in pivots):
         raise ValueError("inconsistent constraint system (non-generic data)")
@@ -712,24 +685,18 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
         gamma_residuals[g] = bad
     divisor_violations = []
     allowed = set(Fraction(g) for g in cfg.gamma_points)
-    finite_pts = [p for p in pole_orders if p is not INF]
-    for i in range(bracket.n):
-        for j in range(bracket.m):
-            e = bracket.rows[i][j]
-            if e.is_zero():
+    points = list(allowed) + [p for p in pole_orders if p is not INF] + [INF]
+    for i, row in enumerate(bracket.poles_within(points)):
+        for j, entry in enumerate(row):
+            if entry is None:
                 continue
-            orders, leftover = e.poles_within(list(allowed) + finite_pts)
+            orders, leftover = entry
             if leftover:
                 divisor_violations.append(((i, j), "stray-pole"))
                 continue
             for pt, o in orders.items():
-                if pt in allowed:
-                    continue
-                if o > pole_orders.get(pt, 0):
+                if pt not in allowed and o > pole_orders.get(pt, 0):
                     divisor_violations.append(((i, j), pt, o))
-            o_inf = e.order_at(INF)
-            if o_inf is not None and -o_inf > pole_orders.get(INF, 0):
-                divisor_violations.append(((i, j), INF, -o_inf))
     if divisor_violations:
         ok = False
     return TangencyReport(ok, gamma_residuals, divisor_violations, nus)

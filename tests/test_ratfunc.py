@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from laxkit.exact import Mat
 from laxkit.ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const, rat_z
 
 
@@ -17,6 +18,29 @@ def test_poly_shift_valuation():
     p = Poly([1, 2, 1])
     assert p.shift(F(-1)).valuation() == 2
     assert Poly([]).valuation() is None
+
+
+def test_shift_matches_binomial_formula():
+    from math import comb
+
+    p = Poly([F(1, 3), -2, 0, 5, F(-7, 2)])
+    for c in (F(1, 2), F(-2, 3), F(3), F(0)):
+        want = [sum(comb(j, k) * p.coeffs[j] * c ** (j - k) for j in range(k, 5)) for k in range(5)]
+        assert p.shift(c) == Poly(want)
+
+
+def test_laurent_tails_at_rational_points_rebuild_the_function():
+    # f minus its tail up to degree 3 at c vanishes to order > 3 there; the
+    # check uses only rational-function arithmetic and zero tests
+    z = rat_z()
+    f = (z ** 3 - 2 * z + F(1, 3)) / ((z - F(1, 2)) ** 2 * (z + F(2, 3)))
+    for c in (F(1, 2), F(-2, 3), F(3, 7), F(-5, 4)):
+        tail = f.laurent_at(c, 3)
+        terms = (a * (z - c) ** p if p >= 0 else a / (z - c) ** -p for p, a in tail.items())
+        rest = f - sum(terms, RatFunc.zero())
+        assert rest.is_zero() or rest.order_at(c) > 3
+        m = RationalMatrix([[f, 1 / (z - c)]]).laurent_coefficients(c, -2, 3)
+        assert [m[p][0, 0] for p in range(-2, 4)] == [tail.get(p, 0) for p in range(-2, 4)]
 
 
 def test_geometric_series_oracle():
@@ -129,10 +153,14 @@ def test_shortcuts_keep_the_reduced_form():
     for c, k in poles.items():
         for _ in range(k):
             den = den * Poly([-c, 1])
-    assert _key(RatFunc.over_poles(num, poles)) == _key(RatFunc(num, den))
-    assert RatFunc.over_poles(Poly([]), poles).is_zero()
     h = RatFunc(num, den)
+    # the same function over the unreduced denominator, next to a zero entry
+    m = RationalMatrix.over([[num, Poly([])]], den)
+    assert _key(m.rows[0][0]) == _key(h) and _key(m.rows[0][1]) == _key(RatFunc.zero())
+    pts = [F(1), F(3), F(-5), INF]
+    assert m.poles_within(pts) == [[h.poles_within(pts), None]]
     assert [h.order_at(c) for c in (F(1), F(3), F(-5), F(-2), F(0))] == [-1, 0, -1, 1, 0]
+    assert [m.order_at(c) for c in (F(1), F(3), F(-5), F(-2), F(0))] == [-1, 0, -1, 1, 0]
 
 
 def test_laurent_coefficients_match_single_degrees():
@@ -143,3 +171,107 @@ def test_laurent_coefficients_match_single_degrees():
         assert sorted(coeffs) == list(range(-3, 3))
         for p, c in coeffs.items():
             assert c.rows == tuple(tuple(e.laurent_at(point, p).get(p, 0) for e in r) for r in m.rows)
+
+
+def test_eq_with_foreign_types():
+    z = rat_z()
+    assert not (z == None)  # noqa: E711
+    assert z != None  # noqa: E711
+    assert not (z == "a") and z != "a"
+    assert not (z == [1]) and z != object()
+    assert rat_const(2) == 2 and rat_const(F(1, 2)) == 0.5 and rat_const(F(1, 3)) == F(1, 3)
+
+
+def test_entries_that_cancel_the_shared_denominator():
+    z = rat_z()
+    a = RationalMatrix([[1 / (z - 1)]])
+    b = RationalMatrix([[z - 1]])
+    prod = a @ b
+    # stored over (z - 1), read back reduced
+    assert prod.den.degree == 1 and _key(prod.rows[0][0]) == _key(rat_const(1))
+    assert prod.eval(F(1))[0, 0] == 1 and prod.eval(F(3))[0, 0] == 1
+    with pytest.raises(ZeroDivisionError):
+        a.eval(F(1))
+    assert prod.order_at(F(1)) == 0 == prod.rows[0][0].order_at(F(1))
+    assert prod.order_at(INF) == 0
+    assert prod.rows[0][0].poles_within([F(1), INF]) == ({}, 0)
+    assert prod.poles_within([F(1), INF]) == [[({}, 0)]]
+    assert not prod.is_zero()
+    coeffs = prod.laurent_coefficients(F(1), -2, 1)
+    assert [coeffs[p][0, 0] for p in range(-2, 2)] == [0, 0, 1, 0]
+    # an entry that cancels to zero over the shared denominator
+    diff = prod - RationalMatrix([[rat_const(1)]])
+    assert diff.is_zero() and diff.order_at(F(1)) is None and diff.poles_within([F(1)]) == [[None]]
+    assert diff.laurent_coefficients(F(1), -1, 0)[-1].is_zero()
+
+
+def _random_entry(rng, z):
+    """A reduced rational function with poles and zeros drawn from a few
+    shared points, so that sums and products cancel factors."""
+    pts = (F(0), F(1), F(-2), F(1, 2))
+    if rng.random() < 0.25:
+        return rat_const(rng.choice([0, 0, 1, -3, F(2, 5)]))
+    f = rat_const(F(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+    for _ in range(rng.randint(0, 2)):
+        f = f * (z - rng.choice(pts))
+    for _ in range(rng.randint(0, 3)):
+        f = f / (z - rng.choice(pts))
+    return f
+
+
+def _keys(rows):
+    return [[_key(e) for e in r] for r in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_operations_match_entrywise_references(seed):
+    import random
+
+    rng = random.Random(seed)
+    z = rat_z()
+    n = rng.choice([2, 3])
+    ea = [[_random_entry(rng, z) for _ in range(n)] for _ in range(n)]
+    eb = [[_random_entry(rng, z) for _ in range(n)] for _ in range(n)]
+    a, b = RationalMatrix(ea), RationalMatrix(eb)
+    assert _keys(a.rows) == _keys(ea) and _keys(b.rows) == _keys(eb)
+    cols = list(zip(*eb))
+    ab = [[sum((x * y for x, y in zip(row, col)), RatFunc.zero()) for col in cols] for row in ea]
+    ba = [[sum((x * y for x, y in zip(row, col)), RatFunc.zero()) for col in zip(*ea)] for row in eb]
+    f = (z + 3) / (z - F(1, 2))
+    refs = {
+        "add": (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ea, eb)]),
+        "sub": (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ea, eb)]),
+        "neg": (-a, [[-x for x in r] for r in ea]),
+        "matmul": (a @ b, ab),
+        "comm": (a.comm(b), [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]),
+        "scale": (a.scale(f), [[x * f for x in r] for r in ea]),
+        "derivative": (a.derivative(), [[x.derivative() for x in r] for r in ea]),
+        "matpow": (a.matpow(2), [[sum((x * y for x, y in zip(row, col)), RatFunc.zero())
+                                   for col in zip(*ea)] for row in ea]),
+        "from_scalar": (RationalMatrix.from_scalar_matrix(Mat([[1, 0], [F(2, 3), -1]]), f),
+                        [[f, RatFunc.zero()], [f * F(2, 3), -f]]),
+    }
+    pts = [F(0), F(1), F(-2), F(1, 2), F(5)]
+    for name, (got, ref) in refs.items():
+        assert _keys(got.rows) == _keys(ref), name
+        flat = [e for r in ref for e in r]
+        assert got.is_zero() == all(e.is_zero() for e in flat), name
+        for c in pts + [INF]:
+            orders = [e.order_at(c) for e in flat if not e.is_zero()]
+            assert got.order_at(c) == (min(orders) if orders else None), (name, c)
+            coeffs = got.laurent_coefficients(c, -4, 2)
+            for p in range(-4, 3):
+                assert coeffs[p].rows == tuple(tuple(e.laurent_at(c, 2).get(p, 0) for e in r)
+                                               for r in ref), (name, c, p)
+        for listed in (pts + [INF], pts[:2], [INF]):
+            assert got.poles_within(listed) == [[None if e.is_zero() else e.poles_within(listed)
+                                                 for e in r] for r in ref], (name, listed)
+        for x in pts:
+            try:
+                want = [[e.eval(x) for e in r] for r in ref]
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    got.eval(x)
+            else:
+                assert got.eval(x).rows == tuple(map(tuple, want)), (name, x)
+    assert a.trace() == sum((ea[i][i] for i in range(n)), RatFunc.zero())

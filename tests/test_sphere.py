@@ -150,7 +150,7 @@ def test_assemble_matches_sum_of_terms(kind, p_points, gammas, framed):
         div = sp.divisor_for_degree(cfg, m)
         scalars = sp.section_basis(div)
         ncand = len(scalars) * alg.dim
-        rows, _ = sp._expansion_condition_rows(cfg, scalars, range(-dec.depth, dec.depth), "lax")
+        rows, _ = sp._expansion_condition_rows(cfg, sp._sections(div), range(-dec.depth, dec.depth), "lax")
         # slice vectors (whose entries cancel pole factors) and random ones
         vectors = sp.nullspace(rows, ncand) + [
             [rng.choice([0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
