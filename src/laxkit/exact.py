@@ -4,12 +4,23 @@ Everything structural in this package (root systems, matrix realizations,
 graded decompositions, genus-zero function spaces) is computed over the
 rationals.  Scalars are plain ``int`` or ``fractions.Fraction``; integer
 entries stay integers so that the hot commutator loops run on machine ints.
+
+``Mat`` products and commutators run on numpy int64 when that is provably
+exact: every entry of both operands is a Python ``int`` and
+max|A| * max|B| * (inner dimension), doubled for a commutator, is below
+2**63, so no partial sum can overflow.  The result comes back as Python
+ints.  Any other operands (a ``Fraction`` entry, a larger entry, an empty
+shape) take the exact Python path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import mul
+
+import numpy as np
 
 __all__ = [
     "Mat",
@@ -24,6 +35,31 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # small exact matrices (Lie algebra elements)
 # ---------------------------------------------------------------------------
+
+_INT64_LIMIT = 1 << 63
+_INT = {int}
+
+
+def _int_height(rows):
+    """max |entry| when every entry is a Python ``int``, else None.
+
+    The type test must come first: numpy truncates a ``Fraction`` to an
+    integer when asked for an int64 array.  An empty matrix gives None.
+    """
+    flat = [*chain.from_iterable(rows)]
+    if {*map(type, flat)} != _INT:
+        return None
+    return max(map(abs, flat))
+
+
+def _fits_int64(arows, brows, terms):
+    """Whether a sum of ``terms`` products of entries of the two integer
+    matrices provably stays inside int64."""
+    ha = _int_height(arows)
+    if ha is None:
+        return False
+    hb = _int_height(brows)
+    return hb is not None and ha * hb * terms < _INT64_LIMIT
 
 
 class Mat:
@@ -71,12 +107,20 @@ class Mat:
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
+        if self.m == other.n and _fits_int64(self.rows, other.rows, self.m):
+            a = np.array(self.rows, dtype=np.int64)
+            b = np.array(other.rows, dtype=np.int64)
+            return Mat((a @ b).tolist())
         ocols = list(zip(*other.rows))
-        return Mat(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self.rows]
-        )
+        return Mat([[sum(map(mul, row, col)) for col in ocols] for row in self.rows])
 
     def comm(self, other):
+        if self.n == self.m == other.n == other.m and _fits_int64(
+            self.rows, other.rows, 2 * self.m
+        ):
+            a = np.array(self.rows, dtype=np.int64)
+            b = np.array(other.rows, dtype=np.int64)
+            return Mat((a @ b - b @ a).tolist())
         return self @ other - other @ self
 
     @property

@@ -703,6 +703,8 @@ class GradedDecomposition:
         self.depth = max((abs(p) for p in self.subspaces), default=0)
         hd = [h[i, i] for i in range(h.n)]
         self.delta = tuple(tuple(hd[i] - hd[j] for j in range(h.n)) for i in range(h.n))
+        self._filt_cache = {}
+        self._above_cache = {}
 
     @property
     def k(self):
@@ -722,9 +724,7 @@ class GradedDecomposition:
 
     def basis_of_filtration(self, p):
         key = min(p, self.depth)
-        cache = getattr(self, "_filt_cache", None)
-        if cache is None:
-            cache = self._filt_cache = {}
+        cache = self._filt_cache
         if key not in cache:
             out = []
             for q in sorted(self.subspaces):
@@ -733,16 +733,21 @@ class GradedDecomposition:
             cache[key] = out
         return cache[key]
 
+    def _positions_above(self, p):
+        """Positions (i, j) with delta[i][j] > p, built once per level."""
+        cache = self._above_cache
+        if p not in cache:
+            cache[p] = tuple(
+                (i, j) for i, row in enumerate(self.delta) for j, d in enumerate(row) if d > p
+            )
+        return cache[p]
+
     def has_violation(self, m, p):
         """Fast early-exit test for a nonzero entry of degree > p."""
-        delta = self.delta
         rows = m.rows
-        for i in range(m.n):
-            di = delta[i]
-            ri = rows[i]
-            for j in range(m.m):
-                if di[j] > p and ri[j]:
-                    return True
+        for i, j in self._positions_above(p):
+            if rows[i][j]:
+                return True
         return False
 
     def project(self, m, p):
@@ -757,15 +762,13 @@ class GradedDecomposition:
     def violation_part(self, m, p):
         """Entries of m at positions of degree > p (zero iff m is in the
         level-p filtration space, for m in the algebra)."""
-        return Mat(
-            [
-                [m.rows[i][j] if self.delta[i][j] > p else 0 for j in range(m.m)]
-                for i in range(m.n)
-            ]
-        )
+        out = [[0] * m.m for _ in range(m.n)]
+        for i, j in self._positions_above(p):
+            out[i][j] = m.rows[i][j]
+        return Mat(out)
 
     def in_filtration(self, m, p):
-        return self.violation_part(m, p).is_zero()
+        return not self.has_violation(m, p)
 
     def graded_components(self, m):
         out = {}

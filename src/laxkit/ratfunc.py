@@ -326,6 +326,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals, so must hash as, its value as a number
+        if self.den.coeffs == (1,) and len(self.num.coeffs) <= 1:
+            return hash(self.num.coeffs[0] if self.num.coeffs else 0)
         return hash((self.num, self.den))
 
     def derivative(self):

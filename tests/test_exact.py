@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laxkit.exact import ColumnSolver, Mat, mat_inverse, nullspace, rank, rref
+from laxkit.exact import ColumnSolver, Mat, _fits_int64, mat_inverse, nullspace, rank, rref
 
 
 def test_mat_ops():
@@ -106,3 +106,95 @@ def test_rref_empty_and_zero_systems():
     assert rref([]) == ([], [])
     assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
     assert nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+def _reference_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _reference_comm(a, b):
+    ab, ba = _reference_product(a, b), _reference_product(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+
+
+def _all_int(m):
+    return all(type(x) is int for r in m.rows for x in r)
+
+
+def test_fraction_entries_are_multiplied_exactly():
+    half = Mat([[Fraction(1, 2)]])
+    assert (half @ Mat([[3]])).rows == ((Fraction(3, 2),),)
+    a = Mat([[Fraction(1, 2), 1], [0, Fraction(-1, 3)]])
+    b = Mat([[1, 2], [3, 4]])
+    assert (a @ b).rows == tuple(map(tuple, _reference_product(a.rows, b.rows)))
+    assert (a @ b)[0, 0] == Fraction(7, 2)
+    assert a.comm(b).rows == tuple(map(tuple, _reference_comm(a.rows, b.rows)))
+    assert not _fits_int64(a.rows, b.rows, 2)
+
+
+def test_mixed_int_and_fraction_operands():
+    rng = random.Random(5)
+    for _ in range(20):
+        a = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        b[rng.randrange(3)][rng.randrange(3)] = Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+        ma, mb = Mat(a), Mat(b)
+        assert (ma @ mb).rows == tuple(map(tuple, _reference_product(a, b)))
+        assert (mb @ ma).rows == tuple(map(tuple, _reference_product(b, a)))
+        assert ma.comm(mb).rows == tuple(map(tuple, _reference_comm(a, b)))
+
+
+def test_entries_beyond_the_int64_bound_stay_exact():
+    rng = random.Random(7)
+    big = 1 << 31
+    a = [[rng.choice((big, -big, big - 1, 3)) for _ in range(8)] for _ in range(8)]
+    b = [[rng.choice((big, -big, 1 - big, 5)) for _ in range(8)] for _ in range(8)]
+    a[0] = [big] * 8
+    b = [[big] * 8 if k == 0 else b[k] for k in range(8)]
+    for k in range(8):
+        b[k][0] = big
+    assert not _fits_int64(a, b, 8)
+    prod = Mat(a) @ Mat(b)
+    assert prod.rows == tuple(map(tuple, _reference_product(a, b)))
+    assert prod[0, 0] == 8 << 62 and _all_int(prod)
+    c = Mat(a).comm(Mat(b))
+    assert c.rows == tuple(map(tuple, _reference_comm(a, b))) and _all_int(c)
+
+
+def test_int64_path_up_to_the_bound():
+    top = (1 << 31) - 1
+    a = [[top, -top], [top, top]]
+    # 2 * top**2 < 2**63: the product runs on int64 and is exact
+    assert _fits_int64(a, a, 2)
+    prod = Mat(a) @ Mat(a)
+    assert prod.rows == tuple(map(tuple, _reference_product(a, a))) and _all_int(prod)
+    assert prod[0, 1] == -2 * top * top < -(1 << 62)
+    # a commutator doubles the term count: 4 * top**2 >= 2**63
+    assert not _fits_int64(a, a, 4)
+    b = [[top, 0], [-top, top]]
+    assert Mat(a).comm(Mat(b)).rows == tuple(map(tuple, _reference_comm(a, b)))
+
+
+def test_products_return_python_ints():
+    rng = random.Random(3)
+    for n in (2, 5, 8):
+        a = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        assert _fits_int64(a, b, 2 * n)
+        for m in (Mat(a) @ Mat(b), Mat(a).comm(Mat(b)), Mat.zeros(n) @ Mat(b)):
+            assert _all_int(m)
+        assert (Mat(a) @ Mat(b)).rows == tuple(map(tuple, _reference_product(a, b)))
+        assert Mat(a).comm(Mat(b)).rows == tuple(map(tuple, _reference_comm(a, b)))
+
+
+def test_non_square_and_empty_shapes():
+    row, col = Mat([[1, 2, 3]]), Mat([[4], [5], [6]])
+    assert (row @ col).rows == ((32,),)
+    assert (col @ row).rows == ((4, 8, 12), (5, 10, 15), (6, 12, 18))
+    assert _all_int(row @ col) and _all_int(col @ row)
+    assert (row @ Mat([[Fraction(1, 2)], [0], [1]])).rows == ((Fraction(7, 2),),)
+    empty = Mat([])
+    assert (empty @ empty).n == 0 and empty.comm(empty).n == 0
+    assert not _fits_int64(empty.rows, empty.rows, 0)
+    flat = Mat([[], []])
+    assert (flat @ empty).rows == ((), ())

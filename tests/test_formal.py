@@ -191,3 +191,33 @@ def test_sp_degree_one_condition_checked(rng):
     cc[1] = L.coefficient(1) + top
     rep = fm.validate_tyurin_form(alg, dec, fm.MatrixLaurent(dec, cc, 2))
     assert "alpha^t sigma L_1 alpha != 0" in rep.violations
+
+
+def _reference_commutator(a, b):
+    """Coefficients of [a, b] from plain Python sums over the entries."""
+    t = min(a.trunc + b.low, b.trunc + a.low)
+    n = a.dec.alg.size
+    out = {}
+    for p, ma in a.coeffs.items():
+        for q, mb in b.coeffs.items():
+            if p + q > t:
+                continue
+            acc = out.setdefault(p + q, [[0] * n for _ in range(n)])
+            x, y = ma.rows, mb.rows
+            for i in range(n):
+                for j in range(n):
+                    acc[i][j] += sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(n))
+    return t, {p: tuple(map(tuple, m)) for p, m in out.items() if any(map(any, m))}
+
+
+def test_commutator_matches_plain_python_sums():
+    rng = random.Random(9)
+    for kind, rank, idx in la.acceptance_catalog():
+        alg, dec = la.catalog_grading(kind, rank, idx)
+        for _ in range(20):
+            a, b = fm.random_lax_expansion(dec, rng), fm.random_lax_expansion(dec, rng)
+            c = fm.commutator(a, b)
+            t, ref = _reference_commutator(a, b)
+            assert c.trunc == t
+            assert {p: m.rows for p, m in c.coeffs.items()} == ref, (kind, rank, idx)
+            assert all(type(x) is int for m in c.coeffs.values() for r in m.rows for x in r)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +245,24 @@ def test_hamiltonian_counts():
         assert la.hitchin_integral_count("gl", 2, genus) == 4 * (genus - 1) + 1
         assert la.hamiltonian_count_identity_residual("sp", 2, 5, genus) == 0
         assert la.hamiltonian_count_identity_residual("gl", 3, 2, genus) == 0
+
+
+def test_filtration_checks_match_the_degree_table():
+    rng = random.Random(4)
+    for kind, rank, idx in la.acceptance_catalog():
+        alg, dec = la.catalog_grading(kind, rank, idx)
+        n = alg.size
+        for p in range(-dec.depth - 1, dec.depth + 1):
+            for density in (0.0, 0.1, 1.0):
+                rows = [[rng.randint(1, 3) if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                m = Mat(rows)
+                above = [[rows[i][j] if dec.delta[i][j] > p else 0 for j in range(n)]
+                         for i in range(n)]
+                assert dec.violation_part(m, p) == Mat(above)
+                expected = any(map(any, above))
+                assert dec.has_violation(m, p) is expected
+                assert dec.in_filtration(m, p) is not expected
+        for p in range(-dec.depth, dec.depth + 1):
+            for b in dec.basis_of_filtration(p):
+                assert dec.in_filtration(b, p) and not dec.has_violation(b, p)

@@ -182,6 +182,18 @@ def test_eq_with_foreign_types():
     assert rat_const(2) == 2 and rat_const(F(1, 2)) == 0.5 and rat_const(F(1, 3)) == F(1, 3)
 
 
+def test_hash_agrees_with_eq_for_constants():
+    z = rat_z()
+    for value in (3, F(1, 2), 0, -7):
+        c = rat_const(value)
+        assert c == value and hash(c) == hash(value)
+        assert {value: "x"}.get(c) == "x"
+        assert {c: "y"}.get(value) == "y"
+    assert hash(rat_const(F(1, 2))) == hash(0.5)
+    assert hash(z - z) == hash(0) and hash(z / z) == hash(1)
+    assert {z: 1, z + 1: 2}[rat_z() + 1] == 2
+
+
 def test_entries_that_cancel_the_shared_denominator():
     z = rat_z()
     a = RationalMatrix([[1 / (z - 1)]])
