@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import Lattice, PoleProximityError
+from .liealg import family_to_kind, sigma_for
 
 __all__ = [
     "CMSystem",
     "CMState",
     "CollisionError",
+    "check_state",
     "default_couplings",
     "lax_matrix",
     "family_sigma_matrix",
@@ -419,18 +421,11 @@ def lax_matrix(sys_, state, z):
 
 
 def family_sigma_matrix(family, n):
-    """Defining bilinear form of the matrix family (None for A)."""
+    """Defining bilinear form of the matrix family (None for A), as a float
+    array of ``liealg.sigma_for``."""
     if family == "A":
         return None
-    if family == "D":
-        return np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    if family == "C":
-        return np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[:n, n + 1:] = np.eye(n)
-    m[n, n] = 1.0
-    m[n + 1:, :n] = np.eye(n)
-    return m
+    return np.array(sigma_for(family_to_kind(family), n).rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
     "LaxExpansion",
     "MOpExpansion",
     "commutator",
+    "commutator_with_mop",
     "validate_lax",
     "validate_mop",
     "as_lax",
@@ -31,7 +32,9 @@ __all__ = [
     "random_mop",
     "random_group_element",
     "conjugate_series",
+    "induced_time_derivative",
     "tangency_residuals",
+    "predicted_bracket",
     "tangency_consistency_residuals",
     "validate_tyurin_form",
     "TyurinReport",
@@ -113,6 +116,24 @@ class LaxExpansion(MatrixLaurent):
     """A MatrixLaurent that passed the filtration validity check."""
 
 
+def _violations(dec, coeffs, hi):
+    """(degree, level) pairs of the coefficients at degrees <= hi that leave
+    their filtration space: level None below -depth, otherwise every level
+    q > p at which the degree-p coefficient has a component."""
+    k = dec.depth
+    violations = []
+    for p in sorted(coeffs):
+        if p > hi:
+            break
+        m = coeffs[p]
+        if p < -k:
+            violations.append((p, None))
+        elif dec.has_violation(m, p):
+            violations.extend((p, q) for q in sorted(dec.subspaces)
+                              if q > p and not dec.project(m, q).is_zero())
+    return violations
+
+
 def validate_lax(e, upto=None):
     """Filtration violations of a series: list of (degree, graded level).
 
@@ -120,20 +141,7 @@ def validate_lax(e, upto=None):
     level-p filtration space (degrees below -depth must vanish entirely).
     """
     dec = e.dec
-    k = dec.depth
-    violations = []
-    hi = min(e.trunc, k - 1) if upto is None else upto
-    for p in sorted(e.coeffs):
-        if p > hi:
-            continue
-        if p < -k:
-            violations.append((p, None))
-            continue
-        if dec.has_violation(e.coeffs[p], p):
-            for q in sorted(dec.subspaces):
-                if q > p and not dec.project(e.coeffs[p], q).is_zero():
-                    violations.append((p, q))
-    return violations
+    return _violations(dec, e.coeffs, min(e.trunc, dec.depth - 1) if upto is None else upto)
 
 
 def as_lax(e):
@@ -159,50 +167,25 @@ class MOpExpansion:
     def trunc(self):
         return self.series.trunc
 
+    def full_series(self):
+        """nu*h/z plus the regular part, as one MatrixLaurent."""
+        if not self.nu:
+            return self.series
+        return self.series + MatrixLaurent(self.dec, {-1: self.dec.h.scale(self.nu)}, self.trunc)
+
     def coefficient(self, p):
         """Full coefficient at degree p, including the nu*h part at p = -1."""
-        c = self.series.coefficient(p)
-        if p == -1 and self.nu:
-            c = c + self.dec.h.scale(self.nu)
-        return c
+        return self.full_series().coefficient(p)
 
 
 def validate_mop(m):
     """Filtration violations of the regular part in negative degrees."""
-    dec = m.dec
-    k = dec.depth
-    violations = []
-    for p in sorted(m.series.coeffs):
-        if p >= 0:
-            continue
-        if p < -k:
-            violations.append((p, None))
-            continue
-        if not dec.in_filtration(m.series.coeffs[p], p):
-            for q in sorted(dec.subspaces):
-                if q > p and not dec.project(m.series.coeffs[p], q).is_zero():
-                    violations.append((p, q))
-    return violations
+    return _violations(m.dec, m.series.coeffs, -1)
 
 
 def commutator_with_mop(lax, mop):
     """[L, M] including the nu*h/z contribution, as a MatrixLaurent."""
-    base = commutator(lax, mop.series)
-    t = base.trunc
-    out = dict(base.coeffs)
-    if mop.nu:
-        h = lax.dec.h
-        t = min(t, lax.trunc - 1)
-        out = {p: m for p, m in out.items() if p <= t}
-        for p, mlp in lax.coeffs.items():
-            key = p - 1
-            if key > t:
-                continue
-            c = mlp.comm(h).scale(mop.nu)
-            if c.is_zero():
-                continue
-            out[key] = out[key] + c if key in out else c
-    return MatrixLaurent(lax.dec, out, t)
+    return commutator(lax, mop.full_series())
 
 
 # ---------------------------------------------------------------------------
@@ -348,43 +331,24 @@ def conjugate_series(e, g):
 
 
 # ---------------------------------------------------------------------------
-# tangency relations at a marked point
+# point-motion relations at a marked point
 # ---------------------------------------------------------------------------
-
-
-def _moment_term(dec, m, p):
-    """(p+1) L_{p+1} - [h, L_{p+1}] = sum_s (p+1-s) * (degree-s component)."""
-    return m.scale(p + 1) - dec.h.comm(m)
-
-
-def tangency_residuals(lax, lax_dot, mop, z_dot):
-    """Exact residuals of the coupled point-motion relations.
-
-    Returns (z_dot + nu, {p: residual matrix}) for p = -depth..0 where the
-    residual is Ldot_p - sum_{i+j=p}[L_i, M_j] - nu * weighted projection of
-    L_{p+1}; all residuals vanish iff (Ldot, z_dot) solves the relations.
-    """
-    dec = lax.dec
-    k = dec.depth
-    nu = mop.nu
-    out = {}
-    for p in range(-k, 1):
-        conv = Mat.zeros(dec.alg.size)
-        for i in range(-k, p + k + 1):
-            j = p - i
-            if j < -k:
-                continue
-            li = lax.coeffs.get(i)
-            mj = mop.series.coeffs.get(j)
-            if li is not None and mj is not None:
-                conv = conv + li.comm(mj)
-        term = _moment_term(dec, lax.coefficient(p + 1), p).scale(nu) if nu else Mat.zeros(dec.alg.size)
-        out[p] = lax_dot.coefficient(p) - conv - term
-    return z_dot + nu, out
+#
+# The Lax equation Ldot = [L, M] on a Lax operator algebra moves the marked
+# point with z_dot = -nu and fixes the coefficients of Ldot there:
+#
+#     Ldot_p = sum_{i+j=p} [L_i, M_j] + nu ((p+1) L_{p+1} - [h, L_{p+1}])
+#
+# for p = -depth..0, M_j being the regular part of M.  This section is the
+# one statement of these relations; ``sphere.lax_tangency_check`` reads them
+# from here at every gamma point, for any depth.
 
 
 def induced_time_derivative(lax, mop):
-    """(Ldot, z_dot) defined by the point-motion relations from (L, M)."""
+    """(Ldot, z_dot) defined by the point-motion relations from (L, M).
+
+    Reads L and the regular part of M up to degree depth; Ldot is reliable
+    up to degree 0."""
     dec = lax.dec
     k = dec.depth
     nu = mop.nu
@@ -392,33 +356,46 @@ def induced_time_derivative(lax, mop):
     for p in range(-k, 1):
         conv = Mat.zeros(dec.alg.size)
         for i in range(-k, p + k + 1):
-            j = p - i
             li = lax.coeffs.get(i)
-            mj = mop.series.coeffs.get(j)
-            if li is not None and mj is not None and j >= -k:
+            mj = mop.series.coeffs.get(p - i)
+            if li is not None and mj is not None:
                 conv = conv + li.comm(mj)
         if nu:
-            conv = conv + _moment_term(dec, lax.coefficient(p + 1), p).scale(nu)
-        if not conv.is_zero():
-            coeffs[p] = conv
+            # (p+1) L_{p+1} - [h, L_{p+1}] weights the degree-s component by p+1-s
+            nxt = lax.coefficient(p + 1)
+            conv = conv + (nxt.scale(p + 1) - dec.h.comm(nxt)).scale(nu)
+        coeffs[p] = conv
     return MatrixLaurent(dec, coeffs, 0), -nu
 
 
-def tangency_consistency_residuals(lax, mop):
-    """Cross-check: with (Ldot, z_dot) induced by the relations, the series
-    commutator [L, M] must match the differentiated expansion coefficient by
-    coefficient for degrees -depth-1..0.  Returns the residual matrices."""
-    dec = lax.dec
-    k = dec.depth
+def tangency_residuals(lax, lax_dot, mop, z_dot):
+    """Exact residuals of the coupled point-motion relations.
+
+    Returns (z_dot + nu, {p: Ldot_p - induced Ldot_p}) for p = -depth..0; all
+    residuals vanish iff (Ldot, z_dot) solves the relations.
+    """
+    induced, induced_z_dot = induced_time_derivative(lax, mop)
+    return z_dot - induced_z_dot, {p: lax_dot.coefficient(p) - induced.coefficient(p)
+                                   for p in range(-lax.dec.depth, 1)}
+
+
+def predicted_bracket(lax, mop):
+    """Coefficients of [L, M] at degrees -depth-1..0 that the relations
+    predict: Ldot_p + (p+1) z_dot L_{p+1}, which at the bottom degree
+    -depth-1 is -depth z_dot L_{-depth}."""
+    k = lax.dec.depth
     ldot, z_dot = induced_time_derivative(lax, mop)
+    return MatrixLaurent(lax.dec, {p: ldot.coefficient(p) + lax.coefficient(p + 1).scale((p + 1) * z_dot)
+                                   for p in range(-k - 1, 1)}, 0)
+
+
+def tangency_consistency_residuals(lax, mop):
+    """Cross-check: the series commutator [L, M] minus the prediction of
+    ``predicted_bracket``, coefficient by coefficient for degrees
+    -depth-1..0.  Returns the residual matrices."""
     bracket = commutator_with_mop(lax, mop)
-    out = {}
-    expected_bottom = lax.coefficient(-k).scale(-k * z_dot)
-    out[-k - 1] = bracket.coefficient(-k - 1) - expected_bottom
-    for p in range(-k, 1):
-        expected = ldot.coefficient(p) + lax.coefficient(p + 1).scale((p + 1) * z_dot)
-        out[p] = bracket.coefficient(p) - expected
-    return out
+    predicted = predicted_bracket(lax, mop)
+    return {p: bracket.coefficient(p) - predicted.coefficient(p) for p in range(-lax.dec.depth - 1, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ __all__ = [
     "hamiltonian_count",
     "hamiltonian_count_identity_residual",
     "hitchin_integral_count",
+    "family_to_kind",
+    "sigma_for",
     "FAMILIES",
     "KINDS",
 ]
@@ -508,7 +510,9 @@ def _g2_basis():
     return basis, labels
 
 
-def _sigma_for(kind, rank):
+def sigma_for(kind, rank):
+    """Exact defining bilinear form of the realization of ``kind`` at
+    ``rank`` (the identity for gl/sl)."""
     n = rank
     if kind in ("gl", "sl"):
         return Mat.identity(n)
@@ -581,7 +585,7 @@ def matrix_realization(kind, rank):
         size, cartan_dim = 7, 2
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    sigma = _sigma_for(kind, rank)
+    sigma = sigma_for(kind, rank)
     alg = MatrixAlgebra(kind, rank, size, basis, labels, sigma, cartan_dim, rs)
     _verify_realization(alg)
     return alg
@@ -733,7 +737,7 @@ class GradedDecomposition:
             cache[key] = out
         return cache[key]
 
-    def _positions_above(self, p):
+    def positions_above(self, p):
         """Positions (i, j) with delta[i][j] > p, built once per level."""
         cache = self._above_cache
         if p not in cache:
@@ -745,7 +749,7 @@ class GradedDecomposition:
     def has_violation(self, m, p):
         """Fast early-exit test for a nonzero entry of degree > p."""
         rows = m.rows
-        for i, j in self._positions_above(p):
+        for i, j in self.positions_above(p):
             if rows[i][j]:
                 return True
         return False
@@ -763,7 +767,7 @@ class GradedDecomposition:
         """Entries of m at positions of degree > p (zero iff m is in the
         level-p filtration space, for m in the algebra)."""
         out = [[0] * m.m for _ in range(m.n)]
-        for i, j in self._positions_above(p):
+        for i, j in self.positions_above(p):
             out[i][j] = m.rows[i][j]
         return Mat(out)
 

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Mat, nullspace, rref
+from .exact import ColumnSolver, Mat, mat_inverse, nullspace, rref
+from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
 from .ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
 
 __all__ = [
@@ -96,8 +97,6 @@ class SphereConfig:
             self.gamma_frames = tuple(self.gamma_frames)
             if len(self.gamma_frames) != len(self.gamma_points):
                 raise ValueError("one frame per gamma point required")
-        from .exact import mat_inverse
-
         self._frame_inv = tuple(mat_inverse(g) for g in self.gamma_frames)
         self._conj_basis = tuple(
             tuple(gi @ b @ g for b in self.dec.alg.basis)
@@ -247,7 +246,6 @@ def _expansion_condition_rows(cfg, sections, p_range, mode):
     """
     dec = cfg.dec
     alg = cfg.alg
-    size = alg.size
     k = dec.depth
     ncand = sections.m * alg.dim
     gammas = list(cfg.gamma_points)
@@ -257,19 +255,15 @@ def _expansion_condition_rows(cfg, sections, p_range, mode):
         tails = sections.laurent_coefficients(Fraction(g), -k, k - 1)
         support = _support(cfg._conj_basis[gi])
         for p in p_range:
-            for u in range(size):
-                for v in range(size):
-                    if dec.delta[u][v] <= p:
-                        continue
-                    row, nonzero = _section_row(tails[p].rows[0], support[u][v], alg.dim,
-                                                ncand + n_aux)
-                    if mode == "mop" and p == -1:
-                        hv = dec.h.rows[u][v]
-                        if hv:
-                            row[ncand + gi] = -hv
-                            nonzero = True
-                    if nonzero:
-                        rows.append(row)
+            for u, v in dec.positions_above(p):
+                row, nonzero = _section_row(tails[p].rows[0], support[u][v], alg.dim, ncand + n_aux)
+                if mode == "mop" and p == -1:
+                    hv = dec.h.rows[u][v]
+                    if hv:
+                        row[ncand + gi] = -hv
+                        nonzero = True
+                if nonzero:
+                    rows.append(row)
     return rows, n_aux
 
 
@@ -378,8 +372,6 @@ class SliceWindow:
         return out
 
     def _solver(self, lo, hi):
-        from .exact import ColumnSolver
-
         key = (lo, hi)
         if key not in self._solvers:
             cols = []
@@ -629,57 +621,52 @@ class TangencyReport:
         return self.ok
 
 
+def _reference_laurent(cfg, gi, f, lo, hi):
+    """Laurent coefficients of f at the gi-th gamma point for degrees lo..hi,
+    in the reference frame."""
+    return {p: cfg.to_reference_frame(gi, c)
+            for p, c in f.laurent_coefficients(Fraction(cfg.gamma_points[gi]), lo, hi).items()}
+
+
 def lax_tangency_check(cfg, l, m_op, pole_orders):
     """Verify the Lax-equation tangency structure of [L, M].
 
-    At every gamma point the bracket must expand with the coefficients
-    induced by the point-motion relations (degrees -k-1 .. 0), and away from
-    the gammas the bracket's divisor must be bounded by the pole budget of L
-    (``pole_orders``), the nontrivial cancellation coming from the gradient
-    structure of M at its private pole.
+    At every gamma point L and M are expanded over degrees -k..k in the
+    reference frame, as a ``formal.MatrixLaurent`` and a
+    ``formal.MOpExpansion`` whose nu is read off the h-component of M's
+    residue.  ``formal.validate_mop`` gives the m-expansion findings, and
+    the bracket's Laurent coefficients at degrees -k-1..0 must equal those
+    that ``formal.predicted_bracket`` derives from the point-motion
+    relations (labels "bottom" at -k-1, "coefficient" above); the relations
+    live in ``formal`` only, for any depth k.  The bracket must have no pole
+    of order above k + 1 at a gamma ("pole-order"), and away from the gammas
+    its divisor must be bounded by the pole budget of L (``pole_orders``),
+    the nontrivial cancellation coming from the gradient structure of M at
+    its private pole.
     """
     dec = cfg.dec
-    alg = cfg.alg
     k = dec.depth
+    h = dec.h
+    j0 = next(i for i in range(h.n) if h.rows[i][i])
     bracket = l.comm(m_op)
     gamma_residuals = {}
     nus = {}
-    h = dec.h
-    j0 = next(i for i in range(h.n) if h.rows[i][i])
     ok = True
     for gidx, g in enumerate(cfg.gamma_points):
         gf = Fraction(g)
-        lc = {p: cfg.to_reference_frame(gidx, c) for p, c in l.laurent_coefficients(gf, -k, 1).items()}
-        mc = {p: cfg.to_reference_frame(gidx, c) for p, c in m_op.laurent_coefficients(gf, -k, k).items()}
-        nu = Fraction(mc[-1].rows[j0][j0], h.rows[j0][j0]) if k >= 1 else Fraction(0)
+        mc = _reference_laurent(cfg, gidx, m_op, -k, k)
+        nu = Fraction(mc[-1].rows[j0][j0], h.rows[j0][j0])
         nus[g] = nu
-        mreg = dict(mc)
-        mreg[-1] = mc[-1] - h.scale(nu)
-        bad = []
-        if not dec.in_filtration(mreg[-1], -1):
-            bad.append(("m-expansion", -1))
-        for p in range(-k, -1):
-            if not dec.in_filtration(mreg[p], p):
-                bad.append(("m-expansion", p))
-        # degrees below -k-1 must be absent
+        mc[-1] = mc[-1] - h.scale(nu)
+        mop = MOpExpansion(nu, MatrixLaurent(dec, mc, k))
+        bad = [("m-expansion", p) for p in sorted({p for p, _ in validate_mop(mop)})]
         order = bracket.order_at(gf)
         if order is not None and order < -k - 1:
             bad.append(("pole-order", order))
-        z_dot = -nu
-        br = {p: cfg.to_reference_frame(gidx, c)
-              for p, c in bracket.laurent_coefficients(gf, -k - 1, 0).items()}
-        bottom = br[-k - 1] - lc[-k].scale(-k * z_dot)
-        if not bottom.is_zero():
-            bad.append(("bottom", -k - 1))
-        for p in range(-k, 1):
-            conv = Mat.zeros(alg.size)
-            for i in range(-k, p + k + 1):
-                j = p - i
-                conv = conv + lc[i].comm(mreg[j])
-            ldot_p = conv + (lc[p + 1].scale(p + 1) - h.comm(lc[p + 1])).scale(nu)
-            expected = ldot_p + lc[p + 1].scale((p + 1) * z_dot)
-            if not (br[p] - expected).is_zero():
-                bad.append(("coefficient", p))
+        predicted = predicted_bracket(MatrixLaurent(dec, _reference_laurent(cfg, gidx, l, -k, k), k), mop)
+        for p, c in _reference_laurent(cfg, gidx, bracket, -k - 1, 0).items():
+            if c != predicted.coefficient(p):
+                bad.append(("bottom" if p == -k - 1 else "coefficient", p))
         if bad:
             ok = False
         gamma_residuals[g] = bad

@@ -89,6 +89,18 @@ def test_tangency_relations_consistency(kind, rank, idx, rng):
     assert s == 0 and all(m.is_zero() for m in mats.values())
 
 
+def test_validate_mop_reads_the_regular_part():
+    # nu*h/z is allowed at degree -1; the regular part obeys the filtration
+    # below degree 0 and is free from degree 0 on
+    alg, dec = la.catalog_grading("sp", 2, 1)
+    g_m1, g_p1 = dec.basis_of_subspace(-1)[0], dec.basis_of_subspace(1)[0]
+    ok = fm.MOpExpansion(Fraction(5), fm.MatrixLaurent(dec, {-1: g_m1, 0: g_p1}, 1))
+    assert fm.validate_mop(ok) == []
+    assert ok.coefficient(-1) == g_m1 + dec.h.scale(5) == ok.full_series().coefficient(-1)
+    bad = fm.MOpExpansion(Fraction(5), fm.MatrixLaurent(dec, {-3: g_m1, -2: g_m1 + g_p1}, 1))
+    assert fm.validate_mop(bad) == [(-3, None), (-2, -1), (-2, 1)]
+
+
 def test_tangency_zero_case():
     alg, dec = la.catalog_grading("gl", 2, 1)
     zero = fm.MatrixLaurent(dec, {}, 2)

@@ -407,6 +407,25 @@ def test_broken_second_member_detected(mop_setup, rng):
     assert any(rep.gamma_residuals[g] for g in cfg.gamma_points)
 
 
+def test_tangency_check_at_depth_two():
+    # framed sp(4) at depth 2: the relations read L up to degree 2 at each gamma
+    rng = random.Random(0)
+    alg, dec = la.catalog_grading("sp", 2, 1)
+    assert dec.depth == 2
+    frames = (fm.random_group_element(alg, rng), fm.random_group_element(alg, rng))
+    cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), (F(3), F(5)), frames)
+    pole_orders = {F(0): 0, INF: 1, F(9): 1}
+    l = rand_member(rng, sp.build_lax_space(cfg, pole_orders).basis)
+    rep = sp.lax_tangency_check(cfg, l, l, pole_orders)
+    assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)
+    z = RatFunc(Poly.x())
+    bad = l + RationalMatrix.from_scalar_matrix(Mat.unit(4, 0, 1), 1 / (z - 3) ** 2)
+    rep = sp.lax_tangency_check(cfg, l, bad, pole_orders)
+    assert not rep.ok
+    assert ("pole-order", -4) in rep.gamma_residuals[F(3)]
+    assert rep.gamma_residuals[F(5)] == []
+
+
 def test_wrong_normalization_count_rejected(mop_setup, rng):
     cfg, pole_orders, space = mop_setup
     l = rand_member(rng, space.basis)
