@@ -446,13 +446,10 @@ def hamiltonian(sys_, state):
 
 
 def _pole_set(sys_, state):
-    q = state.q
-    poles = [np.array([0.0 + 0j]), q]
-    if sys_.family in ("B", "C", "D"):
-        poles.append(-q)
-    if sys_.family == "B":
-        poles.append(np.array([sys_.q0 + 0j]))
-    return np.concatenate(poles)
+    """Poles of L(z) in the period cell: 0, the moving points, then the B
+    border pole q0."""
+    extra = [sys_.q0] if sys_.family == "B" else []
+    return np.concatenate([[0j], moving_points(sys_, state)[0], extra])
 
 
 def residue_hamiltonian(sys_, state, m=1, power=2, center=0.0, nodes=64, radius=None):
@@ -817,8 +814,7 @@ def expansion_violations(sys_, state, nodes=64):
     """
     lat = sys_.lattice
     points, gradings = moving_points(sys_, state)
-    extra = [sys_.q0] if sys_.family == "B" else []
-    poles = np.concatenate([[0.0], points, extra])
+    poles = _pole_set(sys_, state)
     k = _GRADING_DEPTH[sys_.family]
     degrees = np.arange(-k - 1, k)
     out = []
@@ -839,16 +835,16 @@ def expansion_violations(sys_, state, nodes=64):
 
 
 def run_conservation(sys_, state0, t_end, dt, scheme="rk4", z_samples=None,
-                     pmax=4, record_every=50, rng=None):
+                     record_every=50):
     """Integrate and measure energy drift and isospectrality.
 
     Returns (trajectory, report) where the report carries the maximal
     relative H drift and the maximal eigenvalue-multiset drift of L(z0)
-    over the sample spectral parameters.
+    over the sample spectral parameters (by default
+    ``conservation_z_samples`` of the lattice).
     """
     if z_samples is None:
-        rng = rng or np.random.default_rng(0)
-        z_samples = [complex(rng.uniform(0.2, 0.6), rng.uniform(0.15, 0.5)) for _ in range(3)]
+        z_samples = conservation_z_samples(sys_.lattice)
     traj = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=record_every)
     h0 = hamiltonian(sys_, traj.state(0))
     zs = np.asarray(z_samples, dtype=complex)

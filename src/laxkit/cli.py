@@ -24,8 +24,6 @@ from .ratfunc import INF, rat_const
 
 SCHEMA_VERSION = 1
 
-_FAMILY_KIND = {"A": "gl", "B": "so_odd", "C": "sp", "D": "so_even", "G2": "g2"}
-
 
 def _seed_of(args):
     if args.seed is not None:
@@ -49,9 +47,9 @@ def _emit(payload, out=None):
 
 
 def cmd_grading(args):
-    kind = _FAMILY_KIND[args.family]
     try:
-        alg, dec = liealg.catalog_grading(kind, args.rank, args.root, dual=args.dual)
+        alg, dec = liealg.catalog_grading(liealg.family_to_kind(args.family), args.rank,
+                                          args.root, dual=args.dual)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -429,20 +427,18 @@ def _build_parser():
     i.add_argument("--seed", type=int, default=None)
     i.add_argument("--out")
     i.set_defaults(fn=cmd_involution)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None):
-    ap = _build_parser()
+    ap, subparsers = _build_parser()
     args, _ = ap.parse_known_args(argv)
     if args.config:
         with open(args.config) as fh:
             conf = json.load(fh)
-        section = conf.get(args.command, conf)
-        ap. set_defaults(**{k: v for k, v in section.items()})
-        args = ap.parse_args(argv)
-    else:
-        args = ap.parse_args(argv)
+        # on the subparser: its own defaults would override the top-level parser's
+        subparsers[args.command].set_defaults(**conf.get(args.command, conf))
+    args = ap.parse_args(argv)
     return args.fn(args)
 
 

@@ -289,7 +289,6 @@ class ColumnSolver:
                 x[self._pivots[r]] = s
             elif s:
                 return None
-        # rows below the rank already checked; verify residual via pivot rows
         return x
 
 

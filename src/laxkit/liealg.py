@@ -2,6 +2,12 @@
 
 Families covered: A (gl(n), with the traceless variant sl(n)), B (so(2n+1)),
 C (sp(2n)), D (so(2n)) and G2 in its 7-dimensional faithful representation.
+Each kind is stated by three data: its defining form (``sigma_for``), the
+rows embedding the Cartan coordinates t on the diagonal
+(``_cartan_rows``) and its simple roots as functionals of t
+(``_simple_root_functionals``).  The so/sp bases, the root labels, the root
+systems and the Cartan elements are derived from them; only gl/sl and G2
+keep hand-written bases.
 A grading is induced by a diagonal Cartan element h with integer ad-eigenvalues;
 the catalog gradings are the ones attached to a single simple root, where the
 degree of a root is minus the multiplicity of that simple root in its
@@ -11,11 +17,12 @@ pictures used for Tyurin-form residues).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ColumnSolver, Mat, rank, rref
+from .exact import ColumnSolver, Mat, mat_inverse, rank, rref
 
 __all__ = [
     "RootSystem",
@@ -46,6 +53,7 @@ FAMILIES = ("A", "B", "C", "D", "G2")
 KINDS = ("gl", "sl", "so_odd", "sp", "so_even", "g2")
 
 _FAMILY_TO_KIND = {"A": "gl", "B": "so_odd", "C": "sp", "D": "so_even", "G2": "g2"}
+_KIND_FAMILY = {"gl": "A", "sl": "A", "so_odd": "B", "sp": "C", "so_even": "D", "g2": "G2"}
 
 
 def family_to_kind(family):
@@ -67,7 +75,8 @@ class RootSystem:
 
     ``rank`` follows the matrix realization: for family A it is the size n
     of gl(n) (so there are n-1 simple roots); for B/C/D it is the n of
-    so(2n+1), sp(2n), so(2n).
+    so(2n+1), sp(2n), so(2n).  Roots are functionals of the Cartan
+    coordinates, listed in the basis order of the realization.
     """
 
     family: str
@@ -97,140 +106,9 @@ def _vec(n, pairs):
 
 
 def build_root_system(family, rank):
-    """Positive roots, expansions and highest root for the given family."""
-    if family == "A":
-        n = rank
-        if n < 2:
-            raise ValueError("family A needs rank >= 2 (matrix size of gl(n))")
-        simple = tuple(_vec(n, [(i, 1), (i + 1, -1)]) for i in range(n - 1))
-        roots, exps = [], {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = _vec(n, [(i, 1), (j, -1)])
-                roots.append(r)
-                exps[r] = _mults(n - 1, range(i, j))
-        highest = _vec(n, [(0, 1), (n - 1, -1)])
-    elif family == "B":
-        n = rank
-        if n < 2:
-            raise ValueError("family B needs rank >= 2")
-        simple = tuple(_vec(n, [(i, 1), (i + 1, -1)]) for i in range(n - 1)) + (_vec(n, [(n - 1, 1)]),)
-        roots, exps = [], {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = _vec(n, [(i, 1), (j, -1)])
-                roots.append(r)
-                exps[r] = _mults(n, range(i, j))
-            r = _vec(n, [(i, 1)])
-            roots.append(r)
-            exps[r] = _mults(n, range(i, n))
-            for j in range(i + 1, n):
-                r = _vec(n, [(i, 1), (j, 1)])
-                roots.append(r)
-                exps[r] = _mults(n, range(i, j), doubled=range(j, n))
-        highest = _vec(n, [(0, 1), (1, 1)])
-    elif family == "C":
-        n = rank
-        if n < 2:
-            raise ValueError("family C needs rank >= 2")
-        simple = tuple(_vec(n, [(i, 1), (i + 1, -1)]) for i in range(n - 1)) + (_vec(n, [(n - 1, 2)]),)
-        roots, exps = [], {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = _vec(n, [(i, 1), (j, -1)])
-                roots.append(r)
-                exps[r] = _mults(n, range(i, j))
-                r = _vec(n, [(i, 1), (j, 1)])
-                roots.append(r)
-                e = [0] * n
-                for t in range(i, j):
-                    e[t] = 1
-                for t in range(j, n - 1):
-                    e[t] = 2
-                e[n - 1] = 1
-                exps[r] = tuple(e)
-            r = _vec(n, [(i, 2)])
-            roots.append(r)
-            e = [0] * n
-            for t in range(i, n - 1):
-                e[t] = 2
-            e[n - 1] = 1
-            exps[r] = tuple(e)
-        highest = _vec(n, [(0, 2)])
-    elif family == "D":
-        n = rank
-        if n < 2:
-            raise ValueError("family D needs rank >= 2")
-        simple = tuple(_vec(n, [(i, 1), (i + 1, -1)]) for i in range(n - 1)) + (_vec(n, [(n - 2, 1), (n - 1, 1)]),)
-        roots, exps = [], {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = _vec(n, [(i, 1), (j, -1)])
-                roots.append(r)
-                exps[r] = _mults(n, range(i, j))
-                r = _vec(n, [(i, 1), (j, 1)])
-                roots.append(r)
-                e = [0] * n
-                if j == n - 1:
-                    # e_i + e_n = a_i + ... + a_{n-2} + a_n
-                    for t in range(i, n - 2):
-                        e[t] = 1
-                    e[n - 1] = 1
-                else:
-                    for t in range(i, j):
-                        e[t] = 1
-                    for t in range(j, n - 2):
-                        e[t] = 2
-                    e[n - 2] = 1
-                    e[n - 1] = 1
-                exps[r] = tuple(e)
-        highest = _vec(n, [(0, 1), (1, 1)])
-    elif family == "G2":
-        if rank != 2:
-            raise ValueError("G2 has rank 2")
-        # coordinates of the functionals on the Cartan coordinates (t1, t2)
-        a1, a2 = (1, 0), (-1, 1)
-        simple = (a1, a2)
-        mult_list = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
-        roots, exps = [], {}
-        for m1, m2 in mult_list:
-            r = tuple(m1 * x + m2 * y for x, y in zip(a1, a2))
-            roots.append(r)
-            exps[r] = (m1, m2)
-        highest = roots[-1]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    rs = RootSystem(family, rank, simple, tuple(roots), exps, highest)
-    _check_root_system(rs)
-    return rs
-
-
-def _mults(n_simple, ones, doubled=()):
-    e = [0] * n_simple
-    for t in ones:
-        e[t] = 1
-    for t in doubled:
-        e[t] = 2
-    return tuple(e)
-
-
-def _check_root_system(rs):
-    for r in rs.positive_roots:
-        coeffs = rs.expansions[r]
-        if any(c < 0 or c != int(c) for c in coeffs):
-            raise AssertionError(f"non-integral expansion for {r}")
-        rec = None
-        for c, a in zip(coeffs, rs.simple_roots):
-            term = tuple(c * x for x in a)
-            rec = term if rec is None else tuple(u + v for u, v in zip(rec, term))
-        if tuple(rec) != tuple(r):
-            raise AssertionError(f"expansion of {r} does not reconstruct the root")
-    # highest root dominates coefficient-wise (skipped for reducible D_2)
-    if not (rs.family == "D" and rs.rank == 2):
-        top = rs.expansions[rs.highest_root]
-        for r in rs.positive_roots:
-            if any(c > t for c, t in zip(rs.expansions[r], top)):
-                raise AssertionError("highest root is not coefficient-wise maximal")
+    """Positive roots, expansions and highest root for the given family,
+    read off the labels of its matrix realization."""
+    return matrix_realization(family_to_kind(family), rank).root_system
 
 
 def grading_by_simple_root(rs, index, dual=False):
@@ -249,6 +127,71 @@ def grading_by_simple_root(rs, index, dual=False):
     degrees = {r: sign * rs.multiplicity(r, index) for r in rs.positive_roots}
     depth = max(rs.multiplicity(r, index) for r in rs.positive_roots)
     return degrees, depth
+
+
+# ---------------------------------------------------------------------------
+# the three per-kind data
+# ---------------------------------------------------------------------------
+
+
+def sigma_for(kind, rank):
+    """Exact defining bilinear form of the realization of ``kind`` at
+    ``rank`` (the identity for gl/sl)."""
+    n = rank
+    if kind in ("gl", "sl"):
+        return Mat.identity(n)
+    if kind == "so_even":
+        rows = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            rows[i][n + i] = 1
+            rows[n + i][i] = 1
+        return Mat(rows)
+    if kind == "sp":
+        rows = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            rows[i][n + i] = 1
+            rows[n + i][i] = -1
+        return Mat(rows)
+    if kind == "so_odd":
+        N = 2 * n + 1
+        rows = [[0] * N for _ in range(N)]
+        rows[n][n] = 1
+        for i in range(n):
+            rows[i][n + 1 + i] = 1
+            rows[n + 1 + i][i] = 1
+        return Mat(rows)
+    if kind == "g2":
+        rows = [[0] * 7 for _ in range(7)]
+        rows[0][0] = 1
+        for i in range(3):
+            rows[1 + i][4 + i] = 2
+            rows[4 + i][1 + i] = 2
+        return Mat(rows)
+    raise ValueError(kind)
+
+
+def _cartan_rows(kind, n):
+    """Row i gives the i-th diagonal entry of the Cartan element as a
+    functional of the Cartan coordinates t (the weight of the i-th standard
+    basis vector)."""
+    if kind == "g2":
+        return ((0, 0), (1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+    eps = [_vec(n, [(i, 1)]) for i in range(n)]
+    if kind in ("gl", "sl"):
+        return eps
+    middle = [(0,) * n] if kind == "so_odd" else []
+    return eps + middle + [tuple(-c for c in e) for e in eps]
+
+
+def _simple_root_functionals(kind, n):
+    """Rows c_j with alpha_j(t) = c_j . t in the Cartan coordinates."""
+    if kind == "g2":
+        return [(1, 0), (-1, 1)]
+    rows = [_vec(n, [(j, 1), (j + 1, -1)]) for j in range(n - 1)]
+    last = {"so_odd": [(n - 1, 1)], "sp": [(n - 1, 2)], "so_even": [(n - 2, 1), (n - 1, 1)]}
+    if kind in last:
+        rows.append(_vec(n, last[kind]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -324,136 +267,42 @@ class MatrixAlgebra:
 
 
 def _gl_basis(n, traceless):
-    basis, labels = [], []
-    nsimple = n - 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lab = [0] * nsimple
-            lo, hi, s = (i, j, 1) if i < j else (j, i, -1)
-            for t in range(lo, hi):
-                lab[t] = s
-            basis.append(Mat.unit(n, i, j))
-            labels.append(tuple(lab))
+    basis = [Mat.unit(n, i, j) for i in range(n) for j in range(n) if i != j]
     if traceless:
-        for i in range(n - 1):
-            basis.append(Mat.diag([1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)]))
-            labels.append((0,) * nsimple)
+        basis += [Mat.diag([1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)])
+                  for i in range(n - 1)]
     else:
-        for i in range(n):
-            basis.append(Mat.unit(n, i, i))
-            labels.append((0,) * nsimple)
-    return basis, labels
+        basis += [Mat.unit(n, i, i) for i in range(n)]
+    return basis
 
 
-def _pm_block(n, i, j, upper, sign):
-    """2n x 2n matrix with E_ij +/- E_ji placed in the B (upper) or C block."""
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    if upper:
-        rows[i][n + j] = 1
-        rows[j][n + i] = sign
-    else:
-        rows[n + i][j] = 1
-        rows[n + j][i] = sign
-    return Mat(rows)
+def _form_basis(sigma, n):
+    """Basis of {X : X^T sigma + sigma X = 0} for a form in block order
+    (n, n) or (n, 1, n).
 
-
-def _so_even_basis(n, rs):
-    basis, labels = [], []
-    exps = rs.expansions
-    for i in range(n):
-        for j in range(n):
-            rows = [[0] * (2 * n) for _ in range(2 * n)]
-            rows[i][j] = 1
-            rows[n + j][n + i] = -1
-            basis.append(Mat(rows))
-            if i == j:
-                labels.append((0,) * n)
-            else:
-                r = _vec(n, [(min(i, j), 1), (max(i, j), -1)])
-                lab = exps[r]
-                labels.append(lab if i < j else tuple(-c for c in lab))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = _vec(n, [(i, 1), (j, 1)])
-            basis.append(_pm_block(n, i, j, True, -1))
-            labels.append(exps[r])
-            basis.append(_pm_block(n, i, j, False, -1))
-            labels.append(tuple(-c for c in exps[r]))
-    return basis, labels
-
-
-def _sp_basis(n, rs):
-    basis, labels = [], []
-    exps = rs.expansions
-    for i in range(n):
-        for j in range(n):
-            rows = [[0] * (2 * n) for _ in range(2 * n)]
-            rows[i][j] = 1
-            rows[n + j][n + i] = -1
-            basis.append(Mat(rows))
-            if i == j:
-                labels.append((0,) * n)
-            else:
-                r = _vec(n, [(min(i, j), 1), (max(i, j), -1)])
-                lab = exps[r]
-                labels.append(lab if i < j else tuple(-c for c in lab))
-    for i in range(n):
-        for j in range(i, n):
-            r = _vec(n, [(i, 1), (j, 1)]) if i != j else _vec(n, [(i, 2)])
-            if i == j:
-                rows = [[0] * (2 * n) for _ in range(2 * n)]
-                rows[i][n + i] = 1
-                basis.append(Mat(rows))
-            else:
-                basis.append(_pm_block(n, i, j, True, 1))
-            labels.append(exps[r])
-            if i == j:
-                rows = [[0] * (2 * n) for _ in range(2 * n)]
-                rows[n + i][i] = 1
-                basis.append(Mat(rows))
-            else:
-                basis.append(_pm_block(n, i, j, False, 1))
-            labels.append(tuple(-c for c in exps[r]))
-    return basis, labels
-
-
-def _so_odd_basis(n, rs):
-    # block order (n, 1, n); general element [[A, a, B], [-b^t, 0, -a^t], [C, b, -A^t]]
-    N = 2 * n + 1
-    basis, labels = [], []
-    exps = rs.expansions
-
-    def at(pairs):
-        rows = [[0] * N for _ in range(N)]
-        for (i, j), v in pairs:
-            rows[i][j] = v
-        return Mat(rows)
-
-    for i in range(n):
-        for j in range(n):
-            basis.append(at([((i, j), 1), ((n + 1 + j, n + 1 + i), -1)]))
-            if i == j:
-                labels.append((0,) * n)
-            else:
-                r = _vec(n, [(min(i, j), 1), (max(i, j), -1)])
-                lab = exps[r]
-                labels.append(lab if i < j else tuple(-c for c in lab))
-    for i in range(n):
-        r = _vec(n, [(i, 1)])
-        basis.append(at([((i, n), 1), ((n, n + 1 + i), -1)]))
-        labels.append(exps[r])
-        basis.append(at([((n + 1 + i, n), 1), ((n, i), -1)]))
-        labels.append(tuple(-c for c in exps[r]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = _vec(n, [(i, 1), (j, 1)])
-            basis.append(at([((i, n + 1 + j), 1), ((j, n + 1 + i), -1)]))
-            labels.append(exps[r])
-            basis.append(at([((n + 1 + i, j), 1), ((n + 1 + j, i), -1)]))
-            labels.append(tuple(-c for c in exps[r]))
-    return basis, labels
+    For each matrix unit E the element X = E - sigma^-1 E^T sigma, scaled to
+    a primitive integer matrix, spans one root space or one Cartan
+    direction.  The positions of E run over the A block, then the middle
+    column (odd size only), then the upper and lower blocks over a <= b;
+    positions where X vanishes (the diagonal of the off-diagonal blocks for
+    so) are skipped.
+    """
+    size = sigma.n
+    lo = size - n
+    inv = mat_inverse(sigma)
+    positions = [(i, j) for i in range(n) for j in range(n)]
+    if lo > n:
+        positions += [p for i in range(n) for p in ((i, n), (lo + i, n))]
+    positions += [p for a in range(n) for b in range(a, n) for p in ((a, lo + b), (lo + a, b))]
+    basis = []
+    for i, j in positions:
+        # E = e_i e_j^T gives sigma^-1 E^T sigma = (sigma^-1 e_j)(e_i^T sigma)
+        x = [[-row[j] * s for s in sigma.rows[i]] for row in inv.rows]
+        x[i][j] += 1
+        g = math.gcd(*(v for row in x for v in row))
+        if g:
+            basis.append(Mat([[v // g for v in row] for row in x]))
+    return basis
 
 
 def _skew3(x):
@@ -483,110 +332,77 @@ def _g2_element(a_mat, a1, a2):
     return Mat(rows)
 
 
-_G2_T_LABELS = ((1, 0), (1, 1), (-2, -1))  # multiplicity vectors of t_1, t_2, t_3
-
-
 def _g2_basis():
-    basis, labels = [], []
-    zero3 = [[0] * 3 for _ in range(3)]
-    for d in ([1, -1, 0], [0, 1, -1]):
-        basis.append(_g2_element([[d[i] if i == j else 0 for j in range(3)] for i in range(3)], [0] * 3, [0] * 3))
-        labels.append((0, 0))
+    zero, zero3 = [0] * 3, [[0] * 3 for _ in range(3)]
+    unit = [[1 if k == i else 0 for k in range(3)] for i in range(3)]
+    basis = [_g2_element([[d[i] if i == j else 0 for j in range(3)] for i in range(3)], zero, zero)
+             for d in ([1, -1, 0], [0, 1, -1])]
     for i in range(3):
         for j in range(3):
-            if i == j:
-                continue
-            a = [[1 if (r, c) == (i, j) else 0 for c in range(3)] for r in range(3)]
-            basis.append(_g2_element(a, [0] * 3, [0] * 3))
-            ti, tj = _G2_T_LABELS[i], _G2_T_LABELS[j]
-            labels.append((ti[0] - tj[0], ti[1] - tj[1]))  # weight t_i - t_j
+            if i != j:
+                a = [[1 if (r, c) == (i, j) else 0 for c in range(3)] for r in range(3)]
+                basis.append(_g2_element(a, zero, zero))
     for i in range(3):
-        a1 = [1 if k == i else 0 for k in range(3)]
-        basis.append(_g2_element(zero3, a1, [0] * 3))
-        labels.append(_G2_T_LABELS[i])
-        a2 = [1 if k == i else 0 for k in range(3)]
-        basis.append(_g2_element(zero3, [0] * 3, a2))
-        labels.append(tuple(-c for c in _G2_T_LABELS[i]))
-    return basis, labels
+        basis.append(_g2_element(zero3, unit[i], zero))
+        basis.append(_g2_element(zero3, zero, unit[i]))
+    return basis
 
 
-def sigma_for(kind, rank):
-    """Exact defining bilinear form of the realization of ``kind`` at
-    ``rank`` (the identity for gl/sl)."""
-    n = rank
-    if kind in ("gl", "sl"):
-        return Mat.identity(n)
-    if kind == "so_even":
-        rows = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            rows[i][n + i] = 1
-            rows[n + i][i] = 1
-        return Mat(rows)
-    if kind == "sp":
-        rows = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            rows[i][n + i] = 1
-            rows[n + i][i] = -1
-        return Mat(rows)
-    if kind == "so_odd":
-        N = 2 * n + 1
-        rows = [[0] * N for _ in range(N)]
-        rows[n][n] = 1
-        for i in range(n):
-            rows[i][n + 1 + i] = 1
-            rows[n + 1 + i][i] = 1
-        return Mat(rows)
-    if kind == "g2":
-        rows = [[0] * 7 for _ in range(7)]
-        rows[0][0] = 1
-        for i in range(3):
-            rows[1 + i][4 + i] = 2
-            rows[4 + i][1 + i] = 2
-        return Mat(rows)
-    raise ValueError(kind)
+def _weight(x, cartan):
+    """Weight of a homogeneous element, read at its first nonzero entry
+    (r, c) as the functional h_r - h_c of the Cartan coordinates."""
+    r, c = next((i, j) for i, row in enumerate(x.rows) for j, v in enumerate(row) if v)
+    return tuple(a - b for a, b in zip(cartan[r], cartan[c]))
 
 
-_KIND_FAMILY = {"gl": "A", "sl": "A", "so_odd": "B", "sp": "C", "so_even": "D", "g2": "G2"}
+def _expansion(solver, w):
+    """Integer coordinates of a weight over the simple roots."""
+    x = solver.solve(w)
+    if x is None or any(c != int(c) for c in x):
+        raise ValueError(f"weight {w} is not an integer combination of the simple roots")
+    return tuple(int(c) for c in x)
 
 
 @lru_cache(maxsize=None)
 def matrix_realization(kind, rank):
     """Exact basis of gl/sl(n), so(2n+1), sp(2n), so(2n) or G2.
 
-    Closure under the commutator is verified at construction: for the
-    algebras cut out by a bilinear form the form condition is checked on all
-    pairwise commutators (it characterizes membership exactly), for G2 every
-    pairwise commutator is decomposed over the basis.
+    The labels, the root system and the Cartan dimension are derived from
+    the basis, the Cartan embedding and the simple roots.  Closure under the
+    commutator is verified at construction: for the algebras cut out by a
+    bilinear form the form condition is checked on all pairwise commutators
+    (it characterizes membership exactly), for G2 every pairwise commutator
+    is decomposed over the basis.
     """
     if kind in ("A", "B", "C", "D", "G2"):
         kind = family_to_kind(kind)
     if kind not in _KIND_FAMILY:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    rs = build_root_system(_KIND_FAMILY[kind], rank)
-    if kind == "gl":
-        basis, labels = _gl_basis(rank, False)
-        size, cartan_dim = rank, rank
-    elif kind == "sl":
-        basis, labels = _gl_basis(rank, True)
-        size, cartan_dim = rank, rank - 1
-    elif kind == "so_even":
-        basis, labels = _so_even_basis(rank, rs)
-        size, cartan_dim = 2 * rank, rank
-    elif kind == "sp":
-        basis, labels = _sp_basis(rank, rs)
-        size, cartan_dim = 2 * rank, rank
-    elif kind == "so_odd":
-        basis, labels = _so_odd_basis(rank, rs)
-        size, cartan_dim = 2 * rank + 1, rank
-    elif kind == "g2":
+    family = _KIND_FAMILY[kind]
+    if kind == "g2":
         if rank != 2:
             raise ValueError("G2 has rank 2")
-        basis, labels = _g2_basis()
-        size, cartan_dim = 7, 2
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    elif rank < 2:
+        hint = " (matrix size of gl(n))" if family == "A" else ""
+        raise ValueError(f"family {family} needs rank >= 2{hint}")
     sigma = sigma_for(kind, rank)
-    alg = MatrixAlgebra(kind, rank, size, basis, labels, sigma, cartan_dim, rs)
+    if kind in ("gl", "sl"):
+        basis = _gl_basis(rank, kind == "sl")
+    elif kind == "g2":
+        basis = _g2_basis()
+    else:
+        basis = _form_basis(sigma, rank)
+    simple = _simple_root_functionals(kind, rank)
+    cartan = _cartan_rows(kind, rank)
+    solver = ColumnSolver(simple)
+    weights = [_weight(b, cartan) for b in basis]
+    labels = [_expansion(solver, w) for w in weights]
+    exps = {w: lab for w, lab in zip(weights, labels) if any(lab) and min(lab) >= 0}
+    roots = tuple(exps)
+    highest = max(reversed(roots), key=lambda r: sum(exps[r]))
+    rs = RootSystem(family, rank, tuple(simple), roots, exps, highest)
+    cartan_dim = sum(1 for lab in labels if not any(lab))
+    alg = MatrixAlgebra(kind, rank, sigma.n, basis, labels, sigma, cartan_dim, rs)
     _verify_realization(alg)
     return alg
 
@@ -624,40 +440,13 @@ def _verify_realization(alg):
 
 
 def cartan_element(alg, t):
-    """Diagonal Cartan element from coordinates t (one per e_i direction)."""
+    """Diagonal Cartan element from coordinates t, one per column of the
+    Cartan embedding rows."""
     t = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in t]
-    expected = 2 if alg.kind == "g2" else alg.rank
-    if len(t) != expected:
-        raise ValueError(f"expected {expected} Cartan coordinates")
-    if alg.kind in ("gl", "sl"):
-        return Mat.diag(list(t))
-    if alg.kind in ("so_even", "sp"):
-        return Mat.diag(list(t) + [-x for x in t])
-    if alg.kind == "so_odd":
-        return Mat.diag(list(t) + [0] + [-x for x in t])
-    if alg.kind == "g2":
-        t1, t2 = t
-        t3 = -t1 - t2
-        return Mat.diag([0, t1, t2, t3, -t1, -t2, -t3])
-    raise ValueError(alg.kind)
-
-
-def _simple_root_functionals(alg):
-    """Rows c_j with alpha_j(t) = c_j . t in the Cartan coordinates."""
-    n = alg.rank
-    kind = alg.kind
-    if kind in ("gl", "sl"):
-        return [_vec(n, [(j, 1), (j + 1, -1)]) for j in range(n - 1)]
-    rows = [_vec(n, [(j, 1), (j + 1, -1)]) for j in range(n - 1)]
-    if kind == "so_odd":
-        rows.append(_vec(n, [(n - 1, 1)]))
-    elif kind == "sp":
-        rows.append(_vec(n, [(n - 1, 2)]))
-    elif kind == "so_even":
-        rows.append(_vec(n, [(n - 2, 1), (n - 1, 1)]))
-    elif kind == "g2":
-        return [(1, 0), (-1, 1)]
-    return rows
+    rows = _cartan_rows(alg.kind, alg.rank)
+    if len(t) != len(rows[0]):
+        raise ValueError(f"expected {len(rows[0])} Cartan coordinates")
+    return Mat.diag([sum((c * x for c, x in zip(row, t) if c), 0) for row in rows])
 
 
 def grading_element(alg, root_index, dual=False):
@@ -667,10 +456,10 @@ def grading_element(alg, root_index, dual=False):
     chosen simple root (so the depth-k pole coefficients of Lax expansions
     live below the diagonal blocks); ``dual`` flips the sign.
     """
-    funcs = _simple_root_functionals(alg)
+    funcs = alg.root_system.simple_roots
     if not (1 <= root_index <= len(funcs)):
         raise ValueError(f"simple root index {root_index} out of range 1..{len(funcs)}")
-    ncoord = alg.rank if alg.kind != "g2" else 2
+    ncoord = len(funcs[0])
     rows = [list(f) + [1 if j == root_index - 1 else 0] for j, f in enumerate(funcs)]
     if alg.kind in ("gl", "sl"):
         rows.append([0] * (ncoord - 1) + [1, 0])  # normalize t_n = 0

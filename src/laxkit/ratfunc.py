@@ -131,7 +131,7 @@ class Poly:
         return Poly(_taylor(self.coeffs, c, len(self.coeffs))) if c else self
 
     def valuation(self):
-        """Order of vanishing at 0 (inf for the zero polynomial)."""
+        """Order of vanishing at 0 (None for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
             if c:
                 return i

@@ -430,6 +430,14 @@ def test_expansion_conditions_hold(family, n):
     assert max(r["relative"] for r in rep) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_moving_points_are_poles(family):
+    sys_, st = batch_case(family, 3, LAT)
+    poles = cm._pole_set(sys_, st)
+    for gamma in cm.moving_points(sys_, st)[0]:
+        assert np.any(poles == gamma)
+
+
 def test_symplectic_degree_one_violation():
     # the C matrix breaks the degree-one condition at q_i through the single
     # entry C_ii, whose coefficient is f^C_ii s(3q_i) / (s(q_i) s(2q_i)^2)

@@ -177,3 +177,19 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     out = capsys.readouterr().out
     # flags override the config file
     assert "A rank 2" in out
+
+
+def test_config_file_values_reach_the_command(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"verify": {"seed": 5, "pairs": 3},
+                                "cm": {"T": 0.01, "dt": 0.005}}))
+    path = tmp_path / "v.json"
+    assert run(["--config", str(conf), "verify", "--suite", "closure", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["seed"] == 5
+    assert {c["count"] for c in data["checks"]} == {3}
+    rep = tmp_path / "r.json"
+    assert run(["--config", str(conf), "cm", "--family", "A", "--n", "2",
+                "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert (data["T"], data["dt"]) == (0.01, 0.005)

@@ -14,6 +14,11 @@ from laxkit.exact import Mat
 
 @pytest.mark.parametrize("family,rank,count", [
     ("A", 4, 6), ("B", 3, 9), ("C", 3, 9), ("D", 4, 12), ("D", 2, 2), ("G2", 2, 6),
+    # n(n-1)/2 for gl(n), n^2 for B_n and C_n, n(n-1) for D_n
+    ("A", 2, 1), ("A", 3, 3), ("A", 5, 10),
+    ("B", 2, 4), ("B", 4, 16), ("B", 5, 25),
+    ("C", 2, 4), ("C", 4, 16), ("C", 5, 25),
+    ("D", 3, 6), ("D", 5, 20),
 ])
 def test_positive_root_counts(family, rank, count):
     rs = la.build_root_system(family, rank)
@@ -21,13 +26,14 @@ def test_positive_root_counts(family, rank, count):
 
 
 def test_highest_root_expansions_match_classical_lists():
-    assert la.build_root_system("D", 4).expansions[la.build_root_system("D", 4).highest_root] == (1, 2, 1, 1)
-    rs = la.build_root_system("C", 4)
-    assert rs.expansions[rs.highest_root] == (2, 2, 2, 1)
-    rs = la.build_root_system("B", 3)
-    assert rs.expansions[rs.highest_root] == (1, 2, 2)
-    rs = la.build_root_system("G2", 2)
-    assert rs.expansions[rs.highest_root] == (3, 2)
+    expected = [("G2", 2, (3, 2)), ("D", 3, (1, 1, 1)), ("D", 4, (1, 2, 1, 1)),
+                ("D", 5, (1, 2, 2, 1, 1))]
+    for n in (2, 3, 4, 5):
+        expected.append(("B", n, (1,) + (2,) * (n - 1)))
+        expected.append(("C", n, (2,) * (n - 1) + (1,)))
+    for family, rank, top in expected:
+        rs = la.build_root_system(family, rank)
+        assert rs.expansions[rs.highest_root] == top
 
 
 def test_expansions_reconstruct_roots_exactly():
@@ -45,7 +51,7 @@ def test_g2_roots_are_integral_cartan_functionals():
     rs = la.build_root_system("G2", 2)
     a1, a2 = rs.simple_roots
     alg = la.matrix_realization("g2", 2)
-    assert [a1, a2] == la._simple_root_functionals(alg) == [(1, 0), (-1, 1)]
+    assert [a1, a2] == la._simple_root_functionals(alg.kind, alg.rank) == [(1, 0), (-1, 1)]
     for r in rs.positive_roots:
         assert all(type(c) is int for c in r)
 
