@@ -19,8 +19,9 @@ The closed form reads one linear plan per system, built once by
 ``CMSystem``: rows P q + c (c nonzero only in the B rows that hold q0) with
 weights w, a kinetic coefficient kappa and one (kind, particles) label each.
 H = kappa p.p + w . wp(P q + c), the equations of motion are its gradient
-(qdot = 2 kappa p, pdot = -P^T (w * wp'(P q + c))), and the collision guard
-names the label of the first row on the lattice.
+(qdot = 2 kappa p, pdot = -P^T (w * wp'(P q + c)), read through the plan's
+exact force matrix G = P^T diag(w)), and the collision guard names the label
+of the first row on the lattice.
 
 Sign convention: the stored Hamiltonian has a negative kinetic term, as the
 residue normalization produces it; ``physical_sign=True`` negates it, which
@@ -167,14 +168,16 @@ class CMState:
         return CMState(self.q.copy(), self.p.copy())
 
 
-_Plan = namedtuple("_Plan", "P c w kappa labels")
+_Plan = namedtuple("_Plan", "P c w G kappa labels")
 
 
 def _linear_plan(family, n, q0):
     """The arguments P q + c of a system's wp, wp' and collision guard, with
     the weights w and kinetic coefficient kappa of H = kappa p.p + w . wp(P q
-    + c) and one (kind, 1-based particles) label per row.  Rows: q_i - q_j
-    (i != j); for B/C/D q_i + q_j (all i, j) and q_i; for B q0, q_i -+ q0."""
+    + c), the force matrix G = P^T diag(w) and one (kind, 1-based particles)
+    label per row.  Rows: q_i - q_j (i != j); for B/C/D q_i + q_j (all i, j)
+    and q_i; for B q0, q_i -+ q0.  G is exact: P has entries 0, +-1, 2 and w
+    has 0, 1/2, 1, 2."""
     eye = np.eye(n)
     singles = [(k,) for k in range(n)]
     # (rows of P, constant, weight(s), kind, 0-based particles of each row)
@@ -190,10 +193,13 @@ def _linear_plan(family, n, q0):
                      (eye, -q0, 0.0, "q_i-q0", singles),
                      (eye, q0, 0.0, "q_i+q0", singles)]
     rows = [len(s[0]) for s in sections]
+    P = np.concatenate([s[0] for s in sections])
+    w = np.concatenate([np.broadcast_to(s[2], r) for s, r in zip(sections, rows)])
     return _Plan(
-        P=np.concatenate([s[0] for s in sections]),
+        P=P,
         c=np.repeat(np.array([s[1] for s in sections], dtype=complex), rows),
-        w=np.concatenate([np.broadcast_to(s[2], r) for s, r in zip(sections, rows)]),
+        w=w,
+        G=P.T * w,
         kappa=-0.5 if family == "A" else -1.0,
         labels=tuple((kind, tuple(int(k) + 1 for k in ks))
                      for _, _, _, kind, parts in sections for ks in parts))
@@ -219,7 +225,7 @@ def _collision_error(sys_, args):
     """CollisionError naming the first of the plan's arguments ``args``
     within the guard radius, or None."""
     lat = sys_.lattice
-    lim = lat.guard * abs(lat.omega1)
+    lim = lat._guard_radius
     hit = np.flatnonzero(lat.lattice_distance(args) < lim)
     if not hit.size:
         return None
@@ -344,6 +350,20 @@ def _b_lax(sys_, p, s):
     return L
 
 
+def _c_lax(sys_, p, s):
+    """sp(2n) matrix over the nodes: [[A, B], [C, -A^T]] with the A block and
+    the symmetric B/C blocks."""
+    n = len(p)
+    a = _a_block(sys_, p, s)
+    B, C = _bc_blocks(sys_, s, symmetric=True)
+    L = np.zeros((len(s["z"]), 2 * n, 2 * n), dtype=complex)
+    L[:, :n, :n] = a
+    L[:, :n, n:] = B
+    L[:, n:, :n] = C
+    L[:, n:, n:] = -np.swapaxes(a, 1, 2)
+    return L
+
+
 def _d_lax(sys_, q, p, z):
     """so(2n) Lax matrix over the nodes z (shape (K, 1)): the weight form
     [[A, B], [C, -A^T]] (B, C skew) conjugated by the torus gauge
@@ -409,14 +429,7 @@ def lax_matrix(sys_, state, z):
         if sys_.family == "B":
             args.update(_border_args(q, sys_.q0, nodes))
         s = _sigma_table(sys_.lattice, args)
-        if sys_.family == "A":
-            L = _a_block(sys_, p, s)
-        elif sys_.family == "C":
-            a = _a_block(sys_, p, s)
-            B, C = _bc_blocks(sys_, s, symmetric=True)
-            L = np.block([[a, B], [C, -np.swapaxes(a, 1, 2)]])
-        else:
-            L = _b_lax(sys_, p, s)
+        L = {"A": _a_block, "B": _b_lax, "C": _c_lax}[sys_.family](sys_, p, s)
     return L[0] if zs.ndim == 0 else L
 
 
@@ -470,7 +483,7 @@ def residue_hamiltonian(sys_, state, m=1, power=2, center=0.0, nodes=64, radius=
             radius = 0.1 * abs(lat.omega1)
         else:
             radius = float(np.min(dist)) / 3.0
-    if radius < 10 * lat.guard * abs(lat.omega1):
+    if radius < 10 * lat._guard_radius:
         raise ValueError("contour radius collides with a neighbouring pole")
     w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     ls = lax_matrix(sys_, state, center + w)
@@ -497,13 +510,14 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
 
 def equations_of_motion(sys_, state):
     """(qdot, pdot) of the closed-form Hamiltonian: qdot = 2 kappa p and
-    pdot = -P^T (w * wp'(P q + c)), its gradient over the system's plan.
+    pdot = -P^T (w * wp'(P q + c)) = -G wp'(P q + c), its gradient over the
+    system's plan.
 
     One guarded wp' call on the plan's arguments stands for ``check_state``."""
     plan = sys_._plan
     wpp = _guarded(sys_, state.q, sys_.lattice.wp_prime)
     s = sys_.sign()
-    return s * 2 * plan.kappa * state.p, -s * (plan.P.T @ (plan.w * wpp))
+    return s * 2 * plan.kappa * state.p, -s * (plan.G @ wpp)
 
 
 @dataclass
@@ -521,18 +535,19 @@ class Trajectory:
 
 
 def _rk4_step(sys_, state, dt):
-    def rhs(q, p):
-        return equations_of_motion(sys_, CMState(q, p))
+    # the stages run on y = (q, p) stacked: one array operation per update
+    n = sys_.n
 
-    q, p = state.q, state.p
-    k1q, k1p = rhs(q, p)
-    k2q, k2p = rhs(q + dt / 2 * k1q, p + dt / 2 * k1p)
-    k3q, k3p = rhs(q + dt / 2 * k2q, p + dt / 2 * k2p)
-    k4q, k4p = rhs(q + dt * k3q, p + dt * k3p)
-    return CMState(
-        q + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
-        p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p),
-    )
+    def rhs(y):
+        return np.concatenate(equations_of_motion(sys_, CMState(y[:n], y[n:])))
+
+    y = np.concatenate([state.q, state.p])
+    k1 = rhs(y)
+    k2 = rhs(y + dt / 2 * k1)
+    k3 = rhs(y + dt / 2 * k2)
+    k4 = rhs(y + dt * k3)
+    y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return CMState(y[:n], y[n:])
 
 
 def _leapfrog_step(sys_, state, dt):
@@ -569,7 +584,7 @@ def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
         check_state(sys_, state)
         for k in range(1, nsteps + 1):
             state = step(sys_, state, dt)
-            if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
+            if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
                 raise CollisionError("state left the representable range")
             if k % record_every == 0 or k == nsteps:
                 times.append(k * dt)

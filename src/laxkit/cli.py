@@ -432,12 +432,21 @@ def _build_parser():
 
 def main(argv=None):
     ap, subparsers = _build_parser()
-    args, _ = ap.parse_known_args(argv)
-    if args.config:
-        with open(args.config) as fh:
+    # --config is read before the full parse, which would stop at a required
+    # option that only the config file supplies
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        with open(config) as fh:
             conf = json.load(fh)
-        # on the subparser: its own defaults would override the top-level parser's
-        subparsers[args.command].set_defaults(**conf.get(args.command, conf))
+        for name, sub in subparsers.items():
+            values = conf.get(name, conf)
+            # on the subparser: its own defaults would override the top-level parser's
+            sub.set_defaults(**values)
+            for action in sub._actions:
+                if action.dest in values:
+                    action.required = False
     args = ap.parse_args(argv)
     return args.fn(args)
 

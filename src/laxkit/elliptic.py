@@ -10,6 +10,14 @@ entire and unguarded; zeta, wp and wp' raise PoleProximityError when any
 argument lies within the guard radius of a lattice point.  All functions
 take a scalar (returning a Python complex) or an array of any shape, and a
 value does not depend on the shape or length of the batch it came in.
+
+Everything that does not depend on the arguments is built once per lattice:
+the conjugated basis and denominators of the reduction, the guard radius,
+and the theta weights stacked as (theta_1, theta_1'') over sin(ku) and
+(theta_1', theta_1''') over cos(ku).  A call then reduces the arguments in
+one (N, 2) pass and forms at most four theta sums as two products and two
+row sums, so the equations of motion, which call wp' on 2 to 25 arguments,
+pay a fixed cost of a couple of dozen numpy operations.
 """
 
 from __future__ import annotations
@@ -91,12 +99,20 @@ class Lattice:
         ns = np.arange(nmax + 1)
         self._k = k = 2 * ns + 1
         c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
-        # weight rows of theta_1 and its first three derivatives over sin(ku), cos(ku)
-        self._weights = (c, c * k, -(c * k * k), -(c * k**3))
+        # weight rows of (theta_1, theta_1'') over sin(ku) and of
+        # (theta_1', theta_1''') over cos(ku)
+        self._w_sin = np.stack([c, -(c * k * k)])
+        self._w_cos = np.stack([c * k, -(c * k**3)])
         self._th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
+        self._wpp_scale = -((np.pi / self.Ar) ** 3)
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
+        self._guard_radius = guard * abs(self.omega1)
+        # reduce: the integer shifts are Im(z conj(Br)) / d and Im(z conj(Ar)) / -d
+        d = (self.Ar * np.conj(self.Br)).imag
+        self._shift_rows = np.array([np.conj(self.Br), np.conj(self.Ar)])
+        self._shift_den = np.array([d, -d])
         # quasi-period of the original first/second periods
         m1, n1 = self._int_coords(self.A)
         m2, n2 = self._int_coords(self.B)
@@ -114,9 +130,8 @@ class Lattice:
     def reduce(self, z):
         """z0 in the fundamental cell plus integer shifts: z = z0 + m Ar + n Br."""
         z = np.asarray(z, dtype=complex)
-        d = (self.Ar * np.conj(self.Br)).imag
-        m = np.round((z * np.conj(self.Br)).imag / d)
-        n = np.round((z * np.conj(self.Ar)).imag / -d)
+        mn = np.rint((z[..., None] * self._shift_rows).imag / self._shift_den)
+        m, n = mn[..., 0], mn[..., 1]
         return z - m * self.Ar - n * self.Br, m, n
 
     def lattice_distance(self, z):
@@ -137,13 +152,16 @@ class Lattice:
         z = np.asarray(z, dtype=complex)
         z0, m, n = self.reduce(z.ravel())
         if guarded:
-            lim = self.guard * abs(self.omega1)
-            if np.abs(z0[:, None] - self._nbrs).min(initial=np.inf) < lim:
+            lim = self._guard_radius
+            if np.minimum.reduce(np.abs(z0[:, None] - self._nbrs), axis=None, initial=np.inf) < lim:
                 raise PoleProximityError(f"argument within {lim:.3e} of a lattice point")
         ku = (np.pi * z0 / self.Ar)[:, None] * self._k
-        s = np.sin(ku)
-        co = np.cos(ku) if orders > 1 else None
-        th = [(t * w).sum(axis=-1) for t, w in zip((s, co, s, co)[:orders], self._weights)]
+        # columns (theta_1, theta_1'') over sin and (theta_1', theta_1''') over
+        # cos, as far as needed
+        sums = [np.add.reduce(np.sin(ku)[:, None] * self._w_sin[:(orders + 1) // 2], axis=-1)]
+        if orders > 1:
+            sums.append(np.add.reduce(np.cos(ku)[:, None] * self._w_cos[:orders // 2], axis=-1))
+        th = [sums[i % 2][:, i // 2] for i in range(orders)]
         val = formula(z0, m, n, th)
         return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
@@ -187,7 +205,7 @@ class Lattice:
 
         def formula(z0, m, n, th):
             r1 = th[1] / th[0]
-            return -((np.pi / self.Ar) ** 3) * (th[3] / th[0] - 3 * th[2] * r1 / th[0] + 2 * r1**3)
+            return self._wpp_scale * (th[3] / th[0] - 3 * th[2] * r1 / th[0] + 2 * r1**3)
 
         return self._evaluate(z, formula, 4)
 

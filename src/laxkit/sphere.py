@@ -597,11 +597,13 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
                 if nz or rhs:
                     aug.append(row + [Fraction(rhs)])
     red, pivots = rref(aug)
-    if any(p == ncols for p in pivots):
-        raise ValueError("inconsistent constraint system (non-generic data)")
-    if len(pivots) < ncols:
-        free = ncols - len(pivots)
-        raise ValueError(f"solution not unique: {free} residual degrees of freedom")
+    rank = sum(p < ncols for p in pivots)
+    if rank < len(pivots):
+        raise ValueError(f"inconsistent constraint system: coefficient rank {rank} of {ncols}, "
+                         f"so a {ncols - rank}-dimensional space of admissible M with no "
+                         f"singular part vanishes at the normalization points")
+    if rank < ncols:
+        raise ValueError(f"solution not unique: {ncols - rank} residual degrees of freedom")
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]

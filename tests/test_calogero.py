@@ -324,6 +324,44 @@ def test_equations_of_motion_match_finite_differences(family):
         assert abs(num - pd[i]) < 1e-4 * max(1.0, abs(pd[i]))
 
 
+OBLIQUE = Lattice(1.3 + 0.2j, 0.4 + 2.1j)
+
+
+@pytest.mark.parametrize("lat", [LAT, SKEW, OBLIQUE], ids=["square", "skewed", "oblique"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_equations_of_motion_are_the_plan_gradient(family, n, lat):
+    # bit for bit: qdot = 2 s kappa p and pdot = -s P^T (w * wp'(P q + c)),
+    # with the force matrix G = P^T diag(w) folded in beforehand (A1 has no rows)
+    sys_ = cm.CMSystem(family, n, lat, q0=0.51 * abs(lat.omega1))
+    plan = sys_._plan
+    for k in range(3):
+        st = cm.random_state(sys_, np.random.default_rng(10 * n + k))
+        wpp = lat.wp_prime(plan.P @ st.q + plan.c)
+        for sign in (False, True):
+            sys_.physical_sign = sign
+            s = sys_.sign()
+            qdot, pdot = cm.equations_of_motion(sys_, st)
+            assert qdot.tobytes() == (s * 2 * plan.kappa * st.p).tobytes()
+            assert pdot.tobytes() == (-s * (plan.P.T @ (plan.w * wpp))).tobytes()
+            assert pdot.shape == (n,)
+
+
+@pytest.mark.parametrize("family, q, kind, particles, label", [
+    ("A", [1.0, 1.0 + 1e-9], "q_i-q_j", (1, 2), "q_1-q_2"),
+    ("B", [0.51 * 6 + 1e-9, 1.3], "q_i-q0", (1,), "q_1-q0"),
+    ("C", [1.3, 6.0 + 1e-9], "q_i+q_j", (2, 2), "q_2+q_2"),
+    ("D", [1.3, 1.3 + 1e-9], "q_i-q_j", (1, 2), "q_1-q_2"),
+])
+def test_equations_of_motion_collision_message(family, q, kind, particles, label):
+    sys_ = make(family)
+    with pytest.raises(cm.CollisionError) as exc:
+        cm.equations_of_motion(sys_, cm.CMState(np.array(q), np.zeros(2)))
+    assert str(exc.value) == (f"particle collision: argument {label} (kind {kind}) "
+                              "within 6.0e-03 of a lattice point")
+    assert (exc.value.kind, exc.value.particles) == (kind, particles)
+
+
 def test_total_momentum_conserved_a_family():
     sys_ = make("A", 3)
     st = state_for(sys_)

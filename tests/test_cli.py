@@ -179,6 +179,22 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     assert "A rank 2" in out
 
 
+def test_config_file_supplies_required_options(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grading": {"family": "C", "rank": 3, "root": 1}}))
+    assert run(["--config", str(conf), "grading"]) == 0
+    assert "C rank 3, grading by simple root 1" in capsys.readouterr().out
+    # a flag still overrides the value the config supplies
+    assert run(["--config", str(conf), "grading", "--rank", "2"]) == 0
+    assert "C rank 2, grading by simple root 1" in capsys.readouterr().out
+    # an option that neither supplies stays required
+    conf.write_text(json.dumps({"grading": {"family": "C", "rank": 3}}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(conf), "grading"])
+    assert exc.value.code == 2
+    assert "--root" in capsys.readouterr().err
+
+
 def test_config_file_values_reach_the_command(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"verify": {"seed": 5, "pairs": 3},

@@ -407,15 +407,19 @@ def test_broken_second_member_detected(mop_setup, rng):
     assert any(rep.gamma_residuals[g] for g in cfg.gamma_points)
 
 
-def test_tangency_check_at_depth_two():
-    # framed sp(4) at depth 2: the relations read L up to degree 2 at each gamma
-    rng = random.Random(0)
+def depth_two_sp4(rng):
+    """Framed sp(4) at depth 2 (gamma points 3 and 5) with a Lax element."""
     alg, dec = la.catalog_grading("sp", 2, 1)
     assert dec.depth == 2
     frames = (fm.random_group_element(alg, rng), fm.random_group_element(alg, rng))
     cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), (F(3), F(5)), frames)
     pole_orders = {F(0): 0, INF: 1, F(9): 1}
-    l = rand_member(rng, sp.build_lax_space(cfg, pole_orders).basis)
+    return cfg, pole_orders, rand_member(rng, sp.build_lax_space(cfg, pole_orders).basis)
+
+
+def test_tangency_check_at_depth_two():
+    # framed sp(4) at depth 2: the relations read L up to degree 2 at each gamma
+    cfg, pole_orders, l = depth_two_sp4(random.Random(0))
     rep = sp.lax_tangency_check(cfg, l, l, pole_orders)
     assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)
     z = RatFunc(Poly.x())
@@ -424,6 +428,18 @@ def test_tangency_check_at_depth_two():
     assert not rep.ok
     assert ("pole-order", -4) in rep.gamma_residuals[F(3)]
     assert rep.gamma_residuals[F(5)] == []
+
+
+@pytest.mark.parametrize("order, rank, ncols", [(1, 59, 62), (2, 69, 72)])
+def test_depth_two_m_operator_error_names_the_kernel(order, rank, ncols):
+    # l + 1 = 2 normalization points do not fix M at depth 2: a 3-dimensional
+    # space of admissible M with no singular part vanishes at both
+    cfg, _, l = depth_two_sp4(random.Random(0))
+    msg = (f"coefficient rank {rank} of {ncols}, so a 3-dimensional space of admissible M "
+           "with no singular part vanishes at the normalization points")
+    with pytest.raises(ValueError, match=msg):
+        sp.construct_m_operator(cfg, l, power=2, pole_point=F(0), order=order,
+                                norm_points=(F(7), F(11)))
 
 
 def test_wrong_normalization_count_rejected(mop_setup, rng):
