@@ -16,12 +16,12 @@ Lax operator algebra at the moving poles: the A and D matrices meet them,
 the B and C matrices do not in the standard frame.
 
 The closed form reads one linear plan per system, built once by
-``CMSystem``: rows P q + c (c nonzero only in the B rows that hold q0) with
-weights w, a kinetic coefficient kappa and one (kind, particles) label each.
-H = kappa p.p + w . wp(P q + c), the equations of motion are its gradient
-(qdot = 2 kappa p, pdot = -P^T (w * wp'(P q + c)), read through the plan's
-exact force matrix G = P^T diag(w)), and the collision guard names the label
-of the first row on the lattice.
+``CMSystem``: one row P q + c per distinct argument (c nonzero only in the
+B rows that hold q0) with weights w, a kinetic coefficient kappa and one
+(kind, particles) label each.  H = kappa p.p + w . wp(P q + c), the
+equations of motion are its gradient (qdot = 2 kappa p, pdot = -P^T (w *
+wp'(P q + c)), read through the plan's exact force matrix G = P^T diag(w)),
+and the collision guard names the label of the first row on the lattice.
 
 Sign convention: the stored Hamiltonian has a negative kinetic term, as the
 residue normalization produces it; ``physical_sign=True`` negates it, which
@@ -175,17 +175,20 @@ def _linear_plan(family, n, q0):
     """The arguments P q + c of a system's wp, wp' and collision guard, with
     the weights w and kinetic coefficient kappa of H = kappa p.p + w . wp(P q
     + c), the force matrix G = P^T diag(w) and one (kind, 1-based particles)
-    label per row.  Rows: q_i - q_j (i != j); for B/C/D q_i + q_j (all i, j)
-    and q_i; for B q0, q_i -+ q0.  G is exact: P has entries 0, +-1, 2 and w
-    has 0, 1/2, 1, 2."""
+    label per row.  Rows, one per distinct argument: q_i - q_j (i < j); for
+    B/C/D q_i + q_j (i <= j) and q_i; for B q0, q_i -+ q0.  wp is even and wp'
+    odd, so a row stands for both orders of its pair and carries twice the
+    pair's weight; the first row on the lattice is the first hit in the
+    ordered-pair listing too, so it names the same argument.  G is exact: P
+    has entries 0, +-1, 2 and w has 0, 1, 2."""
     eye = np.eye(n)
     singles = [(k,) for k in range(n)]
     # (rows of P, constant, weight(s), kind, 0-based particles of each row)
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    sections = [(eye[i] - eye[j], 0, 0.5 if family == "A" else 1.0, "q_i-q_j", zip(i, j))]
+    i, j = _pairs(n)
+    sections = [(eye[i] - eye[j], 0, 1.0 if family == "A" else 2.0, "q_i-q_j", zip(i, j))]
     if family != "A":
-        i, j = np.divmod(np.arange(n * n), n)
-        w_sum = np.where(i == j, 2.0 if family == "C" else 0.0, 1.0)
+        i, j = _pairs(n, diagonal=True)
+        w_sum = np.where(i == j, 2.0 if family == "C" else 0.0, 2.0)
         sections += [(eye[i] + eye[j], 0, w_sum, "q_i+q_j", zip(i, j)),
                      (eye, 0, 2.0 if family == "B" else 0.0, "q_i", singles)]
     if family == "B":

@@ -448,6 +448,16 @@ def main(argv=None):
                 if action.dest in values:
                     action.required = False
     args = ap.parse_args(argv)
+    if config:
+        # argparse checks choices on flags only; a config value, converted like
+        # a flag's string, gets the same usage error
+        sub = subparsers[args.command]
+        for action in sub._actions:
+            if action.dest in conf.get(args.command, conf):
+                try:
+                    sub._check_value(action, getattr(args, action.dest))
+                except argparse.ArgumentError as exc:
+                    sub.error(str(exc))
     return args.fn(args)
 
 

@@ -13,11 +13,13 @@ value does not depend on the shape or length of the batch it came in.
 
 Everything that does not depend on the arguments is built once per lattice:
 the conjugated basis and denominators of the reduction, the guard radius,
-and the theta weights stacked as (theta_1, theta_1'') over sin(ku) and
-(theta_1', theta_1''') over cos(ku).  A call then reduces the arguments in
-one (N, 2) pass and forms at most four theta sums as two products and two
-row sums, so the equations of motion, which call wp' on 2 to 25 arguments,
-pay a fixed cost of a couple of dozen numpy operations.
+the scaled wave numbers (pi/Ar) k, sigma's theta_1 weights over sin(ku), and
+one (4, 2T) block of the weights of theta_1 and its first three derivatives
+over [sin(ku) | cos(ku)], zero off-block.  A call then reduces the arguments
+in one (N, 2) pass.  sigma sums its sin-only row; zeta, wp and wp' form all
+their theta sums as one product and one row sum per argument and read them
+as ratios to theta_1.  So the equations of motion, which call wp' on 1 to 19
+arguments for n <= 3, pay a fixed cost of about two dozen numpy operations.
 """
 
 from __future__ import annotations
@@ -97,13 +99,20 @@ class Lattice:
         while math.pi * im * ((nmax + 0.5) ** 2 - (2 * nmax + 1) * 0.51) < 46 and nmax < 64:
             nmax += 1
         ns = np.arange(nmax + 1)
-        self._k = k = 2 * ns + 1
+        k = 2 * ns + 1
         c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
-        # weight rows of (theta_1, theta_1'') over sin(ku) and of
-        # (theta_1', theta_1''') over cos(ku)
-        self._w_sin = np.stack([c, -(c * k * k)])
-        self._w_cos = np.stack([c * k, -(c * k**3)])
-        self._th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
+        # u = pi z0 / Ar, so ku = z0 times the scaled wave numbers
+        self._kscaled = (np.pi / self.Ar) * k
+        # sigma's theta_1 row over sin(ku) alone, and the rows of theta_1,
+        # theta_1', theta_1'' and theta_1''' over [sin(ku) | cos(ku)]
+        self._w_sigma = c
+        zero = np.zeros_like(c)
+        self._w = np.array([np.concatenate(row) for row in
+                            ((c, zero), (zero, c * k), (-(c * k * k), zero), (zero, -(c * k**3)))])
+        th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
+        # sigma = scale * exp(gauss * z0^2 + quasi-periodic exponent) * theta_1
+        self._sigma_scale = (self.Ar / np.pi) / th1p0
+        self._sigma_gauss = self.eta_Ar / (2 * self.Ar)
         self._wpp_scale = -((np.pi / self.Ar) ** 3)
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
@@ -141,28 +150,29 @@ class Lattice:
 
     # -- the evaluator ----------------------------------------------------------
 
+    def _theta(self, z0, orders):
+        """theta_1 at pi z0 / Ar, shape (N,), for ``orders`` 1; otherwise
+        theta_1 and its derivatives below order ``orders``, shape (N, orders).
+
+        Every value is one row sum over the series terms of its own argument,
+        which keeps it independent of the batch."""
+        ku = z0[:, None] * self._kscaled
+        if orders == 1:
+            return np.add.reduce(np.sin(ku) * self._w_sigma, axis=-1)
+        sc = np.concatenate((np.sin(ku), np.cos(ku)), axis=1)
+        return np.add.reduce(sc[:, None] * self._w[:orders], axis=-1)
+
     def _evaluate(self, z, formula, orders, guarded=True):
         """``formula(z0, m, n, th)`` on the flattened ``z = z0 + m Ar + n Br``,
-        in the shape of ``z`` (a Python complex for a scalar).
-
-        ``th`` holds theta_1 and its derivatives below order ``orders`` at
-        pi z0 / Ar.  The formula sees 1-d arrays only and every theta sum runs
-        along its own row, which keeps each value independent of the batch.
-        """
+        in the shape of ``z`` (a Python complex for a scalar), where ``th`` is
+        ``_theta(z0, orders)``.  The formula sees 1-d arrays and that block."""
         z = np.asarray(z, dtype=complex)
         z0, m, n = self.reduce(z.ravel())
         if guarded:
             lim = self._guard_radius
             if np.minimum.reduce(np.abs(z0[:, None] - self._nbrs), axis=None, initial=np.inf) < lim:
                 raise PoleProximityError(f"argument within {lim:.3e} of a lattice point")
-        ku = (np.pi * z0 / self.Ar)[:, None] * self._k
-        # columns (theta_1, theta_1'') over sin and (theta_1', theta_1''') over
-        # cos, as far as needed
-        sums = [np.add.reduce(np.sin(ku)[:, None] * self._w_sin[:(orders + 1) // 2], axis=-1)]
-        if orders > 1:
-            sums.append(np.add.reduce(np.cos(ku)[:, None] * self._w_cos[:orders // 2], axis=-1))
-        th = [sums[i % 2][:, i // 2] for i in range(orders)]
-        val = formula(z0, m, n, th)
+        val = formula(z0, m, n, self._theta(z0, orders))
         return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
     # -- Weierstrass functions -------------------------------------------------
@@ -171,14 +181,14 @@ class Lattice:
         """Weierstrass sigma (entire, odd, simple zeros on the lattice); unguarded."""
 
         def formula(z0, m, n, th):
-            base = (self.Ar / np.pi) * np.exp(self.eta_Ar * z0 * z0 / (2 * self.Ar)) * th[0] / self._th1p0
             w = m * self.Ar + n * self.Br
             etaw = m * self.eta_Ar + n * self.eta_Br
-            sign = (-1.0) ** (m + n + m * n)
             with np.errstate(over="ignore", invalid="ignore"):
                 # the quasi-periodicity factor overflows for arguments many
                 # periods out; callers guard ranges
-                return sign * np.exp(etaw * (z0 + w / 2)) * base
+                sign = 1 - 2 * ((m + n + m * n) % 2)
+                expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + w / 2)
+                return sign * self._sigma_scale * np.exp(expo) * th
 
         return self._evaluate(z, formula, 1, guarded=False)
 
@@ -186,8 +196,8 @@ class Lattice:
         """Weierstrass zeta (odd, quasi-periodic, simple poles)."""
 
         def formula(z0, m, n, th):
-            val = self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * th[1] / th[0]
-            return val + m * self.eta_Ar + n * self.eta_Br
+            r1 = th[:, 1] / th[:, 0]
+            return self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * r1 + m * self.eta_Ar + n * self.eta_Br
 
         return self._evaluate(z, formula, 2)
 
@@ -195,8 +205,9 @@ class Lattice:
         """Weierstrass P function."""
 
         def formula(z0, m, n, th):
-            r1 = th[1] / th[0]
-            return -self.eta_Ar / self.Ar - (np.pi / self.Ar) ** 2 * (th[2] / th[0] - r1 * r1)
+            r = th[:, 1:] / th[:, :1]
+            r1 = r[:, 0]
+            return -self.eta_Ar / self.Ar - (np.pi / self.Ar) ** 2 * (r[:, 1] - r1 * r1)
 
         return self._evaluate(z, formula, 3)
 
@@ -204,8 +215,12 @@ class Lattice:
         """Derivative of the Weierstrass P function."""
 
         def formula(z0, m, n, th):
-            r1 = th[1] / th[0]
-            return self._wpp_scale * (th[3] / th[0] - 3 * th[2] * r1 / th[0] + 2 * r1**3)
+            # the terms cancel where wp' is small (large Im tau), so their order
+            # sets the rounding there: the factored r3 - r1 (3 r2 - 2 r1^2)
+            # moves such values by 2e-14 of |wp'| + median |wp'|
+            r = th[:, 1:] / th[:, :1]
+            r1 = r[:, 0]
+            return self._wpp_scale * (r[:, 2] - 3 * th[:, 2] * r1 / th[:, 0] + 2 * r1**3)
 
         return self._evaluate(z, formula, 4)
 

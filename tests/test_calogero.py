@@ -347,6 +347,50 @@ def test_equations_of_motion_are_the_plan_gradient(family, n, lat):
             assert pdot.shape == (n,)
 
 
+def pairwise_definition(sys_, st):
+    """H and (qdot, pdot) summed over ordered pairs, with the scales (sums of
+    absolute terms) they are compared at.  Per ordered pair: 1/2 wp(q_i - q_j)
+    for A; wp(q_i - q_j) and wp(q_i + q_j) for B/C/D, plus 2 wp(2 q_i) for C
+    and 2 wp(q_i) for B; kinetic coefficient -1/2 for A and -1 otherwise."""
+    lat, q, p, n = sys_.lattice, st.q, st.p, sys_.n
+    kappa = -0.5 if sys_.family == "A" else -1.0
+    e = np.eye(n)
+    terms = []  # (weight, argument, d argument / d q)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                terms.append((0.5 if sys_.family == "A" else 1.0, q[i] - q[j], e[i] - e[j]))
+                if sys_.family != "A":
+                    terms.append((1.0, q[i] + q[j], e[i] + e[j]))
+        if sys_.family == "C":
+            terms.append((2.0, 2 * q[i], 2 * e[i]))
+        if sys_.family == "B":
+            terms.append((2.0, q[i], e[i]))
+    s = sys_.sign()
+    h = [kappa * np.sum(p * p)] + [w * lat.wp(x) for w, x, _ in terms]
+    force = [np.zeros(n)] + [w * lat.wp_prime(x) * dx for w, x, dx in terms]
+    return (s * sum(h), sum(abs(t) for t in h), s * 2 * kappa * p,
+            -s * sum(force), sum(np.abs(f) for f in force))
+
+
+@pytest.mark.parametrize("lat", [LAT, SKEW, OBLIQUE], ids=["square", "skewed", "oblique"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_plan_of_distinct_arguments_matches_the_pairwise_definition(family, n, lat):
+    sys_ = cm.CMSystem(family, n, lat, q0=0.51 * abs(lat.omega1))
+    if n == 3:
+        assert len(sys_._plan.w) == {"A": 3, "B": 19, "C": 12, "D": 12}[family]
+    for k in range(3):
+        st = cm.random_state(sys_, np.random.default_rng(10 * n + k))
+        for sign in (False, True):
+            sys_.physical_sign = sign
+            h, h_scale, qdot_ref, pdot_ref, pdot_scale = pairwise_definition(sys_, st)
+            assert abs(cm.hamiltonian(sys_, st) - h) <= 1e-13 * h_scale
+            qdot, pdot = cm.equations_of_motion(sys_, st)
+            assert np.array_equal(qdot, qdot_ref)
+            assert np.all(np.abs(pdot - pdot_ref) <= 1e-13 * pdot_scale)
+
+
 @pytest.mark.parametrize("family, q, kind, particles, label", [
     ("A", [1.0, 1.0 + 1e-9], "q_i-q_j", (1, 2), "q_1-q_2"),
     ("B", [0.51 * 6 + 1e-9, 1.3], "q_i-q0", (1,), "q_1-q0"),

@@ -209,3 +209,22 @@ def test_config_file_values_reach_the_command(tmp_path):
                 "--report", str(rep)]) == 0
     data = json.loads(rep.read_text())
     assert (data["T"], data["dt"]) == (0.01, 0.005)
+
+
+@pytest.mark.parametrize("key, bad, good", [("family", "Z", "A"), ("scheme", "euler", "rk4")])
+def test_config_file_values_meet_the_choices(tmp_path, capsys, key, bad, good):
+    # a config value outside an option's choices is the flag's usage error
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cm": {"family": "A", "n": 2, key: bad}}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(conf), "cm", "--T", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{bad}'" in err
+    with pytest.raises(SystemExit) as exc:
+        run(["cm", "--T", "0", "--family", "A", "--n", "2", f"--{key}", bad])
+    assert exc.value.code == 2
+    # the same error line (the usage line shows config-supplied options as optional)
+    assert err.splitlines()[-1] == capsys.readouterr().err.splitlines()[-1]
+    # a valid flag overrides the bad config value
+    assert run(["--config", str(conf), "cm", "--T", "0", f"--{key}", good]) == 0

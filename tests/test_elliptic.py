@@ -95,14 +95,25 @@ def test_wp_prime_dual_route(lat):
         assert abs(lat.wp_prime(z) + lat.sigma(2 * z) / lat.sigma(z) ** 4) < 1e-9
 
 
+ORACLE_LATTICES = LATTICES + [Lattice(1.3 + 0.2j, 0.4 + 2.1j), Lattice(1.0, 6j)]
+
+
 def test_theta_series_against_mpmath():
+    # theta_1 and its first three derivatives at u = pi z0 / Ar, over the
+    # reduced cell, against mpmath's independent series
     mp = pytest.importorskip("mpmath")
-    lat = Lattice(1.0, 1j)
-    for v in (0.213, 0.31 + 0.12j):
-        u = np.pi * v / lat.Ar
-        mine = lat._evaluate(v, lambda z0, m, n, th: th[0], 1)
-        ref = complex(mp.jtheta(1, u, complex(lat.q)))
-        assert abs(complex(mine) - ref) < 1e-13
+    rng = np.random.default_rng(3)
+    for lat in ORACLE_LATTICES:
+        z0 = lat.Ar * (rng.uniform(-0.49, 0.49, 12) + lat.tau * rng.uniform(-0.49, 0.49, 12))
+        # sigma's sin-only theta_1, then the stacked block of the other functions
+        th = np.column_stack([lat._theta(z0, 1), lat._theta(z0, 4)])
+        assert th.shape == (12, 5)
+        with mp.workdps(30):
+            for row, v in zip(th, z0):
+                u = mp.pi * mp.mpc(v) / mp.mpc(lat.Ar)
+                for k, mine in zip([0, 0, 1, 2, 3], row):
+                    ref = complex(mp.jtheta(1, u, mp.mpc(lat.q), derivative=k))
+                    assert abs(mine - ref) <= 1e-13 * abs(ref)
 
 
 def test_wp_against_lattice_sum():
@@ -162,7 +173,8 @@ def test_vectorized_matches_scalar(lat):
         assert fn(arr[:2].reshape(1, 2)).shape == (1, 2)
 
 
-@pytest.mark.parametrize("lat", LATTICES + [Lattice(40, 40j)], ids=["tau=i", "tau=0.3+1.2i", "omega=40"])
+@pytest.mark.parametrize("lat", ORACLE_LATTICES + [Lattice(40, 40j)],
+                         ids=["tau=i", "tau=0.3+1.2i", "oblique", "tau=6i", "omega=40"])
 def test_values_independent_of_batch_shape(lat):
     rng = np.random.default_rng(12)
     z = abs(lat.omega1) * (rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200))
