@@ -235,12 +235,18 @@ def _exact_quotient(x, d):
 
 
 def nullspace(rows, ncols=None):
-    """Exact basis of the right nullspace of the given row list."""
+    """Exact basis of the right nullspace of the given row list.
+
+    ``ncols`` is required for an empty row list; for any other it must
+    equal the row width."""
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for empty system")
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    ncols = len(rows[0]) if ncols is None else ncols
+    width = len(rows[0])
+    if ncols is not None and ncols != width:
+        raise ValueError(f"ncols {ncols} differs from the row width {width}")
+    ncols = width
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

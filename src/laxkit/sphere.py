@@ -6,6 +6,14 @@ homogeneous subspace has the same divisor degree) and a set of gamma points
 carrying the depth-k local expansion conditions of the grading.  All spaces
 are cut out as exact rational nullspaces; dimensions are therefore integers
 computed without any tolerance.
+
+The conditions are solved one grading degree at a time.  In the coordinates
+of a gamma point's frame, basis element j of degree d only needs its scalar
+section to vanish there to order min(d, k), so the gamma points framed like
+the first one give one small scalar nullspace per degree (a block).  Gamma
+points with another frame couple the blocks through the change of frame,
+and one reduced system over the block parameters solves them.  The result is
+the basis that one dense nullspace of all the conditions would return.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exact import ColumnSolver, Mat, mat_inverse, nullspace, rref
 from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
-from .ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
+from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _ints, rat_const
 
 __all__ = [
     "SphereConfig",
@@ -46,13 +55,25 @@ __all__ = [
 
 class SliceDimensionError(AssertionError):
     """Raised when an exact slice dimension misses N dim(g) (non-generic
-    point configuration or rank-deficient condition system)."""
+    point configuration or rank-deficient condition system).
 
-    def __init__(self, expected, achieved, degree):
+    ``blocks`` maps each grading degree to the dimension of its block: the
+    scalar sections that meet the conditions of the gamma points framed like
+    the first one.  ``coupled`` is (rank, parameter count) of the system the
+    other gamma points impose on the block parameters, or None when there
+    are no such points."""
+
+    def __init__(self, expected, achieved, degree, blocks, coupled):
         self.expected = expected
         self.achieved = achieved
         self.degree = degree
-        super().__init__(f"slice degree {degree}: dim {achieved}, expected {expected}")
+        self.blocks = blocks
+        self.coupled = coupled
+        msg = (f"slice degree {degree}: dim {achieved}, expected {expected}; reference-frame "
+               "blocks " + ", ".join(f"degree {d}: {n}" for d, n in sorted(blocks.items())))
+        if coupled is not None:
+            msg += f"; coupled rank {coupled[0]} of {coupled[1]}"
+        super().__init__(msg)
 
 
 @dataclass
@@ -69,7 +90,9 @@ class SphereConfig:
     point to point).  Generic frames are what make the expansion conditions
     transversal when several gamma points carry depth >= 2 conditions; with
     a common frame those conditions can be rank-deficient, which the slice
-    builder reports through :class:`SliceDimensionError`.
+    builder reports through :class:`SliceDimensionError`.  Each frame g is
+    stored once as its adjoint matrix, whose column b holds the coordinates
+    of g^-1 b_b g in the algebra basis.
     """
 
     dec: object
@@ -98,10 +121,26 @@ class SphereConfig:
             if len(self.gamma_frames) != len(self.gamma_points):
                 raise ValueError("one frame per gamma point required")
         self._frame_inv = tuple(mat_inverse(g) for g in self.gamma_frames)
-        self._conj_basis = tuple(
-            tuple(gi @ b @ g for b in self.dec.alg.basis)
-            for g, gi in zip(self.gamma_frames, self._frame_inv)
-        )
+        alg = self.dec.alg
+        adjoints = []
+        for g, gi, pt in zip(self.gamma_frames, self._frame_inv, self.gamma_points):
+            # conjugate by the integer multiples G = s g and Gi = si g^-1, then
+            # divide the coordinates by s si
+            (G, s), (Gi, si) = _int_matrix(g), _int_matrix(gi)
+            cols = [alg.coordinates(Gi @ b @ G) for b in alg.basis]
+            if None in cols:
+                raise ValueError(f"the frame at gamma point {pt} does not preserve the algebra")
+            adjoints.append(Mat([[Fraction(x, s * si) for x in row] for row in zip(*cols)]))
+        self._adjoints = tuple(adjoints)
+        # for the slice solver: A_0^-1 (None for the identity) and the
+        # couplings C_i = A_i A_0^-1 of the gamma points framed unlike the
+        # first, each as an integer multiple, since only their spans matter
+        identity = Mat.identity(alg.dim)
+        ref = adjoints[0] if adjoints else identity
+        inv = _int_matrix(mat_inverse(ref))[0]
+        self._ref_inv = None if ref == identity else inv.rows
+        self._couplings = {i: (_int_matrix(a)[0] @ inv).rows
+                           for i, a in enumerate(adjoints) if a != ref}
 
     def frame(self, gi):
         return self.gamma_frames[gi]
@@ -234,37 +273,89 @@ def _section_row(values, sup, dim, width):
     return row, bool(sup) and any(values)
 
 
-def _expansion_condition_rows(cfg, sections, p_range, mode):
-    """Linear conditions imposing the local expansion shape at every gamma.
+def _int_matrix(m):
+    """(s m, s) for the least s > 0 that makes s m an integer matrix."""
+    flat, s = _ints(m.flatten())
+    return Mat([flat[i:i + m.m] for i in range(0, len(flat), m.m)]), s
 
-    mode "lax": coefficient at degree p lies in the level-p filtration for
-    p in p_range.  mode "mop": same for p <= -2, while at p = -1 one free
-    multiple of the grading element h is allowed (one auxiliary unknown per
-    gamma point, appended after the section*basis unknowns).
 
-    Returns (rows, n_aux).
+def _gamma_tails(cfg, sections, hi):
+    """The sections' Laurent rows t[p] at every gamma point, for -k <= p <= hi."""
+    k = cfg.dec.depth
+    return [{p: c.rows[0] for p, c in sections.laurent_coefficients(Fraction(g), -k, hi).items()}
+            for g in cfg.gamma_points]
+
+
+def _slice_kernel(cfg, sections):
+    """(vectors, blocks, coupled) for the algebra-valued functions
+    sum_{si,j} x[si dim + j] s_si b_j that meet the expansion conditions at
+    every gamma point.
+
+    At the i-th gamma the coordinates of the degree-p Laurent coefficient in
+    its frame are t_{i,p} X A_i^T, for the count x dim matrix X of the x and
+    the adjoint A_i of the frame; the coordinate j must vanish when
+    deg j > p, for -k <= p < k.  In the coordinates Y = X A_0^T of the first
+    gamma point's frame, every gamma point with A_i = A_0 asks column j of
+    Y to lie in the scalar nullspace B_d of its rows t_{i,p}, p < min(d, k),
+    d = deg j: Y[:, j] = B_d y_j.  Every other gamma point sees
+    Y C_i^T, C_i = A_i A_0^-1, and gives one row over the block parameters y
+    per (p, j2) with deg j2 > p.  The kernel of those rows maps back to
+    X = Y A_0^-T.
+
+    ``vectors`` is the basis that ``nullspace`` returns for the conditions
+    over the x: each vector is 1 at its free column (its last nonzero one)
+    and 0 at the others', in the order of the free columns.  ``blocks``
+    maps each degree to dim B_d; ``coupled`` is (rank, parameter count) of
+    the coupled rows, or None when every gamma point has the frame A_0.
     """
-    dec = cfg.dec
-    alg = cfg.alg
-    k = dec.depth
-    ncand = sections.m * alg.dim
-    gammas = list(cfg.gamma_points)
-    n_aux = len(gammas) if mode == "mop" else 0
+    degrees, dim, count = cfg.dec.degrees, cfg.alg.dim, sections.m
+    k = cfg.dec.depth
+    # rows and vectors of which only the span matters are scaled to integers
+    tails = [{p: _ints(t)[0] for p, t in tp.items()} for tp in _gamma_tails(cfg, sections, k - 1)]
+    couplings = cfg._couplings
+    separable = [t for i, t in enumerate(tails) if i not in couplings]
+    blocks = {d: nullspace([t[p] for t in separable for p in range(-k, min(d, k)) if any(t[p])], count)
+              for d in sorted(set(degrees))}
+    dims = {d: len(b) for d, b in blocks.items()}
+    if cfg._ref_inv is None and not couplings:
+        keyed = []
+        for j, d in enumerate(degrees):
+            for v in blocks[d]:
+                x = [0] * (count * dim)
+                x[j::dim] = v
+                keyed.append((max(si for si, c in enumerate(v) if c) * dim + j, x))
+        keyed.sort(key=lambda e: e[0])
+        return [x for _, x in keyed], dims, None
+    blocks = {d: [_ints(v)[0] for v in b] for d, b in blocks.items()}
+    nparams = sum(dims[d] for d in degrees)
     rows = []
-    for gi, g in enumerate(gammas):
-        tails = sections.laurent_coefficients(Fraction(g), -k, k - 1)
-        support = _support(cfg._conj_basis[gi])
-        for p in p_range:
-            for u, v in dec.positions_above(p):
-                row, nonzero = _section_row(tails[p].rows[0], support[u][v], alg.dim, ncand + n_aux)
-                if mode == "mop" and p == -1:
-                    hv = dec.h.rows[u][v]
-                    if hv:
-                        row[ncand + gi] = -hv
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    return rows, n_aux
+    for i, c in couplings.items():
+        t = tails[i]
+        for p in range(-k, k):
+            w = {d: [sum(map(mul, t[p], v)) for v in b] for d, b in blocks.items()}
+            for j2, d2 in enumerate(degrees):
+                if d2 > p:
+                    row = [cj * wc for cj, d in zip(c[j2], degrees) for wc in w[d]]
+                    if any(row):
+                        rows.append(row)
+    ys = nullspace(rows, nparams)
+    back = cfg._ref_inv
+    xs = []
+    for y in ys:
+        y = _ints(y)[0]
+        cols, pos = [], 0
+        for d in degrees:
+            col = [0] * count
+            for v in blocks[d]:
+                if y[pos]:
+                    col = [a + y[pos] * e for a, e in zip(col, v)]
+                pos += 1
+            cols.append(col)
+        rows_y = zip(*cols)
+        xs.append([x for row in rows_y for x in row] if back is None
+                  else [sum(map(mul, row, r)) for row in rows_y for r in back])
+    red, _ = rref([x[::-1] for x in xs])
+    return [x[::-1] for x in red[::-1]], dims, (nparams - len(ys), nparams) if couplings else None
 
 
 def _assemble(cfg, div, vectors):
@@ -275,35 +366,41 @@ def _assemble(cfg, div, vectors):
     The sections share one skeleton, s_si = zeros z^si / poles, so every
     matrix is one denominator, the product of the poles, over the
     numerators zeros P(z), where the coefficients of P are that entry's
-    coordinates."""
-    alg = cfg.alg
-    dim = alg.dim
+    coordinates.  Each vector is scaled to integers by one lcm, P is formed
+    and multiplied by the integer zeros in integer arithmetic, and each
+    numerator coefficient becomes one Fraction."""
+    dim = cfg.alg.dim
     zeros, poles, count = _skeleton(div)
-    support = _support(alg.basis)
-    return [RationalMatrix.over([[zeros * Poly([sum(coords[si * dim + bi] * e for bi, e in sup)
-                                                  for si in range(count)]) for sup in srow]
-                                  for srow in support], poles)
-            for coords in vectors]
-
-
-def _lax_slice_basis(cfg, div):
-    """Basis of the algebra-valued functions with (L) + div >= 0 that meet
-    the local expansion conditions at every gamma point (the divisor must
-    carry the depth at the gamma points)."""
-    sections = _sections(div)
-    depth = cfg.dec.depth
-    rows, _ = _expansion_condition_rows(cfg, sections, range(-depth, depth), "lax")
-    return _assemble(cfg, div, nullspace(rows, sections.m * cfg.alg.dim))
+    zi, zd = _ints(zeros.coeffs)
+    support = _support(cfg.alg.basis)
+    out = []
+    for coords in vectors:
+        ci, cd = _ints(coords)
+        den = zd * cd
+        nums = []
+        for srow in support:
+            nrow = []
+            for sup in srow:
+                conv = [0] * (len(zi) + count - 1)
+                for si in range(count):
+                    c = sum(ci[si * dim + bi] * e for bi, e in sup)
+                    if c:
+                        for a, z in enumerate(zi):
+                            conv[a + si] += c * z
+                nrow.append(Poly([Fraction(x, den) for x in conv]))
+            nums.append(nrow)
+        out.append(RationalMatrix.over(nums, poles))
+    return out
 
 
 def build_homogeneous_subspace(cfg, m, check_dim=True):
     """Exact basis of the degree-m subspace; dimension must be N dim(g)."""
     div = divisor_for_degree(cfg, m)
-    basis = _lax_slice_basis(cfg, div)
+    vectors, blocks, coupled = _slice_kernel(cfg, _sections(div))
     expected = cfg.n_points * cfg.alg.dim
-    if check_dim and len(basis) != expected:
-        raise SliceDimensionError(expected, len(basis), m)
-    return Slice(m, basis, div)
+    if check_dim and len(vectors) != expected:
+        raise SliceDimensionError(expected, len(vectors), m, blocks, coupled)
+    return Slice(m, _assemble(cfg, div, vectors), div)
 
 
 def build_lax_space(cfg, pole_orders):
@@ -313,7 +410,7 @@ def build_lax_space(cfg, pole_orders):
     div = dict(pole_orders)
     for g in cfg.gamma_points:
         div[g] = cfg.dec.depth
-    return Slice(None, _lax_slice_basis(cfg, div), div)
+    return Slice(None, _assemble(cfg, div, _slice_kernel(cfg, _sections(div))[0]), div)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +673,23 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     for g in cfg.gamma_points:
         div[g] = k
     sections = _sections(div)
-    rows, n_aux = _expansion_condition_rows(cfg, sections, range(-k, 0), "mop")
     ncand = sections.m * alg.dim
-    ncols = ncand + n_aux
+    ncols = ncand + len(cfg.gamma_points)
+    # expansion conditions at every gamma: for p < 0 the coordinates of the
+    # degree-p coefficient in the gamma point's frame, t_p (x) A[j], vanish
+    # when deg j > p, except that at p = -1 they may equal a free multiple
+    # (one auxiliary unknown per gamma point) of h's coordinates
+    hc = alg.coordinates(dec.h)
+    rows = []
+    for gi, (tails, adj) in enumerate(zip(_gamma_tails(cfg, sections, -1), cfg._adjoints)):
+        for p, t in tails.items():
+            for j, deg in enumerate(dec.degrees):
+                if deg > p:
+                    row = [c * e for c in t for e in adj.rows[j]] + [0] * len(cfg.gamma_points)
+                    if p == -1:
+                        row[ncand + gi] = -hc[j]
+                    if any(row):
+                        rows.append(row)
     red, pivots = rref(rows)
     prenorm_dim = ncols - len(pivots)
     expected = alg.dim * (d + l_val + 1)

@@ -108,6 +108,14 @@ def test_rref_empty_and_zero_systems():
     assert nullspace([], 2) == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("ncols", [2, 4])
+def test_nullspace_rejects_a_width_other_than_the_rows(ncols):
+    # a smaller ncols used to drop columns silently, a larger one to fail with IndexError
+    with pytest.raises(ValueError, match=f"ncols {ncols} differs from the row width 3"):
+        nullspace([[1, 2, 3]], ncols)
+    assert nullspace([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+
+
 def _reference_product(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 

@@ -9,8 +9,13 @@ in CHANGES.md.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
-from laxkit import cli, sphere
+import pytest
+
+from laxkit import cli, formal, liealg, sphere
+from laxkit.ratfunc import INF
 
 
 def _digest(obj):
@@ -27,6 +32,37 @@ def test_dims_suite_slices_are_pinned():
         tuple(_entries(b) for b in sphere.build_homogeneous_subspace(cfg, m, check_dim=False).basis)
         for _, _, _, cfg in cli._dims_configs(0) for m in range(-2, 3))
     assert _digest(slices) == "eee05cfed6c3b98fe4f72b36f5bf1d58b1b7f4e4898f6c2557e75474a8b578ce"
+
+
+def _framed_depth_two_configs(seed):
+    """Framed so(5) (root 2) and sp(6) (root 1), both at depth 2, with one P
+    point, Q at infinity and two framed gamma points, drawn the way
+    ``cli._dims_configs`` draws its points and frames (shapes the dims suite
+    does not reach)."""
+    rng = random.Random(seed)
+    pts = lambda: Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+    out = {}
+    for kind, rank, root in (("so_odd", 2, 2), ("sp", 3, 1)):
+        alg, dec = liealg.catalog_grading(kind, rank, root)
+        while True:
+            p_points = (pts(),)
+            gammas = tuple(sorted({pts() for _ in range(2)}))
+            frames = tuple(formal.random_group_element(alg, rng) for _ in gammas)
+            if len(gammas) == 2 and p_points[0] not in gammas:
+                out[kind] = sphere.SphereConfig(dec, p_points, (INF,), gammas, frames)
+                break
+    return out
+
+
+@pytest.mark.parametrize("kind,digest", [
+    ("so_odd", "3f4184c76acb7c415ff4dbef03015c4a713dc215335ed43721344e0569bfa626"),
+    ("sp", "5ef2eb9872f50b12eb57050188d4cf4b8bbd38f7c08c483fc078f3c27a25eed8"),
+])
+def test_framed_depth_two_slices_are_pinned(kind, digest):
+    cfg = _framed_depth_two_configs(0)[kind]
+    slices = tuple(tuple(_entries(b) for b in sphere.build_homogeneous_subspace(cfg, m).basis)
+                   for m in (-1, 0, 1))
+    assert _digest(slices) == digest
 
 
 def test_mops_suite_matrices_are_pinned():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from laxkit import formal as fm
 from laxkit import liealg as la
 from laxkit import sphere as sp
-from laxkit.exact import Mat
+from laxkit.exact import Mat, mat_inverse, nullspace
 from laxkit.ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
 
 
@@ -114,11 +115,36 @@ def test_framed_sp4_slices_and_rank_deficiency_report(rng):
     cfg = sp.SphereConfig(dec, (F(0),), (INF,), (F(3), F(5)), frames)
     for m in (-2, 0, 2):
         assert sp.build_homogeneous_subspace(cfg, m).dim == 10
-    # identity frames at a single gamma leave a dependent condition
+    # identity frames at a single gamma leave a dependent condition: three
+    # sections meet 0, 1, 2, 3 and 4 conditions on degrees -2..2, and the
+    # sp(4) degree dimensions 1, 2, 4, 2, 1 give 3 + 4 + 4 + 0 + 0 = 11
     cfg_bad = sp.SphereConfig(dec, (F(0),), (INF,), (F(3),))
     with pytest.raises(sp.SliceDimensionError) as exc:
         sp.build_homogeneous_subspace(cfg_bad, 0)
     assert exc.value.achieved == 11 and exc.value.expected == 10
+    assert exc.value.blocks == {-2: 3, -1: 2, 0: 1, 1: 0, 2: 0} and exc.value.coupled is None
+    assert str(exc.value) == ("slice degree 0: dim 11, expected 10; reference-frame blocks "
+                              "degree -2: 3, degree -1: 2, degree 0: 1, degree 1: 0, degree 2: 0")
+
+
+def test_dimension_error_reports_the_coupled_rank():
+    # a second frame that differs from the first by a torus element t puts the
+    # same filtrations at both gamma points: the blocks are the first point's
+    # and the coupled rows lose the same 5 dimensions as a common frame does
+    alg, dec = la.catalog_grading("sp", 2, 1)
+    g = fm.random_group_element(alg, random.Random(3))
+    t = Mat.diag([2, 3, F(1, 2), F(1, 3)])
+    errors = []
+    for second in (g @ t, g):
+        cfg = sp.SphereConfig(dec, (F(0),), (INF,), (F(3), F(5)), (g, second))
+        with pytest.raises(sp.SliceDimensionError) as exc:
+            sp.build_homogeneous_subspace(cfg, 0)
+        errors.append(exc.value)
+    coupled, common = errors
+    assert coupled.achieved == common.achieved == 15
+    assert coupled.blocks == {-2: 5, -1: 4, 0: 3, 1: 2, 2: 1} and coupled.coupled == (15, 30)
+    assert str(coupled).endswith("degree 2: 1; coupled rank 15 of 30")
+    assert common.blocks == {-2: 5, -1: 3, 0: 1, 1: 0, 2: 0} and common.coupled is None
 
 
 def _assemble_by_sums(cfg, scalars, coords):
@@ -137,6 +163,62 @@ def _entries(mat):
     return [[(e.num.coeffs, e.den.coeffs) for e in row] for row in mat.rows]
 
 
+def _entry_form_rows(cfg, sections):
+    """Reference statement of the expansion conditions: at every gamma point
+    and for -k <= p < k, each entry at a position of degree above p of the
+    degree-p Laurent coefficient of g^-1 L g, as a row over the unknowns
+    x[si dim + bi] of L = sum x s_si b_bi."""
+    dec, alg = cfg.dec, cfg.alg
+    k = dec.depth
+    rows = []
+    for g, frame in zip(cfg.gamma_points, cfg.gamma_frames):
+        inv = mat_inverse(frame)
+        conj = [inv @ b @ frame for b in alg.basis]
+        tails = sections.laurent_coefficients(F(g), -k, k - 1)
+        for p in range(-k, k):
+            t = tails[p].rows[0]
+            for u, v in dec.positions_above(p):
+                row = [c * b.rows[u][v] for c in t for b in conj]
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def _oracle_configs(kind, rank, root):
+    """(config, m): one P point, Q at infinity and 0-3 gamma points,
+    unframed and framed (three gamma points only below rank 3), with the
+    slice index m = -1, 0, 1 in turn."""
+    rng = random.Random(f"{kind}{rank}/{root}")
+    pts = lambda: F(rng.randint(-40, 40), rng.randint(1, 7))
+    alg, dec = la.catalog_grading(kind, rank, root)
+    configs = []
+    for n_g in range(4 if rank < 3 else 3):
+        for framed in ((False, True) if n_g else (False,)):
+            while True:
+                p_points, gammas = (pts(),), tuple(sorted({pts() for _ in range(n_g)}))
+                if len(gammas) == n_g and p_points[0] not in gammas:
+                    break
+            frames = tuple(fm.random_group_element(alg, rng) for _ in gammas) if framed else None
+            configs.append(sp.SphereConfig(dec, p_points, (INF,), gammas, frames))
+    return zip(configs, itertools.cycle((-1, 0, 1)))
+
+
+@pytest.mark.parametrize("kind,rank,root", [
+    ("gl", 2, 1), ("gl", 3, 1), ("sl", 3, 1), ("so_even", 3, 1), ("so_odd", 2, 1), ("so_odd", 2, 2),
+    ("sp", 2, 1), ("sp", 2, 2), ("sp", 3, 1), ("so_odd", 3, 1),
+])
+def test_slices_match_the_entry_form_nullspace(kind, rank, root):
+    # the block solver returns the basis one dense nullspace of the
+    # entry-form conditions gives, whether or not the dimension is N dim g
+    for cfg, m in _oracle_configs(kind, rank, root):
+        div = sp.divisor_for_degree(cfg, m)
+        sections = sp._sections(div)
+        want = sp._assemble(cfg, div, nullspace(_entry_form_rows(cfg, sections),
+                                                 sections.m * cfg.alg.dim))
+        got = sp.build_homogeneous_subspace(cfg, m, check_dim=False).basis
+        assert [(a.nums, a.den) for a in got] == [(a.nums, a.den) for a in want], (cfg, m)
+
+
 @pytest.mark.parametrize("kind,p_points,gammas,framed", [
     ("sp", (F(0),), (F(3), F(5)), True),
     ("gl", (F(0), F(-7, 2)), (F(3), F(5, 3)), False),
@@ -150,9 +232,8 @@ def test_assemble_matches_sum_of_terms(kind, p_points, gammas, framed):
         div = sp.divisor_for_degree(cfg, m)
         scalars = sp.section_basis(div)
         ncand = len(scalars) * alg.dim
-        rows, _ = sp._expansion_condition_rows(cfg, sp._sections(div), range(-dec.depth, dec.depth), "lax")
         # slice vectors (whose entries cancel pole factors) and random ones
-        vectors = sp.nullspace(rows, ncand) + [
+        vectors = sp._slice_kernel(cfg, sp._sections(div))[0] + [
             [rng.choice([0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
              for _ in range(ncand)]
             for _ in range(2)
@@ -166,6 +247,12 @@ def test_g2_rejected():
     alg, dec = la.catalog_grading("g2", 2, 2)
     with pytest.raises(NotImplementedError):
         sp.SphereConfig(dec, (F(0),), (INF,), (F(3),))
+
+
+def test_frame_must_preserve_the_algebra():
+    alg, dec = la.catalog_grading("sp", 2, 1)
+    with pytest.raises(ValueError, match="frame at gamma point 3 does not preserve the algebra"):
+        sp.SphereConfig(dec, (F(0),), (INF,), (F(3),), (Mat.diag([2, 1, 1, 1]),))
 
 
 def test_marked_points_must_be_distinct():
@@ -376,6 +463,8 @@ def test_m_operator_dimension_uniqueness_tangency(mop_setup, rng):
         assert res.matrix.eval(pt).is_zero()
     rep = sp.lax_tangency_check(cfg, l, res.matrix, pole_orders)
     assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)
+    # the auxiliary unknowns are the h-components of M's residues
+    assert rep.nu == res.nu
 
 
 def test_m_operator_trace_power_one(mop_setup, rng):
