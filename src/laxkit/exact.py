@@ -10,7 +10,9 @@ exact: every entry of both operands is a Python ``int`` and
 max|A| * max|B| * (inner dimension), doubled for a commutator, is below
 2**63, so no partial sum can overflow.  The result comes back as Python
 ints.  Any other operands (a ``Fraction`` entry, a larger entry, an empty
-shape) take the exact Python path.
+shape) take the exact Python path: each operand is scaled to integers by
+one lcm, the product is formed in integers, and each entry is divided by
+the product of the two scales once (an ``int`` when that is exact).
 """
 
 from __future__ import annotations
@@ -50,6 +52,35 @@ def _int_height(rows):
     if {*map(type, flat)} != _INT:
         return None
     return max(map(abs, flat))
+
+
+def _ints(values):
+    """(s * values as ints, s) for the least s > 0 that makes them integers."""
+    s = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (s // c.denominator) for c in values], s
+
+
+def _int_rows(rows):
+    """(s * rows as integer rows, s) for the least such s > 0."""
+    s = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
+
+
+def _int_product(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _rational_product(arows, brows, comm=False):
+    """A B, or A B - B A when ``comm`` is set, over the rationals in
+    integers: s_a A and s_b B are integer matrices, and each entry of their
+    product is divided by s_a s_b once."""
+    (a, sa), (b, sb) = _int_rows(arows), _int_rows(brows)
+    out = _int_product(a, b)
+    if comm:
+        out = [[x - y for x, y in zip(r, t)] for r, t in zip(out, _int_product(b, a))]
+    s = sa * sb
+    return out if s == 1 else [[_exact_quotient(x, s) for x in r] for r in out]
 
 
 def _fits_int64(arows, brows, terms):
@@ -111,17 +142,16 @@ class Mat:
             a = np.array(self.rows, dtype=np.int64)
             b = np.array(other.rows, dtype=np.int64)
             return Mat((a @ b).tolist())
-        ocols = list(zip(*other.rows))
-        return Mat([[sum(map(mul, row, col)) for col in ocols] for row in self.rows])
+        return Mat(_rational_product(self.rows, other.rows))
 
     def comm(self, other):
-        if self.n == self.m == other.n == other.m and _fits_int64(
-            self.rows, other.rows, 2 * self.m
-        ):
+        if not self.n == self.m == other.n == other.m:
+            return self @ other - other @ self
+        if _fits_int64(self.rows, other.rows, 2 * self.m):
             a = np.array(self.rows, dtype=np.int64)
             b = np.array(other.rows, dtype=np.int64)
             return Mat((a @ b - b @ a).tolist())
-        return self @ other - other @ self
+        return Mat(_rational_product(self.rows, other.rows, comm=True))
 
     @property
     def T(self):
@@ -177,8 +207,7 @@ def rref(rows, pivot_cols=None):
     """
     a, snum, sden = [], [], []
     for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (s // x.denominator) for x in row]
+        ints, s = _ints(row)
         g = math.gcd(*ints)
         if g > 1:
             ints = [x // g for x in ints]
@@ -223,9 +252,9 @@ def rref(rows, pivot_cols=None):
         if i < r:
             d = row[pivots[i]]
             if d != 1:
-                a[i] = [_exact_quotient(x, d) for x in row]
+                a[i] = [_exact_quotient(x, d) if x else 0 for x in row]
         elif snum[i] != sden[i]:
-            a[i] = [_exact_quotient(x * sden[i], snum[i]) for x in row]
+            a[i] = [_exact_quotient(x * sden[i], snum[i]) if x else 0 for x in row]
     return a, pivots
 
 
@@ -268,8 +297,10 @@ def rank(rows):
 class ColumnSolver:
     """Repeated exact solves of ``B x = v`` for a fixed column family B.
 
-    The elimination of ``[B | I]`` is performed once; each solve is then a
-    single matrix-vector product plus a consistency check on non-pivot rows.
+    The elimination of ``[B | I]`` is performed once.  Its identity block is
+    kept as the nonzero (row, coefficient) pairs of each of its columns, so
+    a solve visits only the columns where v is nonzero: the pivot rows give
+    the coordinates and the other rows the consistency check.
     """
 
     def __init__(self, columns):
@@ -282,19 +313,22 @@ class ColumnSolver:
             aug.append(row)
         red, pivots = rref(aug, pivot_cols=self.ncols)
         self._pivots = pivots
-        self._red = red
+        self._cols = [[(r, row[self.ncols + k]) for r, row in enumerate(red) if row[self.ncols + k]]
+                      for k in range(self.nrows)]
         self.rank = len(pivots)
 
     def solve(self, v):
         """Coordinates x with B x = v, or None if v is outside the span."""
-        nc = self.ncols
-        x = [0] * nc
-        for r in range(len(self._red)):
-            s = sum(self._red[r][nc + k] * v[k] for k in range(self.nrows) if v[k])
-            if r < self.rank:
-                x[self._pivots[r]] = s
-            elif s:
-                return None
+        s = [0] * self.nrows
+        for k, vk in enumerate(v):
+            if vk:
+                for r, c in self._cols[k]:
+                    s[r] += c * vk
+        if any(s[self.rank:]):
+            return None
+        x = [0] * self.ncols
+        for r, c in enumerate(self._pivots):
+            x[c] = s[r]
         return x
 
 

@@ -5,6 +5,11 @@ element is a matrix of rational functions in the global coordinate z, and
 all pole/zero bookkeeping (divisors, Laurent tails, residues) is exact.
 The point at infinity is the sentinel :data:`INF`, with orders measured in
 the local coordinate 1/z.
+
+A polynomial is a tuple of integer numerators over one positive integer
+denominator, and every operation on it runs in integer arithmetic.  A
+``Fraction`` is made only for a scalar that leaves the module: a value, a
+Laurent coefficient or a residue, one per coefficient.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+
+from .exact import Mat, _ints
 
 __all__ = ["INF", "Poly", "RatFunc", "RationalMatrix", "rat_z", "rat_const"]
 
@@ -30,17 +37,80 @@ class _Infinity:
 
 INF = _Infinity()
 
+_ZERO = Fraction(0)
+
+
+def _canon(n, d):
+    """(n, d) in canonical form for the integer list n over the nonzero
+    integer d: trailing zeros stripped, d > 0, gcd(content(n), d) = 1, and
+    d = 1 for the zero polynomial."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return (), 1
+    if d < 0:
+        n, d = [-x for x in n], -d
+    if d > 1:
+        g = math.gcd(d, *n)
+        if g > 1:
+            n, d = [x // g for x in n], d // g
+    return tuple(n), d
+
+
+def _poly(n, d=1):
+    """The polynomial with integer numerators n (a list) over d."""
+    p = object.__new__(Poly)
+    p.n, p.d = _canon(n, d)
+    return p
+
+
+def _primitive(n):
+    """The integer list n divided by its content."""
+    g = math.gcd(*n)
+    return [x // g for x in n] if g > 1 else list(n)
+
+
+def _pdiv(a, b):
+    """(m, q, r) with m a = b q + r and deg r < deg b, for integer
+    coefficient lists a and b (b nonzero), by pseudo-division: each step
+    scales the remainder by lead(b) / gcd(lead(b), lead(r)) only, so m
+    stays 1 when b's leading coefficient divides every remainder's."""
+    r, nb, lc = list(a), len(b), b[-1]
+    q = [0] * max(0, len(r) - nb + 1)
+    m = 1
+    for top in range(len(r) - 1, nb - 2, -1):
+        c = r[top]
+        if not c:
+            continue
+        g = math.gcd(lc, c)
+        s, t = lc // g, c // g
+        if s != 1:
+            r = [x * s for x in r]
+            q = [x * s for x in q]
+            m *= s
+        k = top - nb + 1
+        q[k] = t
+        for j, y in enumerate(b):
+            r[k + j] -= t * y
+    r = r[:nb - 1]
+    while r and not r[-1]:
+        r.pop()
+    return m, q, r
+
 
 class Poly:
-    """Dense polynomial with Fraction coefficients, ascending order."""
+    """Dense polynomial over the rationals, ascending order.
 
-    __slots__ = ("coeffs",)
+    It is held as integer numerators ``n`` (no trailing zeros) over one
+    positive integer denominator ``d`` with gcd(content(n), d) = 1, so
+    equal polynomials have equal (n, d); the zero polynomial is ((), 1).
+    ``coeffs`` gives the coefficients as Fractions, made on each read."""
+
+    __slots__ = ("n", "d")
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        self.n, self.d = _canon(*_ints(cs))
 
     @classmethod
     def const(cls, c):
@@ -48,60 +118,75 @@ class Poly:
 
     @classmethod
     def x(cls):
-        return cls([0, 1])
+        return _poly([0, 1])
+
+    @property
+    def coeffs(self):
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.n) - 1  # -1 for the zero polynomial
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.n
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+    def _combine(self, other, sign):
+        a, b, d = self.n, other.n, self.d
+        if d != other.d:
+            g = math.gcd(d, other.d)
+            fa, fb = other.d // g, d // g
+            a = [x * fa for x in a]
+            b = [x * fb for x in b]
+            d *= fa
+        if sign < 0:
+            b = [-x for x in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _poly(out, d)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        out = object.__new__(Poly)
+        out.n, out.d = tuple(-x for x in self.n), self.d
+        return out
+
+    def _scaled(self, p, q):
+        """This polynomial times the rational p / q (q != 0)."""
+        return _poly([x * p for x in self.n], self.d * q)
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            return _dot((self,), (other,))
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        return _dot((self,), (other,))
+            return self._scaled(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.n, self.d))
 
     def divmod(self, other):
-        if other.is_zero():
+        """(quotient, remainder) by integer pseudo-division: m a = b q + r
+        gives self = other (q db / (m da)) + r / (m da)."""
+        if not other.n:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(r) >= dn:
-            c = r[-1] / dlead
-            q[len(r) - dn] = c
-            for i, b in enumerate(other.coeffs):
-                r[len(r) - dn + i] -= c * b
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                break
-        return Poly(q), Poly(r)
+        m, q, r = _pdiv(self.n, other.n)
+        den = m * self.d
+        return _poly([x * other.d for x in q], den), _poly(r, den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -110,32 +195,40 @@ class Poly:
         return self.divmod(other)[0]
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])
+        """Monic greatest common divisor (zero for two zero polynomials),
+        by pseudo-remainders of primitive integer vectors."""
+        a, b = _primitive(self.n), _primitive(other.n)
+        while b:
+            a, b = b, _primitive(_pdiv(a, b)[2])
+        return _poly(a, a[-1] if a else 1)
 
     def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * x for i, x in enumerate(self.n)][1:], self.d)
 
     def eval(self, x):
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x: an exact Fraction at an int or Fraction x (Horner
+        in integers), and otherwise x's own arithmetic on the coefficients."""
+        if not isinstance(x, (int, Fraction)):
+            acc, d = 0.0, self.d
+            for c in reversed(self.n):
+                acc = acc * x + c / d
+            return acc
+        if not self.n:
+            return _ZERO
+        a, b = x.numerator, x.denominator
+        acc, pw = 0, 1
+        for c in reversed(self.n):
+            acc = acc * a + c * pw
+            pw *= b
+        return Fraction(acc, self.d * (pw // b))
 
     def shift(self, c):
         """Compose with z -> z + c (Taylor recentering at c)."""
-        return Poly(_taylor(self.coeffs, c, len(self.coeffs))) if c else self
+        return _poly(*_taylor(self, c, len(self.n))) if c and self.n else self
 
     def valuation(self):
         """Order of vanishing at 0 (None for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, c in enumerate(self.n) if c), None)
 
     def __repr__(self):
         if self.is_zero():
@@ -143,76 +236,101 @@ class Poly:
         return "Poly(" + " + ".join(f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c) + ")"
 
 
-def _taylor(coeffs, c, n):
-    """The first n Taylor coefficients at c of the polynomial with these
-    Fraction coefficients, in integer arithmetic.  With c = a/b and the
-    polynomial P/L over the integers, q(w) = b^deg P(w/b) has integer
-    coefficients; its Taylor coefficients s_k at a (repeated synthetic
-    division by (w - a), in place, stopped after n passes) give the
-    polynomial's as s_k / (L b^(deg - k))."""
-    q, den = _ints(coeffs)
-    c = Fraction(c)
-    a, b, deg = c.numerator, c.denominator, len(q) - 1
-    q = [x * b ** (deg - j) for j, x in enumerate(q)]
+def _taylor(p, c, n):
+    """(t, den): the first n Taylor coefficients at c of the nonzero
+    polynomial p as integers t over one denominator.  With c = a/b and
+    p = P/L, q(w) = b^deg P(w/b) has integer coefficients; its Taylor
+    coefficients q_k at a (repeated synthetic division by (w - a), in
+    place, stopped after n passes) give p's as t_k / den with
+    t_k = q_k b^k and den = L b^deg."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    a, b, deg = c.numerator, c.denominator, len(p.n) - 1
+    q = list(p.n)
+    if b != 1:
+        pw = [b ** k for k in range(deg + 1)]
+        q = [x * pw[deg - j] for j, x in enumerate(q)]
     for i in range(min(n, deg) if a else 0):
         for j in range(deg - 1, i - 1, -1):
             q[j] += a * q[j + 1]
-    return [Fraction(q[k], den * b ** (deg - k)) for k in range(min(n, deg + 1))]
+    top = min(n, deg + 1)
+    if b == 1:
+        return q[:top], p.d
+    return [q[k] * pw[k] for k in range(top)], p.d * pw[deg]
 
 
-def _valuation(coeffs, c, limit=None):
+def _valuation(p, c, limit=None):
     """Order of vanishing at c of a nonzero polynomial (at most limit)."""
-    t = _taylor(coeffs, c, len(coeffs) if limit is None else limit)
+    t = _taylor(p, c, len(p.n) if limit is None else limit)[0]
     return next((i for i, x in enumerate(t) if x), len(t))
 
 
-def _series_inverse(coeffs, nterms):
-    """Power-series inverse of a unit (c0 != 0), as a coefficient list."""
-    c0 = coeffs[0]
-    inv = [1 / c0]
-    for n in range(1, nterms):
-        s = Fraction(0)
-        for i in range(1, min(n, len(coeffs) - 1) + 1):
-            s += coeffs[i] * inv[n - i]
-        inv.append(-s / c0)
-    return inv
-
-
-def _local(taylor, vq):
-    """(lead, coefficients) of the series with these Taylor coefficients
-    divided by t^vq, with its zero at t = 0 taken out; coefficients () if
-    every given coefficient vanishes."""
-    vp = next((i for i, c in enumerate(taylor) if c), None)
-    return (0, ()) if vp is None else (vp - vq, taylor[vp:])
+def _series_inverse(u, nterms):
+    """Integers w with 1/u = sum_k w_k t^k / u_0^(k+1) for the integer
+    power series u (u_0 != 0): w_0 = 1 and
+    w_k = -sum_{i >= 1} u_i u_0^(i-1) w_(k-i)."""
+    u0 = u[0]
+    v = [x * u0 ** (i - 1) for i, x in enumerate(u[:nterms]) if i]
+    w = [1]
+    for k in range(1, nterms):
+        w.append(-sum(v[i - 1] * w[k - i] for i in range(1, min(k, len(v)) + 1)))
+    return w
 
 
 def _orders(nums, den, point):
     """Order of every nums[k] / den at a point of P^1 (None for a zero
     numerator), with the denominator's valuation taken once."""
     if point is INF:
-        return [den.degree - a.degree if a.coeffs else None for a in nums]
-    vd = _valuation(den.coeffs, point)
-    return [_valuation(a.coeffs, point) - vd if a.coeffs else None for a in nums]
+        return [den.degree - a.degree if a.n else None for a in nums]
+    vd = _valuation(den, point)
+    return [_valuation(a, point) - vd if a.n else None for a in nums]
 
 
 def _laurent(nums, den, point, hi):
     """Laurent expansions at a point or INF of every nums[k] / den, as
     (lead, coefficients of degrees lead..hi) (None for a zero numerator).
 
-    Each entry is t^lead pc(t) / u(t) in the local coordinate t, with
-    u(0) != 0 (at INF, t = 1/z and the coefficients are reversed).  The
-    denominator is shifted and its series inverted once; each numerator is
-    expanded to degree hi only and convolved with it."""
+    Each entry is t^lead (pc(t) / dp) / (u(t) / du) in the local coordinate
+    t, for integer series pc and u with u(0) != 0 (at INF, t = 1/z and the
+    numerators are reversed).  The denominator is shifted and its series
+    inverted once, as integers w_k over u_0^(k+1); each numerator is
+    expanded to degree hi only and convolved with it in integers, and each
+    coefficient du sum_x pc_x u_0^x w_(k-x) / (dp u_0^(k+1)) is one
+    Fraction."""
     if point is INF:
-        u = den.coeffs[::-1]
-        parts = [(den.degree - a.degree, a.coeffs[::-1]) for a in nums]
+        u, du = den.n[::-1], den.d
+        parts = [(den.degree - a.degree, a.n[::-1], a.d) if a.n else None for a in nums]
     else:
-        vq, u = _local(_taylor(den.coeffs, point, len(den.coeffs)), 0)
-        parts = [_local(_taylor(a.coeffs, point, hi + vq + 1), vq) for a in nums]
-    inv = _series_inverse(u, max((hi - lead + 1 for lead, pc in parts if pc), default=1))
-    return [(lead, [sum(pc[x] * inv[k - x] for x in range(min(k + 1, len(pc))))
-                    for k in range(hi - lead + 1)]) if pc else None
-            for lead, pc in parts]
+        t, du = _taylor(den, point, len(den.n))
+        vq = next(i for i, x in enumerate(t) if x)
+        u = t[vq:]
+        parts = []
+        for a in nums:
+            if not a.n:
+                parts.append(None)
+                continue
+            t, da = _taylor(a, point, hi + vq + 1)
+            vp = next((i for i, x in enumerate(t) if x), None)
+            parts.append(None if vp is None else (vp - vq, t[vp:], da))
+    nterms = max([hi - p[0] + 1 for p in parts if p] + [1])
+    w, u0 = _series_inverse(u, nterms), u[0]
+    pw = [1]
+    for _ in range(nterms):
+        pw.append(pw[-1] * u0)
+    out = []
+    for part in parts:
+        if part is None:
+            out.append(None)
+            continue
+        lead, pc, dp = part
+        top = max(hi - lead + 1, 0)
+        pc = [x * pw[i] for i, x in enumerate(pc[:top])]
+        coeffs = []
+        for k in range(top):
+            s = sum(pc[x] * w[k - x] for x in range(min(k + 1, len(pc))))
+            coeffs.append(Fraction(du * s, dp * pw[k + 1]) if s else _ZERO)
+        out.append((lead, coeffs))
+    return out
 
 
 def _poles_within(nums, den, points):
@@ -220,22 +338,25 @@ def _poles_within(nums, den, points):
     zero numerator), from the numerator valuations at the listed roots of
     den; the leftover takes a gcd only when den has roots off the list."""
     points = list(dict.fromkeys(points))
-    mults = {c: _valuation(den.coeffs, c) for c in points if c is not INF}
+    mults = {c: _valuation(den, c) for c in points if c is not INF}
     off_list = den.degree > sum(mults.values())
     out = []
     for a in nums:
-        if not a.coeffs:
+        if not a.n:
             out.append(None)
             continue
         orders = {}
         for c in points:
-            k = a.degree - den.degree if c is INF else mults[c] - _valuation(a.coeffs, c, mults[c])
+            k = a.degree - den.degree if c is INF else mults[c] - _valuation(a, c, mults[c])
             if k > 0:
                 orders[c] = k
         # the reduced denominator has degree den.degree - deg gcd(a, den)
         finite = sum(k for c, k in orders.items() if c is not INF)
         out.append((orders, den.degree - a.gcd(den).degree - finite if off_list else 0))
     return out
+
+
+_ONE = _poly([1])
 
 
 class RatFunc:
@@ -245,28 +366,29 @@ class RatFunc:
 
     def __init__(self, num, den=None, reduce=True):
         if not isinstance(num, Poly):
-            num = Poly.const(Fraction(num))
+            num = Poly.const(num)
         if den is None:
-            den = Poly([1])
+            den = _ONE
         elif not isinstance(den, Poly):
-            den = Poly.const(Fraction(den))
+            den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce:
             g = num.gcd(den)
-            if not g.is_zero() and g.degree > 0:
+            if g.degree > 0:
                 num = num // g
                 den = den // g
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
+            lead = den.n[-1]
+            if lead != den.d:
+                # den = D / d has the leading coefficient lead / d
+                num = num._scaled(den.d, lead)
+                den = _poly(list(den.n), lead)
         self.num = num
         self.den = den
 
     @classmethod
     def zero(cls):
-        return cls(Poly([]), Poly([1]), reduce=False)
+        return cls(_poly([]), _ONE, reduce=False)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -292,9 +414,9 @@ class RatFunc:
         other = _coerce(other)
         # a nonzero constant factor keeps the quotient reduced
         if other.num.degree == 0 and other.den.degree == 0:
-            return RatFunc(self.num * other.num.coeffs[0], self.den, reduce=False)
+            return RatFunc(self.num._scaled(other.num.n[0], other.num.d), self.den, reduce=False)
         if self.num.degree == 0 and self.den.degree == 0:
-            return RatFunc(other.num * self.num.coeffs[0], other.den, reduce=False)
+            return RatFunc(other.num._scaled(self.num.n[0], self.num.d), other.den, reduce=False)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -309,7 +431,7 @@ class RatFunc:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = RatFunc(Poly([1]))
+        out = RatFunc(_ONE)
         base = self
         while n:
             if n & 1:
@@ -327,8 +449,8 @@ class RatFunc:
 
     def __hash__(self):
         # a constant equals, so must hash as, its value as a number
-        if self.den.coeffs == (1,) and len(self.num.coeffs) <= 1:
-            return hash(self.num.coeffs[0] if self.num.coeffs else 0)
+        if self.den == _ONE and self.num.degree <= 0:
+            return hash(Fraction(self.num.n[0], self.num.d) if self.num.n else 0)
         return hash((self.num, self.den))
 
     def derivative(self):
@@ -366,9 +488,9 @@ class RatFunc:
         if point is INF:
             # res_inf f dz = -coeff of u^1 in f(1/u) ... computed via z-series
             tail = self.laurent_at(INF, 1)
-            return -tail.get(1, Fraction(0))
+            return -tail.get(1, _ZERO)
         tail = self.laurent_at(point, -1)
-        return tail.get(-1, Fraction(0))
+        return tail.get(-1, _ZERO)
 
     def poles_within(self, points):
         """Pole orders at the listed points plus any leftover denominator.
@@ -385,38 +507,39 @@ class RatFunc:
 def _coerce(x):
     if isinstance(x, RatFunc):
         return x
-    return RatFunc(Poly.const(Fraction(x)))
+    return RatFunc(Poly.const(x), _ONE, reduce=False)
 
 
 def rat_z():
-    return RatFunc(Poly.x())
+    return RatFunc(Poly.x(), _ONE, reduce=False)
 
 
 def rat_const(c):
-    return RatFunc(Poly.const(Fraction(c)))
-
-
-def _ints(coeffs):
-    """(integer coefficients, common denominator) of Fraction coefficients."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+    return RatFunc(Poly.const(c), _ONE, reduce=False)
 
 
 def _dot(row, col):
-    """sum_k row[k] * col[k] over polynomials, accumulated over one common
-    denominator in integer arithmetic."""
+    """sum_k row[k] * col[k] over polynomials, accumulated in integers over
+    one common denominator."""
     out, den = [], 1
     for a, b in zip(row, col):
-        if a.coeffs and b.coeffs:
-            (ia, da), (ib, db) = _ints(a.coeffs), _ints(b.coeffs)
-            lcm = math.lcm(den, da * db)
-            out = [x * (lcm // den) for x in out] + [0] * (len(ia) + len(ib) - 1 - len(out))
-            f, den = lcm // (da * db), lcm
-            for i, x in enumerate(ia):
+        if a.n and b.n:
+            d = a.d * b.d
+            f = 1
+            if d != den:
+                lcm = math.lcm(den, d)
+                if lcm != den:
+                    out = [x * (lcm // den) for x in out]
+                    den = lcm
+                f = lcm // d
+            if len(out) < len(a.n) + len(b.n) - 1:
+                out += [0] * (len(a.n) + len(b.n) - 1 - len(out))
+            for i, x in enumerate(a.n):
                 if x:
-                    for j, y in enumerate(ib):
-                        out[i + j] += f * x * y
-    return Poly([Fraction(x, den) for x in out])
+                    x *= f
+                    for j, y in enumerate(b.n):
+                        out[i + j] += x * y
+    return _poly(out, den)
 
 
 def _products(a, b):
@@ -439,9 +562,9 @@ class RationalMatrix:
 
     def __init__(self, rows):
         entries = [[_coerce(e) for e in r] for r in rows]
-        den = Poly([1])  # the lcm of the entries' denominators
+        den = _ONE  # the lcm of the entries' denominators
         for e in (e for r in entries for e in r):
-            if e.num.coeffs and e.den != den:
+            if e.num.n and e.den != den:
                 den = den * (e.den // den.gcd(e.den))
         self._set([[e.num * (den // e.den) for e in r] for r in entries], den)
 
@@ -460,7 +583,7 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, n, m=None):
-        return cls.over([[Poly([])] * (n if m is None else m) for _ in range(n)], Poly([1]))
+        return cls.over([[_poly([])] * (n if m is None else m) for _ in range(n)], _ONE)
 
     @classmethod
     def from_scalar_matrix(cls, mat, f):
@@ -472,7 +595,7 @@ class RationalMatrix:
     def rows(self):
         """The entries as reduced ``RatFunc``s."""
         zero = RatFunc.zero()
-        return tuple(tuple(RatFunc(a, self.den) if a.coeffs else zero for a in r) for r in self.nums)
+        return tuple(tuple(RatFunc(a, self.den) if a.n else zero for a in r) for r in self.nums)
 
     def _flat(self):
         return [a for r in self.nums for a in r]
@@ -515,7 +638,7 @@ class RationalMatrix:
                                    self.den * other.den)
 
     def trace(self):
-        acc = Poly([])
+        acc = _poly([])
         for i in range(min(self.n, self.m)):
             acc = acc + self.nums[i][i]
         return RatFunc(acc, self.den)
@@ -526,15 +649,13 @@ class RationalMatrix:
         return RationalMatrix.over([[a.derivative() * d - a * dd for a in r] for r in self.nums], d * d)
 
     def eval(self, x):
-        from .exact import Mat
-
         d = self.den.eval(x)
         if d == 0:  # the reduced entries decide whether x is a pole
             return Mat([[e.eval(x) for e in r] for r in self.rows])
         return Mat([[a.eval(x) / d for a in r] for r in self.nums])
 
     def is_zero(self):
-        return not any(a.coeffs for r in self.nums for a in r)
+        return not any(a.n for r in self.nums for a in r)
 
     def laurent_coefficient(self, point, degree):
         return self.laurent_coefficients(point, degree, degree)[degree]
@@ -542,13 +663,10 @@ class RationalMatrix:
     def laurent_coefficients(self, point, lo, hi):
         """Laurent coefficient matrices at a point or INF for degrees lo..hi,
         as a dict degree -> Mat, from one expansion of the denominator."""
-        from .exact import Mat
-
         tails = _laurent(self._flat(), self.den, point, hi)
-        zero = Fraction(0)
         out = {}
         for p in range(lo, hi + 1):
-            flat = [zero if t is None or p < t[0] else t[1][p - t[0]] for t in tails]
+            flat = [_ZERO if t is None or p < t[0] else t[1][p - t[0]] for t in tails]
             out[p] = Mat(self._shape(flat))
         return out
 
@@ -564,8 +682,8 @@ class RationalMatrix:
     def matpow(self, p):
         if p < 0:
             raise ValueError("negative matrix power")
-        acc = RationalMatrix.over([[Poly([int(i == j)]) for j in range(self.m)] for i in range(self.n)],
-                                  Poly([1]))
+        acc = RationalMatrix.over([[_poly([int(i == j)]) for j in range(self.m)] for i in range(self.n)],
+                                  _ONE)
         base = self
         while p:
             if p & 1:

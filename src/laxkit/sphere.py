@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import ColumnSolver, Mat, mat_inverse, nullspace, rref
+from .exact import ColumnSolver, Mat, _int_rows, _ints, mat_inverse, nullspace, rref
 from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
-from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _ints, rat_const
+from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _poly, rat_const
 
 __all__ = [
     "SphereConfig",
@@ -212,11 +212,12 @@ def _skeleton(divisor):
     """(zeros, poles, count) with the sections of the divisor spanned by
     zeros z^i / poles for i < count, where poles = prod (z - c)^w over the
     finite points with w > 0 and zeros the same product over w < 0."""
-    zeros, poles = Poly([1]), Poly([1])
+    zeros = poles = _poly([1])
     for c, w in divisor.items():
         if c is INF:
             continue
-        factor = Poly([-Fraction(c), 1])
+        c = Fraction(c)
+        factor = _poly([-c.numerator, c.denominator], c.denominator)
         for _ in range(abs(w)):
             if w > 0:
                 poles = poles * factor
@@ -229,7 +230,7 @@ def _sections(divisor):
     """The section basis as one 1 x count matrix over the skeleton's
     denominator."""
     zeros, poles, count = _skeleton(divisor)
-    return RationalMatrix.over([[zeros * Poly([0] * i + [1]) for i in range(count)]], poles)
+    return RationalMatrix.over([[_poly([0] * i + list(zeros.n), zeros.d) for i in range(count)]], poles)
 
 
 def section_basis(divisor):
@@ -275,8 +276,8 @@ def _section_row(values, sup, dim, width):
 
 def _int_matrix(m):
     """(s m, s) for the least s > 0 that makes s m an integer matrix."""
-    flat, s = _ints(m.flatten())
-    return Mat([flat[i:i + m.m] for i in range(0, len(flat), m.m)]), s
+    rows, s = _int_rows(m.rows)
+    return Mat(rows), s
 
 
 def _gamma_tails(cfg, sections, hi):
@@ -366,28 +367,24 @@ def _assemble(cfg, div, vectors):
     The sections share one skeleton, s_si = zeros z^si / poles, so every
     matrix is one denominator, the product of the poles, over the
     numerators zeros P(z), where the coefficients of P are that entry's
-    coordinates.  Each vector is scaled to integers by one lcm, P is formed
-    and multiplied by the integer zeros in integer arithmetic, and each
-    numerator coefficient becomes one Fraction."""
+    coordinates.  Each vector is scaled to integers by one lcm, and P is
+    formed from the scaled coordinates of the basis elements that have the
+    entry in their support, then multiplied by zeros in integers."""
     dim = cfg.alg.dim
     zeros, poles, count = _skeleton(div)
-    zi, zd = _ints(zeros.coeffs)
     support = _support(cfg.alg.basis)
     out = []
     for coords in vectors:
         ci, cd = _ints(coords)
-        den = zd * cd
+        cols = [ci[bi::dim] for bi in range(dim)]
         nums = []
         for srow in support:
             nrow = []
             for sup in srow:
-                conv = [0] * (len(zi) + count - 1)
-                for si in range(count):
-                    c = sum(ci[si * dim + bi] * e for bi, e in sup)
-                    if c:
-                        for a, z in enumerate(zi):
-                            conv[a + si] += c * z
-                nrow.append(Poly([Fraction(x, den) for x in conv]))
+                p = [0] * count
+                for bi, e in sup:
+                    p = [x + e * y for x, y in zip(p, cols[bi])]
+                nrow.append(_poly(p, cd) * zeros)
             nums.append(nrow)
         out.append(RationalMatrix.over(nums, poles))
     return out
@@ -679,15 +676,19 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     # degree-p coefficient in the gamma point's frame, t_p (x) A[j], vanish
     # when deg j > p, except that at p = -1 they may equal a free multiple
     # (one auxiliary unknown per gamma point) of h's coordinates
+    # (only the reduced rows are used, so each row is scaled to integers)
     hc = alg.coordinates(dec.h)
     rows = []
     for gi, (tails, adj) in enumerate(zip(_gamma_tails(cfg, sections, -1), cfg._adjoints)):
+        adj_rows = [_ints(r) for r in adj.rows]
         for p, t in tails.items():
+            t, st = _ints(t)
             for j, deg in enumerate(dec.degrees):
                 if deg > p:
-                    row = [c * e for c in t for e in adj.rows[j]] + [0] * len(cfg.gamma_points)
+                    aj, sa = adj_rows[j]
+                    row = [c * e for c in t for e in aj] + [0] * len(cfg.gamma_points)
                     if p == -1:
-                        row[ncand + gi] = -hc[j]
+                        row[ncand + gi] = -hc[j] * st * sa
                     if any(row):
                         rows.append(row)
     red, pivots = rref(rows)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from laxkit import exact
 from laxkit.exact import ColumnSolver, Mat, _fits_int64, mat_inverse, nullspace, rank, rref
 
 
@@ -150,6 +151,83 @@ def test_mixed_int_and_fraction_operands():
         assert (ma @ mb).rows == tuple(map(tuple, _reference_product(a, b)))
         assert (mb @ ma).rows == tuple(map(tuple, _reference_product(b, a)))
         assert ma.comm(mb).rows == tuple(map(tuple, _reference_comm(a, b)))
+
+
+def _scalar(rng):
+    """An int or a Fraction, with large and negative denominators among them."""
+    return rng.choice([
+        0, rng.randint(-9, 9), rng.randint(-10 ** 12, 10 ** 12),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        Fraction(rng.randint(-10 ** 6, 10 ** 6), -rng.randint(1, 10 ** 9)),
+        Fraction(rng.choice([-4, 6, 10]), 2),
+    ])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_products_match_reference_sums(seed):
+    # mixed int/Fraction operands: each entry is the reference sum, an int
+    # exactly when it is integral and a Fraction otherwise
+    rng = random.Random(seed)
+    for _ in range(30):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[_scalar(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_scalar(rng) for _ in range(m)] for _ in range(k)]
+        c = [[_scalar(rng) for _ in range(n)] for _ in range(n)]
+        d = [[_scalar(rng) for _ in range(n)] for _ in range(n)]
+        for got, want in ((Mat(a) @ Mat(b), _reference_product(a, b)),
+                          (Mat(c).comm(Mat(d)), _reference_comm(c, d))):
+            assert got.rows == tuple(map(tuple, want))
+            for x in got.flatten():
+                assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), x
+
+
+def test_integer_operands_keep_the_int64_path(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integer operands reached the rational path")
+
+    monkeypatch.setattr(exact, "_rational_product", fail)
+    rng = random.Random(8)
+    a = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
+    b = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
+    assert (Mat(a) @ Mat(b)).rows == tuple(map(tuple, _reference_product(a, b)))
+    assert Mat(a).comm(Mat(b)).rows == tuple(map(tuple, _reference_comm(a, b)))
+    assert _all_int(Mat(a) @ Mat(b)) and _all_int(Mat(a).comm(Mat(b)))
+
+
+def _dense_solve(columns, v):
+    """Gauss-Jordan on [B | v]: the solution with free coordinates 0, or None."""
+    ncols = len(columns)
+    red, pivots = _rref_over_q([[c[i] for c in columns] + [v[i]] for i in range(len(v))], ncols)
+    if any(row[-1] for row in red[len(pivots):]):
+        return None
+    x = [0] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][-1]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_solver_matches_a_dense_solve(seed):
+    # the columns of a rank-deficient rational matrix; v in their span, a
+    # random v (mostly outside it) and zero
+    rng = random.Random(seed)
+    rejected = 0
+    for _ in range(25):
+        rows = _random_rank_deficient(rng)
+        cols, nrows = [list(c) for c in zip(*rows)], len(rows)
+        solver = ColumnSolver(cols)
+        coef = [rng.randint(-3, 3) for _ in cols]
+        inside = [sum(k * Fraction(c[i]) for k, c in zip(coef, cols)) for i in range(nrows)]
+        outside = [_scalar(rng) for _ in range(nrows)]
+        for v in (inside, outside, [0] * nrows):
+            x = solver.solve(v)
+            assert x == _dense_solve(cols, v), (cols, v)
+            if x is None:
+                rejected += 1
+            else:
+                assert [sum(c[i] * xi for c, xi in zip(cols, x)) for i in range(nrows)] == v
+        assert solver.solve(inside) is not None
+    assert rejected > 0
 
 
 def test_entries_beyond_the_int64_bound_stay_exact():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -287,3 +289,186 @@ def test_matrix_operations_match_entrywise_references(seed):
             else:
                 assert got.eval(x).rows == tuple(map(tuple, want)), (name, x)
     assert a.trace() == sum((ea[i][i] for i in range(n)), RatFunc.zero())
+
+
+# ---------------------------------------------------------------------------
+# the integer Poly against a plain Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _strip(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+    return _strip(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    q, r = [F(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        q[len(r) - len(b)] = c
+        for i, y in enumerate(b):
+            r[len(r) - len(b) + i] -= c * y
+        r = _strip(r)
+    return _strip(q), r
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [x / a[-1] for x in a] if a else []
+
+
+def _ref_eval(a, x):
+    acc = F(0) if isinstance(x, (int, F)) else 0.0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_shift(a, c):
+    # Horner in polynomials: a(z + c)
+    acc = []
+    for x in reversed(a):
+        acc = _ref_add(_ref_mul(acc, [c, 1]), [x])
+    return acc
+
+
+def _ref_series(num, den, point, upto):
+    """(lead, coefficients of degrees lead..upto) of num / den at a point or
+    INF, by a Fraction series inverse; None for a zero numerator."""
+    if not num:
+        return None
+    if point is INF:
+        lead, pn, pd = len(den) - len(num), num[::-1], den[::-1]
+    else:
+        pn, pd = _ref_shift(num, point), _ref_shift(den, point)
+        vn = next(i for i, x in enumerate(pn) if x)
+        vd = next(i for i, x in enumerate(pd) if x)
+        lead, pn, pd = vn - vd, pn[vn:], pd[vd:]
+    n = max(upto - lead + 1, 0)
+    inv = [1 / pd[0]]
+    for k in range(1, n):
+        inv.append(-sum(pd[i] * inv[k - i] for i in range(1, min(k, len(pd) - 1) + 1)) / pd[0])
+    return lead, [sum(pn[x] * inv[k - x] for x in range(min(k + 1, len(pn)))) for k in range(n)]
+
+
+def _random_coeffs(rng):
+    """Coefficient lists: zero, constants and denser ones, with zero gaps,
+    negative and large denominators."""
+    size = rng.choice([0, 1, 1, 2, 3, 4, 6])
+
+    def scalar():
+        return rng.choice([
+            0, rng.randint(-9, 9), rng.randint(-10 ** 15, 10 ** 15),
+            F(rng.randint(-9, 9), rng.randint(1, 9)),
+            F(rng.randint(-10 ** 6, 10 ** 6), -rng.randint(1, 10 ** 12)),
+            F(rng.randint(1, 5), -rng.choice([2, 4, 6])),
+        ])
+
+    return [scalar() for _ in range(size)]
+
+
+def _assert_canonical(p):
+    assert p.d > 0 and all(type(x) is int for x in p.n)
+    assert not p.n or p.n[-1] != 0
+    assert p.n or p.d == 1
+    assert gcd(p.d, *p.n) == 1
+
+
+def _same(p, ref):
+    _assert_canonical(p)
+    return list(p.coeffs) == _strip(ref)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_poly_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    points = [F(0), F(1), F(-2, 3), F(7, -5), F(10 ** 9 + 7, 3 ** 11)]
+    for _ in range(60):
+        ca, cb = _random_coeffs(rng), _random_coeffs(rng)
+        a, b = Poly(ca), Poly(cb)
+        ra, rb = _strip(ca), _strip(cb)
+        assert _same(a, ra) and _same(b, rb)
+        assert _same(a + b, _ref_add(ra, rb)) and _same(a - b, _ref_add(ra, rb, -1))
+        assert _same(-a, [-x for x in ra])
+        assert _same(a * b, _ref_mul(ra, rb))
+        for s in (0, 3, -7, F(-5, 6), F(10 ** 10, 3)):
+            assert _same(a * s, [x * s for x in ra]) and _same(s * a, [x * s for x in ra])
+        if rb:
+            q, r = a.divmod(b)
+            rq, rr = _ref_divmod(ra, rb)
+            assert _same(q, rq) and _same(r, rr)
+            assert _same(a // b, rq) and _same(a % b, rr)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+        # a gcd with a shared factor, and one with a constant
+        shared = _ref_mul(ra, _ref_mul(rb, [F(-2, 3), 1]))
+        for x, y in ((a, b), (Poly(shared), a * Poly([F(-2, 3), 1])), (a, Poly([5]))):
+            assert _same(x.gcd(y), _ref_gcd(list(x.coeffs), list(y.coeffs)))
+        assert _same(a.derivative(), [i * x for i, x in enumerate(ra)][1:])
+        for c in points:
+            assert _same(a.shift(c), _ref_shift(ra, c))
+            got = a.eval(c)
+            assert type(got) is F and got == _ref_eval(ra, c)
+        for x in (0.37, -2.5, 1e3):
+            assert a.eval(x) == _ref_eval(ra, x)
+        assert a.valuation() == next((i for i, x in enumerate(ra) if x), None)
+        assert a.degree == len(ra) - 1 and a.is_zero() == (not ra)
+        assert (a == Poly(ra)) and hash(a) == hash(Poly(ra))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laurent_tails_match_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    roots = [F(0), F(1), F(-2, 3), F(5, 7)]
+    for _ in range(25):
+        num = Poly(_random_coeffs(rng))
+        den = Poly([rng.choice([1, F(-3, 4), F(2, 9)])])
+        for _ in range(rng.randint(0, 3)):
+            den = den * Poly([-rng.choice(roots), rng.choice([1, 2, -3])])
+        f = RatFunc(num, den)
+        rn, rd = list(f.num.coeffs), list(f.den.coeffs)
+        m = RationalMatrix([[f, 1 / (rat_z() - F(1))], [f * F(2, 3), rat_const(0)]])
+        for point in roots + [F(-9, 4), INF]:
+            for upto in (-2, 0, 3):
+                ref = _ref_series(rn, rd, point, upto)
+                want = {} if ref is None else {ref[0] + k: c for k, c in enumerate(ref[1]) if c}
+                assert f.laurent_at(point, upto) == want, (num, den, point, upto)
+            if point is INF:
+                assert f.residue_at(INF) == -want.get(1, 0)
+            else:
+                assert f.residue_at(point) == want.get(-1, 0)
+            coeffs = m.laurent_coefficients(point, -3, 2)
+            for p, c in coeffs.items():
+                assert all(type(x) is F for x in c.flatten())
+                assert c.rows == tuple(tuple(e.laurent_at(point, 2).get(p, 0) for e in r) for r in m.rows)
+
+
+def test_canonical_form_and_constant_hashes():
+    a, b = Poly([F(1, 2), 1]), Poly([F(2, 4), F(3, 3)])
+    assert a == b and hash(a) == hash(b) and (a.n, a.d) == ((1, 2), 2)
+    assert Poly([0, 0]) == Poly([]) and (Poly([]).n, Poly([]).d) == ((), 1)
+    assert Poly([F(-3, 6), F(2, -4)]) == Poly([F(-1, 2), F(-1, 2)])
+    assert (Poly([F(-1, 2), F(-1, 2)]).n, Poly([F(-1, 2), F(-1, 2)]).d) == ((-1, -1), 2)
+    assert hash(rat_const(F(1, 2))) == hash(0.5)
+    # a monic denominator with rational coefficients
+    f = RatFunc(Poly([1]), Poly([F(-1, 2), 1]))
+    assert f.den.coeffs == (F(-1, 2), F(1)) and (f.den.n, f.den.d) == ((-1, 2), 2)
+    assert RatFunc(Poly([2]), Poly([-1, 2])) == f
