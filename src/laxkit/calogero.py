@@ -217,35 +217,30 @@ def _arguments(sys_, q):
 def _guarded(sys_, q, fn):
     """``fn`` (a guarded lattice function) at the plan's arguments; a guard
     hit becomes the CollisionError naming the argument."""
-    args = _arguments(sys_, q)
     try:
-        return fn(args)
-    except PoleProximityError:
-        raise _collision_error(sys_, args) from None
+        return fn(_arguments(sys_, q))
+    except PoleProximityError as exc:
+        raise _collision_error(sys_, exc.index) from None
 
 
-def _collision_error(sys_, args):
-    """CollisionError naming the first of the plan's arguments ``args``
-    within the guard radius, or None."""
-    lat = sys_.lattice
-    lim = lat._guard_radius
-    hit = np.flatnonzero(lat.lattice_distance(args) < lim)
-    if not hit.size:
-        return None
-    kind, particles = sys_._plan.labels[hit[0]]
+def _collision_error(sys_, index):
+    """CollisionError naming the plan's argument ``index``."""
+    kind, particles = sys_._plan.labels[index]
     label = kind
     for sym, k in zip(("i", "j"), particles):
         label = label.replace(f"_{sym}", f"_{k}")
     return CollisionError(f"particle collision: argument {label} (kind {kind}) within "
-                          f"{lim:.1e} of a lattice point", kind=kind, particles=particles)
+                          f"{sys_.lattice._guard_radius:.1e} of a lattice point",
+                          kind=kind, particles=particles)
 
 
 def check_state(sys_, state):
     """Raise CollisionError, naming the argument, if one of the state's
     collision arguments lies within the guard radius of the lattice."""
-    err = _collision_error(sys_, _arguments(sys_, state.q))
-    if err is not None:
-        raise err
+    lat = sys_.lattice
+    hit = np.flatnonzero(lat.lattice_distance(_arguments(sys_, state.q)) < lat._guard_radius)
+    if hit.size:
+        raise _collision_error(sys_, hit[0])
 
 
 def _sigma_table(lat, args):

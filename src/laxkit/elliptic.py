@@ -11,15 +11,25 @@ argument lies within the guard radius of a lattice point.  All functions
 take a scalar (returning a Python complex) or an array of any shape, and a
 value does not depend on the shape or length of the batch it came in.
 
+The theta series is summed in factored form.  With s = sin u and c = cos u,
+sin(ku) = (-1)^n T_k(s) and cos(ku) = T_k(c) for odd k = 2n + 1 (T_k the
+Chebyshev polynomial), so theta_1 = s A(s^2) and theta_1'' are odd
+polynomials in s, theta_1' and theta_1''' odd polynomials in c.  A call takes
+one sine and one cosine per argument, not one per series term, and each row
+keeps its zeros as an exact factor: s on the lattice, c at the half-periods.
+Values there stay as accurate as the rounding of u itself.
+
 Everything that does not depend on the arguments is built once per lattice:
-the conjugated basis and denominators of the reduction, the guard radius,
-the scaled wave numbers (pi/Ar) k, sigma's theta_1 weights over sin(ku), and
-one (4, 2T) block of the weights of theta_1 and its first three derivatives
-over [sin(ku) | cos(ku)], zero off-block.  A call then reduces the arguments
-in one (N, 2) pass.  sigma sums its sin-only row; zeta, wp and wp' form all
-their theta sums as one product and one row sum per argument and read them
-as ratios to theta_1.  So the equations of motion, which call wp' on 1 to 19
-arguments for n <= 3, pay a fixed cost of about two dozen numpy operations.
+the conjugated basis and denominators of the reduction, the guard radius and
+one (2, 2, 1, T) block of the weights of theta_1 to theta_1''' over those
+powers.  wp has its own block, with E2/3 theta_1 folded into the theta_1''
+row, so its constant term costs no cancelling sum at run time.  A call
+reduces the arguments in one (N, 2) pass.  sigma sums its row over the odd
+powers of s alone; zeta, wp and wp' raise [s, c] to the odd powers in one
+operation, form all their theta sums as one product and one row sum per
+argument and read them as ratios to theta_1.  So the equations of motion,
+which call wp' on 1 to 19 arguments for n <= 3, pay a fixed cost of about
+two dozen numpy operations.
 """
 
 from __future__ import annotations
@@ -33,7 +43,48 @@ __all__ = ["Lattice", "PoleProximityError"]
 
 
 class PoleProximityError(ValueError):
-    """Argument within the guard radius of a lattice point."""
+    """Argument within the guard radius of a lattice point.
+
+    ``index`` is the flat index of the first such argument in its batch and
+    ``distance`` its distance to the nearest lattice point."""
+
+    def __init__(self, index, distance, radius):
+        super().__init__(f"argument {index} at distance {distance:.3e} from a lattice point, "
+                         f"within the guard radius {radius:.3e}")
+        self.index = index
+        self.distance = distance
+
+
+def _theta_weights(c, shift):
+    """Weights of theta_1(u) = sum_n c_n sin(ku), k = 2n + 1, and of its first
+    three derivatives over odd powers of sin u and cos u, as (2, 2, 1, T)
+    blocks: [a, b] holds derivative 2a + b over sin(u)^k (b = 0) or cos(u)^k
+    (b = 1), k descending.  The second block has theta_1'' + shift theta_1 in
+    place of theta_1''.
+
+    sin(ku) = (-1)^n T_k(sin u) and cos(ku) = T_k(cos u), with T_k the
+    Chebyshev polynomial, so each row keeps its zeros as an exact factor: sin u
+    on the lattice and cos u at the half-periods."""
+    terms = len(c)
+    cheb = [[1], [0, 1]]
+    while len(cheb) < 2 * terms:
+        nxt = [0] + [2 * v for v in cheb[-1]]
+        for i, v in enumerate(cheb[-2]):
+            nxt[i] -= v
+        cheb.append(nxt)
+    # odd[n, j]: the coefficient of t^(2j+1) in T_k(t); mult[d, n, j] the
+    # integer multiple of c_n in the weight of derivative d on power 2j + 1,
+    # from theta_1^(d) = sum c_n k^d (sin, cos, -sin, -cos)(ku)
+    odd = np.array([cheb[2 * n + 1][1::2] + [0] * (terms - n - 1) for n in range(terms)], dtype=float)
+    k = 2.0 * np.arange(terms)[:, None] + 1
+    sin_sign = (-1.0) ** np.arange(terms)[:, None]
+    mult = np.array([sin_sign * odd, k * odd, -(k**2) * sin_sign * odd, -(k**3) * odd])
+    # one rounded product per term, and the small terms (high n) summed
+    # first: the n = 0 term, c_0 times +-1, is exact and the largest
+    w = sum(c[n] * mult[:, n] for n in reversed(range(terms)))
+    shifted = w.copy()
+    shifted[2] += shift * w[0]
+    return tuple(np.ascontiguousarray(v[:, ::-1]).reshape(2, 2, 1, terms) for v in (w, shifted))
 
 
 def _reduce_basis(a, b, max_iter=100):
@@ -101,19 +152,19 @@ class Lattice:
         ns = np.arange(nmax + 1)
         k = 2 * ns + 1
         c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
-        # u = pi z0 / Ar, so ku = z0 times the scaled wave numbers
-        self._kscaled = (np.pi / self.Ar) * k
-        # sigma's theta_1 row over sin(ku) alone, and the rows of theta_1,
-        # theta_1', theta_1'' and theta_1''' over [sin(ku) | cos(ku)]
-        self._w_sigma = c
-        zero = np.zeros_like(c)
-        self._w = np.array([np.concatenate(row) for row in
-                            ((c, zero), (zero, c * k), (-(c * k * k), zero), (zero, -(c * k**3)))])
+        # wp = -(pi/Ar)^2 (theta_1''/theta_1 + E2/3 - (theta_1'/theta_1)^2): its
+        # block folds the constant into the second-derivative row
+        self._w, self._w_wp = _theta_weights(c, self.E2 / 3)
+        self._w_sigma = self._w[0, 0, 0]
+        # complex exponents: integer ones would be cast on every call
+        self._odd = k[::-1].astype(complex)
+        self._u_scale = np.array(np.pi / self.Ar)
         th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
         # sigma = scale * exp(gauss * z0^2 + quasi-periodic exponent) * theta_1
         self._sigma_scale = (self.Ar / np.pi) / th1p0
         self._sigma_gauss = self.eta_Ar / (2 * self.Ar)
-        self._wpp_scale = -((np.pi / self.Ar) ** 3)
+        self._wp_scale = np.array(-((np.pi / self.Ar) ** 2))
+        self._wpp_scale = np.array(-((np.pi / self.Ar) ** 3))
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
@@ -122,6 +173,9 @@ class Lattice:
         d = (self.Ar * np.conj(self.Br)).imag
         self._shift_rows = np.array([np.conj(self.Br), np.conj(self.Ar)])
         self._shift_den = np.array([d, -d])
+        # constants of the per-call arithmetic are 0-d arrays: numpy converts a
+        # Python scalar operand anew on every call
+        self._ar, self._br = np.array(self.Ar), np.array(self.Br)
         # quasi-period of the original first/second periods
         m1, n1 = self._int_coords(self.A)
         m2, n2 = self._int_coords(self.B)
@@ -141,7 +195,7 @@ class Lattice:
         z = np.asarray(z, dtype=complex)
         mn = np.rint((z[..., None] * self._shift_rows).imag / self._shift_den)
         m, n = mn[..., 0], mn[..., 1]
-        return z - m * self.Ar - n * self.Br, m, n
+        return z - m * self._ar - n * self._br, m, n
 
     def lattice_distance(self, z):
         """Distance from each argument to the nearest lattice point."""
@@ -150,29 +204,38 @@ class Lattice:
 
     # -- the evaluator ----------------------------------------------------------
 
-    def _theta(self, z0, orders):
-        """theta_1 at pi z0 / Ar, shape (N,), for ``orders`` 1; otherwise
-        theta_1 and its derivatives below order ``orders``, shape (N, orders).
+    def _theta(self, z0, orders, w=None):
+        """theta_1 at u = pi z0 / Ar, shape (N,), for ``orders`` 1; otherwise
+        the first ``orders`` rows of the weight block ``w`` (by default
+        theta_1 and its derivatives), shape (N, orders).
 
-        Every value is one row sum over the series terms of its own argument,
-        which keeps it independent of the batch."""
-        ku = z0[:, None] * self._kscaled
+        One sine and one cosine per argument, their odd powers, and one row
+        sum over them per value; every value is computed from its own
+        argument alone, which keeps it independent of the batch."""
+        u = z0 * self._u_scale
         if orders == 1:
-            return np.add.reduce(np.sin(ku) * self._w_sigma, axis=-1)
-        sc = np.concatenate((np.sin(ku), np.cos(ku)), axis=1)
-        return np.add.reduce(sc[:, None] * self._w[:orders], axis=-1)
+            return np.add.reduce(np.sin(u)[:, None] ** self._odd * self._w_sigma, axis=-1)
+        sc = np.empty((2, u.size), complex)
+        np.sin(u, sc[0])
+        np.cos(u, sc[1])
+        w = (self._w if w is None else w)[:(orders + 1) // 2]
+        th = np.add.reduce(sc[:, :, None] ** self._odd * w, axis=-1)
+        return th.reshape(2 * len(w), -1)[:orders].T
 
-    def _evaluate(self, z, formula, orders, guarded=True):
+    def _evaluate(self, z, formula, orders, guarded=True, w=None):
         """``formula(z0, m, n, th)`` on the flattened ``z = z0 + m Ar + n Br``,
         in the shape of ``z`` (a Python complex for a scalar), where ``th`` is
-        ``_theta(z0, orders)``.  The formula sees 1-d arrays and that block."""
+        ``_theta(z0, orders, w)``.  The formula sees 1-d arrays and that block."""
         z = np.asarray(z, dtype=complex)
         z0, m, n = self.reduce(z.ravel())
         if guarded:
             lim = self._guard_radius
-            if np.minimum.reduce(np.abs(z0[:, None] - self._nbrs), axis=None, initial=np.inf) < lim:
-                raise PoleProximityError(f"argument within {lim:.3e} of a lattice point")
-        val = formula(z0, m, n, self._theta(z0, orders))
+            dist = np.abs(z0[:, None] - self._nbrs)
+            if np.minimum.reduce(dist, axis=None, initial=np.inf) < lim:
+                near = dist.min(axis=1)
+                i = int(np.flatnonzero(near < lim)[0])
+                raise PoleProximityError(i, float(near[i]), lim)
+        val = formula(z0, m, n, self._theta(z0, orders, w))
         return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
     # -- Weierstrass functions -------------------------------------------------
@@ -181,7 +244,7 @@ class Lattice:
         """Weierstrass sigma (entire, odd, simple zeros on the lattice); unguarded."""
 
         def formula(z0, m, n, th):
-            w = m * self.Ar + n * self.Br
+            w = m * self._ar + n * self._br
             etaw = m * self.eta_Ar + n * self.eta_Br
             with np.errstate(over="ignore", invalid="ignore"):
                 # the quasi-periodicity factor overflows for arguments many
@@ -207,9 +270,9 @@ class Lattice:
         def formula(z0, m, n, th):
             r = th[:, 1:] / th[:, :1]
             r1 = r[:, 0]
-            return -self.eta_Ar / self.Ar - (np.pi / self.Ar) ** 2 * (r[:, 1] - r1 * r1)
+            return self._wp_scale * (r[:, 1] - r1 * r1)
 
-        return self._evaluate(z, formula, 3)
+        return self._evaluate(z, formula, 3, w=self._w_wp)
 
     def wp_prime(self, z):
         """Derivative of the Weierstrass P function."""

@@ -60,6 +60,16 @@ def test_verify_mops(tmp_path):
     assert data["all_passed"]
 
 
+def test_verify_tyurin(tmp_path):
+    path = tmp_path / "t.json"
+    assert run(["verify", "--suite", "tyurin", "--seed", "4", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["schema_version"] == 1 and data["all_passed"]
+    assert [c["name"] for c in data["checks"]] == [
+        "tyurin/gl3", "tyurin/so_even3", "tyurin/so_odd2", "tyurin/sp2", "tyurin/g22"]
+    assert all(c["passed"] and c["counterexample"] is None for c in data["checks"])
+
+
 def test_cm_zero_duration_single_row(tmp_path, capsys):
     traj = tmp_path / "t.csv"
     rep = tmp_path / "r.json"

@@ -95,7 +95,7 @@ def test_wp_prime_dual_route(lat):
         assert abs(lat.wp_prime(z) + lat.sigma(2 * z) / lat.sigma(z) ** 4) < 1e-9
 
 
-ORACLE_LATTICES = LATTICES + [Lattice(1.3 + 0.2j, 0.4 + 2.1j), Lattice(1.0, 6j)]
+ORACLE_LATTICES = LATTICES + [Lattice(1.3 + 0.2j, 0.4 + 2.1j), Lattice(1.0, 6j), Lattice(1.0, 100j)]
 
 
 def test_theta_series_against_mpmath():
@@ -114,6 +114,52 @@ def test_theta_series_against_mpmath():
                 for k, mine in zip([0, 0, 1, 2, 3], row):
                     ref = complex(mp.jtheta(1, u, mp.mpc(lat.q), derivative=k))
                     assert abs(mine - ref) <= 1e-13 * abs(ref)
+
+
+def _mp_theta(mp, lat, u, k):
+    return mp.jtheta(1, u, mp.mpc(lat.q), derivative=k)
+
+
+def test_values_near_the_zeros_against_mpmath():
+    # theta_1 vanishes on the lattice, so near 0 and +-Ar its value is only as
+    # certain as the argument: the theta rows are checked at the u = pi z0 / Ar
+    # the kernel rounds to, sigma and wp' at the exact z (the cell reduction
+    # subtracts the period exactly there)
+    mp = pytest.importorskip("mpmath")
+    phases = np.array([1, 1j, np.exp(0.25j * np.pi), -1])
+    for lat in ORACLE_LATTICES + [Lattice(40, 40j)]:
+        near = np.array([c + e * p for c in (0, 1, -1) for e in (1e-3, 1e-6, 1e-9) for p in phases]) * lat.Ar
+        outside = np.array([c * lat.Ar + 1.5 * lat._guard_radius * p for c in (0, 1, -1) for p in phases])
+        u = near * (np.pi / lat.Ar)
+        th = np.column_stack([lat._theta(near, 1), lat._theta(near, 4)])
+        sig, wpp = lat.sigma(near), lat.wp_prime(outside)
+        with mp.workdps(40):
+            Ar, pi = mp.mpc(lat.Ar), mp.pi
+            th1p0, th3p0 = _mp_theta(mp, lat, 0, 1), _mp_theta(mp, lat, 0, 3)
+            gauss = -pi**2 * th3p0 / (6 * th1p0 * Ar**2)
+            for row, v, z, mine in zip(th, u, near, sig):
+                for k, th_k in zip([0, 0, 1, 2, 3], row):
+                    ref = complex(_mp_theta(mp, lat, mp.mpc(v), k))
+                    assert abs(th_k - ref) <= 1e-13 * abs(ref)
+                z = mp.mpc(z)
+                ref = complex(Ar / pi * mp.exp(gauss * z * z) * _mp_theta(mp, lat, pi * z / Ar, 0) / th1p0)
+                assert abs(mine - ref) <= 1e-13 * abs(ref)
+            for mine, z in zip(wpp, outside):
+                t = [_mp_theta(mp, lat, pi * mp.mpc(z) / Ar, k) for k in range(4)]
+                r1, r2, r3 = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+                ref = complex(-(pi / Ar) ** 3 * (r3 - 3 * r2 * r1 + 2 * r1**3))
+                assert abs(mine - ref) <= 1e-13 * abs(ref)
+
+
+def test_large_im_tau_values_finite_over_the_cell():
+    # Im tau = 100: the theta terms reach e^(3 pi 50) at the cell's edge, and
+    # numpy warnings are errors here
+    lat = Lattice(1.0, 100j)
+    a, b = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(-0.5, 0.5, 21))
+    z = (a * lat.Ar + b * lat.Br).ravel()
+    z = z[lat.lattice_distance(z) > 2 * lat._guard_radius]
+    for fn in (lat.sigma, lat.zeta, lat.wp, lat.wp_prime):
+        assert np.all(np.isfinite(fn(z)))
 
 
 def test_wp_against_lattice_sum():
@@ -151,8 +197,10 @@ def test_pole_guard(lat):
     batch = np.linspace(0.1 + 0.2j, 0.9 + 0.7j, 25)
     batch[11] = 2 * lat.omega2 + 1e-9
     for fn in (lat.zeta, lat.wp, lat.wp_prime):
-        with pytest.raises(PoleProximityError):
+        with pytest.raises(PoleProximityError, match=r"argument 11 at distance 1\.000e-09 ") as exc:
             fn(batch)
+        assert exc.value.index == 11
+        assert exc.value.distance == pytest.approx(1e-9, rel=1e-6)
     assert np.all(np.isfinite(lat.sigma(batch)))
     # the residual's guard covers z + u, not only z and u
     z = 0.3 + 0.2j
@@ -174,7 +222,7 @@ def test_vectorized_matches_scalar(lat):
 
 
 @pytest.mark.parametrize("lat", ORACLE_LATTICES + [Lattice(40, 40j)],
-                         ids=["tau=i", "tau=0.3+1.2i", "oblique", "tau=6i", "omega=40"])
+                         ids=["tau=i", "tau=0.3+1.2i", "oblique", "tau=6i", "tau=100i", "omega=40"])
 def test_values_independent_of_batch_shape(lat):
     rng = np.random.default_rng(12)
     z = abs(lat.omega1) * (rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200))
