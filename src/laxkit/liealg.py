@@ -90,9 +90,6 @@ class RootSystem:
     def n_simple(self):
         return len(self.simple_roots)
 
-    def expansion(self, root):
-        return self.expansions[root]
-
     def multiplicity(self, root, i):
         """Multiplicity of the i-th simple root (1-based) in a positive root."""
         return self.expansions[root][i - 1]
@@ -498,10 +495,6 @@ class GradedDecomposition:
         self.delta = tuple(tuple(hd[i] - hd[j] for j in range(h.n)) for i in range(h.n))
         self._filt_cache = {}
         self._above_cache = {}
-
-    @property
-    def k(self):
-        return self.depth
 
     def dim_subspace(self, p):
         return len(self.subspaces.get(p, ()))

@@ -287,16 +287,19 @@ def _orders(nums, den, point):
 
 
 def _laurent(nums, den, point, hi):
-    """Laurent expansions at a point or INF of every nums[k] / den, as
-    (lead, coefficients of degrees lead..hi) (None for a zero numerator).
+    """Laurent expansions at a point or INF of every nums[k] / den as integer
+    numerators over one positive denominator: (parts, D), parts[k] being
+    (lead, c) with c[i] / D the coefficient of degree lead + i, lead..hi
+    (None for a zero numerator).
 
     Each entry is t^lead (pc(t) / dp) / (u(t) / du) in the local coordinate
     t, for integer series pc and u with u(0) != 0 (at INF, t = 1/z and the
     numerators are reversed).  The denominator is shifted and its series
     inverted once, as integers w_k over u_0^(k+1); each numerator is
-    expanded to degree hi only and convolved with it in integers, and each
-    coefficient du sum_x pc_x u_0^x w_(k-x) / (dp u_0^(k+1)) is one
-    Fraction."""
+    expanded to degree hi only and convolved with it in integers.  The
+    coefficient du sum_x pc_x u_0^x w_(k-x) / (dp u_0^(k+1)) is brought over
+    D = lcm(dp) u_0^n / gcd(du, lcm(dp) u_0^n), n the longest expansion, by
+    one integer factor per (entry, degree)."""
     if point is INF:
         u, du = den.n[::-1], den.d
         parts = [(den.degree - a.degree, a.n[::-1], a.d) if a.n else None for a in nums]
@@ -317,6 +320,10 @@ def _laurent(nums, den, point, hi):
     pw = [1]
     for _ in range(nterms):
         pw.append(pw[-1] * u0)
+    lcm = math.lcm(*[p[2] for p in parts if p])
+    den = lcm * pw[nterms]
+    g = math.gcd(du, den) * (1 if den > 0 else -1)
+    den, f = den // g, du // g
     out = []
     for part in parts:
         if part is None:
@@ -325,12 +332,13 @@ def _laurent(nums, den, point, hi):
         lead, pc, dp = part
         top = max(hi - lead + 1, 0)
         pc = [x * pw[i] for i, x in enumerate(pc[:top])]
+        fp = f * (lcm // dp)
         coeffs = []
         for k in range(top):
             s = sum(pc[x] * w[k - x] for x in range(min(k + 1, len(pc))))
-            coeffs.append(Fraction(du * s, dp * pw[k + 1]) if s else _ZERO)
+            coeffs.append(fp * pw[nterms - k - 1] * s if s else 0)
         out.append((lead, coeffs))
-    return out
+    return out, den
 
 
 def _poles_within(nums, den, points):
@@ -479,8 +487,8 @@ class RatFunc:
         pole tail and of the regular part up to ``upto`` in the local
         coordinate (z - point, or 1/z at infinity).
         """
-        t = _laurent([self.num], self.den, point, upto)[0]
-        return {} if t is None else {t[0] + k: c for k, c in enumerate(t[1]) if c}
+        (t,), d = _laurent([self.num], self.den, point, upto)
+        return {} if t is None else {t[0] + k: Fraction(c, d) for k, c in enumerate(t[1]) if c}
 
     def residue_at(self, point):
         """Residue of (this function) dz at the point; at infinity this is
@@ -660,15 +668,19 @@ class RationalMatrix:
     def laurent_coefficient(self, point, degree):
         return self.laurent_coefficients(point, degree, degree)[degree]
 
+    def laurent_numerators(self, point, lo, hi):
+        """(rows, d): the Laurent coefficient at a point or INF of degree p,
+        lo <= p <= hi, is the integer matrix rows[p] over d, from one
+        expansion of the denominator."""
+        tails, d = _laurent(self._flat(), self.den, point, hi)
+        return {p: self._shape([0 if t is None or p < t[0] else t[1][p - t[0]] for t in tails])
+                for p in range(lo, hi + 1)}, d
+
     def laurent_coefficients(self, point, lo, hi):
         """Laurent coefficient matrices at a point or INF for degrees lo..hi,
-        as a dict degree -> Mat, from one expansion of the denominator."""
-        tails = _laurent(self._flat(), self.den, point, hi)
-        out = {}
-        for p in range(lo, hi + 1):
-            flat = [_ZERO if t is None or p < t[0] else t[1][p - t[0]] for t in tails]
-            out[p] = Mat(self._shape(flat))
-        return out
+        as a dict degree -> Mat of Fractions."""
+        rows, d = self.laurent_numerators(point, lo, hi)
+        return {p: Mat([[Fraction(x, d) if x else _ZERO for x in r] for r in m]) for p, m in rows.items()}
 
     def order_at(self, point):
         """Pointwise minimum of entry orders (None if identically zero)."""

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import ColumnSolver, Mat, _int_rows, _ints, mat_inverse, nullspace, rref
+from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rref
 from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
-from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _poly, rat_const
+from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _poly, _primitive, rat_const
 
 __all__ = [
     "SphereConfig",
@@ -91,8 +91,9 @@ class SphereConfig:
     transversal when several gamma points carry depth >= 2 conditions; with
     a common frame those conditions can be rank-deficient, which the slice
     builder reports through :class:`SliceDimensionError`.  Each frame g is
-    stored once as its adjoint matrix, whose column b holds the coordinates
-    of g^-1 b_b g in the algebra basis.
+    stored once as integer multiples G = s g and Gi = si g^-1, and once as
+    its adjoint matrix, whose column b holds the coordinates of g^-1 b_b g in
+    the algebra basis.
     """
 
     dec: object
@@ -120,13 +121,11 @@ class SphereConfig:
             self.gamma_frames = tuple(self.gamma_frames)
             if len(self.gamma_frames) != len(self.gamma_points):
                 raise ValueError("one frame per gamma point required")
-        self._frame_inv = tuple(mat_inverse(g) for g in self.gamma_frames)
+        self._frames = tuple((*_int_matrix(g), *_int_matrix(mat_inverse(g))) for g in self.gamma_frames)
         alg = self.dec.alg
         adjoints = []
-        for g, gi, pt in zip(self.gamma_frames, self._frame_inv, self.gamma_points):
-            # conjugate by the integer multiples G = s g and Gi = si g^-1, then
-            # divide the coordinates by s si
-            (G, s), (Gi, si) = _int_matrix(g), _int_matrix(gi)
+        for (G, s, Gi, si), pt in zip(self._frames, self.gamma_points):
+            # conjugate by G and Gi, then divide the coordinates by s si
             cols = [alg.coordinates(Gi @ b @ G) for b in alg.basis]
             if None in cols:
                 raise ValueError(f"the frame at gamma point {pt} does not preserve the algebra")
@@ -142,18 +141,10 @@ class SphereConfig:
         self._couplings = {i: (_int_matrix(a)[0] @ inv).rows
                            for i, a in enumerate(adjoints) if a != ref}
 
-    def frame(self, gi):
-        return self.gamma_frames[gi]
-
-    def to_reference_frame(self, gi, m):
-        """Conjugate a matrix at the gi-th gamma point back to the frame in
-        which the stored grading element is diagonal."""
-        return self._frame_inv[gi] @ m @ self.gamma_frames[gi]
-
     def grading_element_at(self, gi):
         """The grading element in the global frame at the gi-th gamma."""
-        g, gi_ = self.gamma_frames[gi], self._frame_inv[gi]
-        return g @ self.dec.h @ gi_
+        G, s, Gi, si = self._frames[gi]
+        return (G @ self.dec.h @ Gi).scale(Fraction(1, s * si))
 
     @property
     def n_points(self):
@@ -281,10 +272,14 @@ def _int_matrix(m):
 
 
 def _gamma_tails(cfg, sections, hi):
-    """The sections' Laurent rows t[p] at every gamma point, for -k <= p <= hi."""
+    """(t, d) at every gamma point: the sections' Laurent rows there are the
+    integer rows t[p] over d, for -k <= p <= hi."""
     k = cfg.dec.depth
-    return [{p: c.rows[0] for p, c in sections.laurent_coefficients(Fraction(g), -k, hi).items()}
-            for g in cfg.gamma_points]
+    out = []
+    for g in cfg.gamma_points:
+        rows, d = sections.laurent_numerators(Fraction(g), -k, hi)
+        out.append(({p: r[0] for p, r in rows.items()}, d))
+    return out
 
 
 def _slice_kernel(cfg, sections):
@@ -311,8 +306,8 @@ def _slice_kernel(cfg, sections):
     """
     degrees, dim, count = cfg.dec.degrees, cfg.alg.dim, sections.m
     k = cfg.dec.depth
-    # rows and vectors of which only the span matters are scaled to integers
-    tails = [{p: _ints(t)[0] for p, t in tp.items()} for tp in _gamma_tails(cfg, sections, k - 1)]
+    # only the span of each row matters, so each tail row is taken primitive
+    tails = [{p: _primitive(r) for p, r in t.items()} for t, _ in _gamma_tails(cfg, sections, k - 1)]
     couplings = cfg._couplings
     separable = [t for i, t in enumerate(tails) if i not in couplings]
     blocks = {d: nullspace([t[p] for t in separable for p in range(-k, min(d, k)) if any(t[p])], count)
@@ -675,14 +670,13 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     # expansion conditions at every gamma: for p < 0 the coordinates of the
     # degree-p coefficient in the gamma point's frame, t_p (x) A[j], vanish
     # when deg j > p, except that at p = -1 they may equal a free multiple
-    # (one auxiliary unknown per gamma point) of h's coordinates
-    # (only the reduced rows are used, so each row is scaled to integers)
+    # (one auxiliary unknown per gamma point) of h's coordinates; each row
+    # is scaled to integers, with the tails t over st
     hc = alg.coordinates(dec.h)
     rows = []
-    for gi, (tails, adj) in enumerate(zip(_gamma_tails(cfg, sections, -1), cfg._adjoints)):
+    for gi, ((tails, st), adj) in enumerate(zip(_gamma_tails(cfg, sections, -1), cfg._adjoints)):
         adj_rows = [_ints(r) for r in adj.rows]
         for p, t in tails.items():
-            t, st = _ints(t)
             for j, deg in enumerate(dec.degrees):
                 if deg > p:
                     aj, sa = adj_rows[j]
@@ -708,6 +702,9 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
                 rhs = target.rows[u][v] if target is not None else 0
                 if nz or rhs:
                     aug.append(row + [Fraction(rhs)])
+    # the full reduced form is unique, so the row order sets only the work:
+    # sparsest rows first
+    aug.sort(key=lambda row: sum(map(bool, row)))
     red, pivots = rref(aug)
     rank = sum(p < ncols for p in pivots)
     if rank < len(pivots):
@@ -736,10 +733,16 @@ class TangencyReport:
 
 
 def _reference_laurent(cfg, gi, f, lo, hi):
-    """Laurent coefficients of f at the gi-th gamma point for degrees lo..hi,
-    in the reference frame."""
-    return {p: cfg.to_reference_frame(gi, c)
-            for p, c in f.laurent_coefficients(Fraction(cfg.gamma_points[gi]), lo, hi).items()}
+    """(n, s): the Laurent coefficients of f at the gi-th gamma point for
+    degrees lo..hi, in the reference frame (where the stored grading
+    element is diagonal), are the integer matrices n[p] over s.
+
+    With f's coefficients c_p = r_p / d over one denominator and the frame
+    stored as G = sg g and Gi = si g^-1, g^-1 c_p g = (Gi r_p G) / (d sg si):
+    two integer products per degree."""
+    rows, d = f.laurent_numerators(Fraction(cfg.gamma_points[gi]), lo, hi)
+    G, sg, Gi, si = cfg._frames[gi]
+    return {p: Mat(_int_product(_int_product(Gi.rows, r), G.rows)) for p, r in rows.items()}, d * sg * si
 
 
 def lax_tangency_check(cfg, l, m_op, pole_orders):
@@ -748,38 +751,50 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
     At every gamma point L and M are expanded over degrees -k..k in the
     reference frame, as a ``formal.MatrixLaurent`` and a
     ``formal.MOpExpansion`` whose nu is read off the h-component of M's
-    residue.  ``formal.validate_mop`` gives the m-expansion findings, and
-    the bracket's Laurent coefficients at degrees -k-1..0 must equal those
-    that ``formal.predicted_bracket`` derives from the point-motion
-    relations (labels "bottom" at -k-1, "coefficient" above); the relations
-    live in ``formal`` only, for any depth k.  The bracket must have no pole
-    of order above k + 1 at a gamma ("pole-order"), and away from the gammas
-    its divisor must be bounded by the pole budget of L (``pole_orders``),
-    the nontrivial cancellation coming from the gradient structure of M at
-    its private pole.
+    residue.  Both run in integers: L's coefficients are integer matrices
+    over one scale s_L and M's over another, s_M, with h's integer multiple
+    H = hd h and H[j0][j0] folded into s_M, so that nu s_M is an integer.
+    ``formal.validate_mop`` gives the m-expansion findings (a scale does not
+    change them).  ``formal.predicted_bracket`` is bilinear in (L, M), so on
+    the scaled series it gives s_L s_M times the coefficients of [L, M] at
+    degrees -k-1..0 that the point-motion relations predict; the bracket
+    of the rational functions, with coefficients N_p / d in the reference
+    frame, must meet them as predicted_p d == N_p s_L s_M (labels "bottom"
+    at -k-1, "coefficient" above).  The relations live in ``formal`` only,
+    for any depth k.  The bracket must have no pole of order above k + 1 at
+    a gamma ("pole-order"), and away from the gammas its divisor must be
+    bounded by the pole budget of L (``pole_orders``), the nontrivial
+    cancellation coming from the gradient structure of M at its private
+    pole.
     """
     dec = cfg.dec
     k = dec.depth
-    h = dec.h
-    j0 = next(i for i in range(h.n) if h.rows[i][i])
+    H, hd = _int_matrix(dec.h)
+    j0 = next(i for i in range(H.n) if H.rows[i][i])
+    hj = H.rows[j0][j0]
     bracket = l.comm(m_op)
     gamma_residuals = {}
     nus = {}
     ok = True
     for gidx, g in enumerate(cfg.gamma_points):
         gf = Fraction(g)
-        mc = _reference_laurent(cfg, gidx, m_op, -k, k)
-        nu = Fraction(mc[-1].rows[j0][j0], h.rows[j0][j0])
-        nus[g] = nu
-        mc[-1] = mc[-1] - h.scale(nu)
-        mop = MOpExpansion(nu, MatrixLaurent(dec, mc, k))
+        mc, sm = _reference_laurent(cfg, gidx, m_op, -k, k)
+        # nu = mc[-1][j0][j0] / (sm h[j0][j0]), so nu (sm hj) = hd mc[-1][j0][j0]
+        mjj = mc[-1].rows[j0][j0]
+        mc = {p: c.scale(hj) for p, c in mc.items()}
+        mc[-1] = mc[-1] - H.scale(mjj)
+        sm *= hj
+        nus[g] = Fraction(hd * mjj, sm)
+        mop = MOpExpansion(hd * mjj, MatrixLaurent(dec, mc, k))
         bad = [("m-expansion", p) for p in sorted({p for p, _ in validate_mop(mop)})]
         order = bracket.order_at(gf)
         if order is not None and order < -k - 1:
             bad.append(("pole-order", order))
-        predicted = predicted_bracket(MatrixLaurent(dec, _reference_laurent(cfg, gidx, l, -k, k), k), mop)
-        for p, c in _reference_laurent(cfg, gidx, bracket, -k - 1, 0).items():
-            if c != predicted.coefficient(p):
+        lc, sl = _reference_laurent(cfg, gidx, l, -k, k)
+        predicted = predicted_bracket(MatrixLaurent(dec, lc, k), mop)
+        nb, sb = _reference_laurent(cfg, gidx, bracket, -k - 1, 0)
+        for p, c in nb.items():
+            if c.scale(sl * sm) != predicted.coefficient(p).scale(sb):
                 bad.append(("bottom" if p == -k - 1 else "coefficient", p))
         if bad:
             ok = False

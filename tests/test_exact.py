@@ -103,6 +103,22 @@ def test_rref_matches_rational_gauss_jordan():
             assert rows == before  # input not modified
 
 
+def test_rref_is_independent_of_the_row_order():
+    # without pivot_cols the reduced form is unique: every row permutation
+    # gives the same pivots and rank rows, and zero rows below them
+    rng = random.Random(7)
+    for _ in range(300):
+        rows = _random_rank_deficient(rng)
+        red, pivots = rref(rows)
+        for _ in range(3):
+            perm = rows[:]
+            rng.shuffle(perm)
+            got, got_pivots = rref(perm)
+            assert got_pivots == pivots
+            assert got[:len(pivots)] == red[:len(pivots)]
+            assert all(not x for row in got[len(pivots):] for x in row)
+
+
 def test_rref_empty_and_zero_systems():
     assert rref([]) == ([], [])
     assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])

@@ -75,3 +75,16 @@ def test_cocycle_table_is_pinned():
     cfg, window, omega = cli._gl2_cocycle_setup(0)
     table = json.dumps(sphere.cocycle_table_json(cfg, window, omega), sort_keys=True)
     assert _digest(table) == "82699df42754a25e648958a50ebe7c194515007e6e98b400e88b95816c0d3fa0"
+
+
+def _report_key(rep):
+    return (rep.ok, [(str(g), bad) for g, bad in rep.gamma_residuals.items()],
+            [tuple(map(str, v)) for v in rep.divisor_violations],
+            [(str(g), str(nu)) for g, nu in rep.nu.items()])
+
+
+def test_mops_suite_reports_are_pinned():
+    out = tuple((res.prenorm_dim, [(str(g), str(nu)) for g, nu in res.nu.items()], _report_key(rep))
+                for res, rep in cli._mop_samples(0))
+    assert len(out) == 3
+    assert _digest(out) == "c6b72f2e78052399fca3763e7d18400b94a6402bfc07348ca98ccaabe97e398e"

@@ -490,10 +490,48 @@ def test_broken_second_member_detected(mop_setup, rng):
     res = sp.construct_m_operator(cfg, l, power=2, pole_point=F(0), order=2,
                                   norm_points=(F(7), F(11)))
     z = RatFunc(Poly.x())
-    bad = res.matrix + RationalMatrix.from_scalar_matrix(Mat.unit(2, 1, 0), 1 / (z - 3))
-    rep = sp.lax_tangency_check(cfg, l, bad, pole_orders)
-    assert not rep.ok
-    assert any(rep.gamma_residuals[g] for g in cfg.gamma_points)
+    # (unit entry, pole, order of the added pole) -> labels at gammas 3 and 5,
+    # divisor violations (as recorded before the integer tangency check)
+    breaks = {
+        ((1, 0), 3, 1): ([("m-expansion", -1), ("bottom", -2)], [], []),
+        ((0, 0), 3, 1): ([("m-expansion", -1), ("bottom", -2)], [], []),
+        ((0, 1), 5, 2): ([], [("pole-order", -3), ("bottom", -2), ("coefficient", -1), ("coefficient", 0)],
+                         []),
+        ((1, 1), 2, 1): ([], [], [((0, 1), "stray-pole"), ((1, 0), "stray-pole")]),
+        ((0, 1), 0, 3): ([], [], [((0, 0), F(0), 3), ((0, 1), F(0), 3), ((1, 1), F(0), 3)]),
+    }
+    for ((u, v), pt, e), (at3, at5, divisor) in breaks.items():
+        bad = res.matrix + RationalMatrix.from_scalar_matrix(Mat.unit(2, u, v), 1 / (z - pt) ** e)
+        rep = sp.lax_tangency_check(cfg, l, bad, pole_orders)
+        assert not rep.ok
+        assert rep.gamma_residuals == {F(3): at3, F(5): at5}, ((u, v), pt, e)
+        assert rep.divisor_violations == divisor, ((u, v), pt, e)
+
+
+@pytest.mark.parametrize("kind", ["sl", "so_even"])
+def test_tangency_nu_with_a_half_integer_grading_element(kind):
+    # h = diag(-1/2, 1/2) for sl(2) and diag(-1/2, 1/2, 1/2, -1/2) for so(4);
+    # nu is the h-component of M's residue in the reference frame, here 5/3
+    # at gamma point 3 from an added (5/3) g h g^-1 / (z - 3), and that M is
+    # a second member
+    rng = random.Random(3)
+    alg, dec = la.catalog_grading(kind, 2, 1)
+    frames = (fm.random_group_element(alg, rng), fm.random_group_element(alg, rng))
+    cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), (F(3), F(5)), frames)
+    pole_orders = {F(0): 0, INF: 1, F(9): 1}
+    l = rand_member(rng, sp.build_lax_space(cfg, pole_orders).basis)
+    rep = sp.lax_tangency_check(cfg, l, l, pole_orders)
+    assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)
+    z = RatFunc(Poly.x())
+    m = l + RationalMatrix.from_scalar_matrix(cfg.grading_element_at(0), F(5, 3) / (z - 3))
+    rep = sp.lax_tangency_check(cfg, l, m, pole_orders)
+    assert rep.nu == {F(3): F(5, 3), F(5): 0}
+    assert rep.ok, (rep.gamma_residuals, rep.divisor_violations)  # the point moves with z_dot = -nu
+    h = dec.h
+    j0 = next(i for i in range(h.n) if h[i, i])
+    for g, frame in zip(cfg.gamma_points, cfg.gamma_frames):
+        residue = mat_inverse(frame) @ m.laurent_coefficient(g, -1) @ frame
+        assert rep.nu[g] == residue[j0, j0] / h[j0, j0]
 
 
 def depth_two_sp4(rng):
