@@ -9,10 +9,11 @@ entries stay integers so that the hot commutator loops run on machine ints.
 exact: every entry of both operands is a Python ``int`` and
 max|A| * max|B| * (inner dimension), doubled for a commutator, is below
 2**63, so no partial sum can overflow.  The result comes back as Python
-ints.  Any other operands (a ``Fraction`` entry, a larger entry, an empty
-shape) take the exact Python path: each operand is scaled to integers by
-one lcm, the product is formed in integers, and each entry is divided by
-the product of the two scales once (an ``int`` when that is exact).
+ints.  All-``int`` operands with a larger entry are multiplied in Python
+ints directly.  Any other operands (a ``Fraction`` entry, an empty shape)
+take the exact rational path: each operand is scaled to integers by one
+lcm, the product is formed in integers, and each entry is divided by the
+product of the two scales once (an ``int`` when that is exact).
 """
 
 from __future__ import annotations
@@ -85,12 +86,13 @@ def _rational_product(arows, brows, comm=False):
 
 def _fits_int64(arows, brows, terms):
     """Whether a sum of ``terms`` products of entries of the two integer
-    matrices provably stays inside int64."""
+    matrices provably stays inside int64; None unless every entry of both
+    is an ``int``."""
     ha = _int_height(arows)
     if ha is None:
-        return False
+        return None
     hb = _int_height(brows)
-    return hb is not None and ha * hb * terms < _INT64_LIMIT
+    return None if hb is None else ha * hb * terms < _INT64_LIMIT
 
 
 class Mat:
@@ -138,19 +140,26 @@ class Mat:
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
-        if self.m == other.n and _fits_int64(self.rows, other.rows, self.m):
+        fits = _fits_int64(self.rows, other.rows, self.m) if self.m == other.n else None
+        if fits:
             a = np.array(self.rows, dtype=np.int64)
             b = np.array(other.rows, dtype=np.int64)
             return Mat((a @ b).tolist())
+        if fits is False:
+            return Mat(_int_product(self.rows, other.rows))
         return Mat(_rational_product(self.rows, other.rows))
 
     def comm(self, other):
         if not self.n == self.m == other.n == other.m:
             return self @ other - other @ self
-        if _fits_int64(self.rows, other.rows, 2 * self.m):
+        fits = _fits_int64(self.rows, other.rows, 2 * self.m)
+        if fits:
             a = np.array(self.rows, dtype=np.int64)
             b = np.array(other.rows, dtype=np.int64)
             return Mat((a @ b - b @ a).tolist())
+        if fits is False:
+            ab, ba = _int_product(self.rows, other.rows), _int_product(other.rows, self.rows)
+            return Mat([[x - y for x, y in zip(r, t)] for r, t in zip(ab, ba)])
         return Mat(_rational_product(self.rows, other.rows, comm=True))
 
     @property

@@ -71,15 +71,6 @@ class MatrixLaurent:
             out[p] = out[p] + m if p in out else m
         return MatrixLaurent(self.dec, out, t)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return MatrixLaurent(self.dec, {p: m.scale(c) for p, m in self.coeffs.items()}, self.trunc)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def _compat(self, other):
         if self.dec is not other.dec:
             raise ValueError("series live over different graded decompositions")

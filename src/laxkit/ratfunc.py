@@ -492,13 +492,15 @@ class RatFunc:
 
     def residue_at(self, point):
         """Residue of (this function) dz at the point; at infinity this is
-        minus the coefficient of 1/z in the expansion."""
-        if point is INF:
-            # res_inf f dz = -coeff of u^1 in f(1/u) ... computed via z-series
-            tail = self.laurent_at(INF, 1)
-            return -tail.get(1, _ZERO)
-        tail = self.laurent_at(point, -1)
-        return tail.get(-1, _ZERO)
+        minus the coefficient of 1/z in the expansion, the degree-1
+        coefficient in the local coordinate 1/z.  Only that one coefficient
+        is made a Fraction."""
+        degree = 1 if point is INF else -1
+        (t,), d = _laurent([self.num], self.den, point, degree)
+        c = 0 if t is None or degree < t[0] else t[1][degree - t[0]]
+        if not c:
+            return _ZERO
+        return Fraction(-c if point is INF else c, d)
 
     def poles_within(self, points):
         """Pole orders at the listed points plus any leftover denominator.

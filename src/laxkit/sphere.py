@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rref
+from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rank, rref
 from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
 from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _poly, _primitive, rat_const
 
@@ -251,18 +251,6 @@ def _support(basis):
     size = basis[0].n
     return [[[(bi, b.rows[u][v]) for bi, b in enumerate(basis) if b.rows[u][v]] for v in range(size)]
             for u in range(size)]
-
-
-def _section_row(values, sup, dim, width):
-    """(row, nonzero): the (u, v) entry of sum_{si,bi} x[si dim + bi]
-    values[si] b_bi as a row over ``width`` unknowns x, for the support
-    ``sup`` of the basis b at (u, v)."""
-    row = [0] * width
-    for si, c in enumerate(values):
-        if c:
-            for bi, e in sup:
-                row[si * dim + bi] = c * e
-    return row, bool(sup) and any(values)
 
 
 def _int_matrix(m):
@@ -645,6 +633,19 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     ``pole_point``, matches w^-order * gradient(L) there up to O(1), carries
     the allowed h/z singular terms at the gammas, and vanishes at the
     normalization points (l - g + 1 = l + 1 of them at genus zero).
+
+    The unknowns are the count x dim matrix X of section-by-basis
+    coefficients and one nu per gamma point.  The singular match and the
+    normalization zeros are scalar conditions on the sections times the
+    identity on the algebra coordinates, V X = C: V holds the sections'
+    tails at the pole point and their values at the normalization points, C
+    the coordinates of the singular targets.  Every gamma condition row is a
+    Kronecker row t (x) A[j] plus its nu entry.  So [V | C] is reduced once
+    over the sections, its pivot sections are substituted into each t in
+    integers, with one common scale s (t' = s t_free - sum_i t[pivot_i] s R_i),
+    and a small integer system in (X_free, nu) gives the rest.  The rank of
+    all the conditions together is rank(V) dim plus the small system's rank;
+    both errors report it, then the split between the two blocks.
     """
     dec = cfg.dec
     alg = cfg.alg
@@ -654,8 +655,8 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
         raise ValueError(f"need {l_val + 1} normalization points, got {len(norm_points)}")
     grad = gradient_invariant(l, power, alg.has_defining_form)
     pole_point = Fraction(pole_point)
-    coeffs = grad.laurent_coefficients(pole_point, 0, order - 1)
-    sing = {p - order: m for p, m in coeffs.items() if not m.is_zero()}
+    coeffs, dg = grad.laurent_numerators(pole_point, 0, order - 1)
+    sing = {p - order: m for p, m in coeffs.items() if any(map(any, m))}
     d = -min(sing, default=0)
     div = {pole_point: d}
     for q in cfg.q_points:
@@ -665,59 +666,100 @@ def construct_m_operator(cfg, l, power, pole_point, order, norm_points):
     for g in cfg.gamma_points:
         div[g] = k
     sections = _sections(div)
-    ncand = sections.m * alg.dim
-    ncols = ncand + len(cfg.gamma_points)
+    dim, count, ngamma = alg.dim, sections.m, len(cfg.gamma_points)
+    ncand = count * dim
+    ncols = ncand + ngamma
     # expansion conditions at every gamma: for p < 0 the coordinates of the
     # degree-p coefficient in the gamma point's frame, t_p (x) A[j], vanish
     # when deg j > p, except that at p = -1 they may equal a free multiple
     # (one auxiliary unknown per gamma point) of h's coordinates; each row
-    # is scaled to integers, with the tails t over st
+    # is scaled to integers, with the tails t over st, and kept as
+    # (t, A[j], gamma index, nu entry)
     hc = alg.coordinates(dec.h)
-    rows = []
+    conds = []
     for gi, ((tails, st), adj) in enumerate(zip(_gamma_tails(cfg, sections, -1), cfg._adjoints)):
         adj_rows = [_ints(r) for r in adj.rows]
         for p, t in tails.items():
             for j, deg in enumerate(dec.degrees):
                 if deg > p:
                     aj, sa = adj_rows[j]
-                    row = [c * e for c in t for e in aj] + [0] * len(cfg.gamma_points)
-                    if p == -1:
-                        row[ncand + gi] = -hc[j] * st * sa
-                    if any(row):
-                        rows.append(row)
-    red, pivots = rref(rows)
-    prenorm_dim = ncols - len(pivots)
-    expected = alg.dim * (d + l_val + 1)
-    # affine part: singular match at the pole point, zeros at norm points,
-    # appended to the reduced condition rows
-    aug = [row + [0] for row in red[:len(pivots)]]
-    tails = sections.laurent_coefficients(pole_point, -d, -1)
-    conditions = [(tails[-i].rows[0], sing.get(-i)) for i in range(1, d + 1)]
-    conditions += [(sections.eval(Fraction(pt)).rows[0], None) for pt in norm_points]
-    support = _support(alg.basis)
-    for values, target in conditions:
-        for u in range(alg.size):
-            for v in range(alg.size):
-                row, nz = _section_row(values, support[u][v], alg.dim, ncols)
-                rhs = target.rows[u][v] if target is not None else 0
-                if nz or rhs:
-                    aug.append(row + [Fraction(rhs)])
-    # the full reduced form is unique, so the row order sets only the work:
-    # sparsest rows first
-    aug.sort(key=lambda row: sum(map(bool, row)))
-    red, pivots = rref(aug)
-    rank = sum(p < ncols for p in pivots)
-    if rank < len(pivots):
-        raise ValueError(f"inconsistent constraint system: coefficient rank {rank} of {ncols}, "
-                         f"so a {ncols - rank}-dimensional space of admissible M with no "
-                         f"singular part vanishes at the normalization points")
-    if rank < ncols:
-        raise ValueError(f"solution not unique: {ncols - rank} residual degrees of freedom")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    m_op = _assemble(cfg, div, [x[:ncand]])[0]
-    nus = {g: x[ncand + gi] for gi, g in enumerate(cfg.gamma_points)}
+                    nu = -hc[j] * st * sa if p == -1 else 0
+                    if nu or any(t) and any(aj):
+                        conds.append((t, aj, gi, nu))
+    rows = []
+    for t, aj, gi, nu in conds:
+        row = [c * e for c in t for e in aj] + [0] * ngamma
+        row[ncand + gi] = nu
+        rows.append(row)
+    prenorm_dim = ncols - rank(rows)
+    expected = dim * (d + l_val + 1)
+    # section conditions [V | C]: the tails at the pole point, over dt, match
+    # the singular part, over dg, so C holds dt times the coordinates of dg
+    # times it; a target outside the algebra leaves the system inconsistent.
+    # The sections are z^i over the poles (the divisor has no zeros), so at a
+    # normalization point a / b their values are the Vandermonde row
+    # a^i b^(count-1-i), scaled, and must vanish.
+    tails, dt = sections.laurent_numerators(pole_point, -d, -1)
+    outside = False
+    vrows = []
+    for i in range(1, d + 1):
+        target = sing.get(-i)
+        coords = [0] * dim if target is None else alg.coordinates(Mat(target))
+        if coords is None:
+            outside, coords = True, [0] * dim
+        vrows.append([dg * x for x in tails[-i][0]] + [dt * x for x in coords])
+    for pt in map(Fraction, norm_points):
+        if not sections.den.eval(pt):
+            raise ZeroDivisionError(f"pole at {pt}")
+        a, b = pt.numerator, pt.denominator
+        vrows.append([a ** i * b ** (count - 1 - i) for i in range(count)] + [0] * dim)
+    red, pivots = rref(vrows, pivot_cols=count)
+    rank_v = len(pivots)
+    consistent = not outside and not any(map(any, red[rank_v:]))
+    # pivot section i is c_i - R_i X_free, with s R_i and s c_i the integer
+    # row red[i]: substituted into a condition row, s t (x) A[j] becomes
+    # t' (x) A[j] over the free sections, with the constant sum t[pivot_i]
+    # A[j] . s c_i taken to the right-hand side
+    red, s = _int_rows(red[:rank_v])
+    pivot_set = set(pivots)
+    free = [c for c in range(count) if c not in pivot_set]
+    nfree = len(free) * dim
+    nsmall = nfree + ngamma
+    small = []
+    for t, aj, gi, nu in conds:
+        tp = [s * t[f] for f in free]
+        rhs = 0
+        for ri, c in zip(red, pivots):
+            if t[c]:
+                tp = [x - t[c] * ri[f] for x, f in zip(tp, free)]
+                rhs -= t[c] * sum(map(mul, aj, ri[count:]))
+        row = [x * e for x in tp for e in aj] + [0] * ngamma + [rhs]
+        row[nfree + gi] = s * nu
+        small.append(row)
+    sred, spivots = rref(small, pivot_cols=nsmall)
+    rank_s = len(spivots)
+    consistent = consistent and not any(map(any, sred[rank_s:]))
+    rank_all = rank_v * dim + rank_s
+    split = (f" (section conditions: rank {rank_v} of {count}; "
+             f"gamma block: rank {rank_s} of {nsmall} unknowns)")
+    if not consistent:
+        raise ValueError(f"inconsistent constraint system: coefficient rank {rank_all} of {ncols}, "
+                         f"so a {ncols - rank_all}-dimensional space of admissible M with no "
+                         f"singular part vanishes at the normalization points{split}")
+    if rank_all < ncols:
+        raise ValueError(f"solution not unique: {ncols - rank_all} residual degrees of freedom{split}")
+    # (X_free, nu) is y over sy; the pivot sections are (sy s c_i - s R_i
+    # y_free) / (s sy)
+    y, sy = _ints([row[nsmall] for row in sred])
+    x = [0] * ncand
+    for fi, f in enumerate(free):
+        x[f * dim:(f + 1) * dim] = [Fraction(v, sy) for v in y[fi * dim:(fi + 1) * dim]]
+    for ri, c in zip(red, pivots):
+        for b in range(dim):
+            num = sy * ri[count + b] - sum(ri[f] * y[fi * dim + b] for fi, f in enumerate(free))
+            x[c * dim + b] = Fraction(num, s * sy)
+    m_op = _assemble(cfg, div, [x])[0]
+    nus = {g: sred[nfree + gi][nsmall] for gi, g in enumerate(cfg.gamma_points)}
     return MOperatorResult(m_op, prenorm_dim, expected, d, l_val, nus)
 
 

@@ -277,6 +277,22 @@ def test_int64_path_up_to_the_bound():
     assert Mat(a).comm(Mat(b)).rows == tuple(map(tuple, _reference_comm(a, b)))
 
 
+def test_wide_integer_operands_match_the_triple_loop():
+    # all-int operands past the int64 bound (the 40-120-bit entries of the
+    # scaled tangency series) are multiplied in Python ints directly
+    rng = random.Random(11)
+    for n in (1, 2, 4, 7):
+        for _ in range(4):
+            a, b = ([[rng.choice((-1, 1)) * rng.getrandbits(rng.randint(40, 120)) for _ in range(n)]
+                     for _ in range(n)] for _ in range(2))
+            assert _fits_int64(a, b, n) is False
+            prod, comm = Mat(a) @ Mat(b), Mat(a).comm(Mat(b))
+            assert prod.rows == tuple(map(tuple, _reference_product(a, b))) and _all_int(prod)
+            assert comm.rows == tuple(map(tuple, _reference_comm(a, b))) and _all_int(comm)
+            col = [[rng.getrandbits(100)] for _ in range(n)]
+            assert (Mat(a) @ Mat(col)).rows == tuple(map(tuple, _reference_product(a, col)))
+
+
 def test_products_return_python_ints():
     rng = random.Random(3)
     for n in (2, 5, 8):

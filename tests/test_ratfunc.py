@@ -461,6 +461,24 @@ def test_laurent_tails_match_a_fraction_reference(seed):
                 assert c.rows == tuple(tuple(e.laurent_at(point, 2).get(p, 0) for e in r) for r in m.rows)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_residue_is_the_matching_laurent_coefficient(seed):
+    # residue_at reads one coefficient of the integer expansion: degree -1 at
+    # a finite point, minus degree 1 at INF; at a point with no pole, and for
+    # the zero function, it is Fraction(0)
+    rng = random.Random(seed)
+    roots = [F(0), F(1), F(-2, 3), F(5, 7)]
+    for i in range(30):
+        den = Poly([rng.choice([1, F(-3, 4), F(2, 9)])])
+        for _ in range(rng.randint(0, 4)):
+            den = den * Poly([-rng.choice(roots), rng.choice([1, 2, -3])])
+        f = RatFunc(Poly(_random_coeffs(rng)) if i % 10 else Poly([]), den)
+        for point in roots + [F(-9, 4), F(10 ** 9 + 7, 3 ** 11), INF]:
+            got = f.residue_at(point)
+            want = -f.laurent_at(INF, 1).get(1, 0) if point is INF else f.laurent_at(point, -1).get(-1, 0)
+            assert type(got) is F and got == want, (f, point)
+
+
 def test_canonical_form_and_constant_hashes():
     a, b = Poly([F(1, 2), 1]), Poly([F(2, 4), F(3, 3)])
     assert a == b and hash(a) == hash(b) and (a.n, a.d) == ((1, 2), 2)

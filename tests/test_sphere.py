@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from laxkit import formal as fm
 from laxkit import liealg as la
 from laxkit import sphere as sp
-from laxkit.exact import Mat, mat_inverse, nullspace
+from laxkit.exact import Mat, mat_inverse, nullspace, rref
 from laxkit.ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
 
 
@@ -569,11 +570,114 @@ def test_depth_two_m_operator_error_names_the_kernel(order, rank, ncols):
                                 norm_points=(F(7), F(11)))
 
 
+def _dense_m_operator(cfg, l, power, pole_point, order, norm_points):
+    """(M, prenorm_dim, nu) from one dense system: the expansion condition
+    rows over every (section, basis) coefficient and nu, then the singular
+    match and the normalization zeros as one row per matrix entry, all
+    reduced by one rref; raises with the rank of that system."""
+    dec, alg = cfg.dec, cfg.alg
+    grad = sp.gradient_invariant(l, power, alg.has_defining_form)
+    coeffs = grad.laurent_coefficients(pole_point, 0, order - 1)
+    sing = {p - order: m for p, m in coeffs.items() if not m.is_zero()}
+    d = -min(sing, default=0)
+    div = {**{q: 0 for q in cfg.q_points + cfg.p_points}, pole_point: d}
+    div.update({g: dec.depth for g in cfg.gamma_points})
+    sections = sp._sections(div)
+    ncand = sections.m * alg.dim
+    ncols = ncand + len(cfg.gamma_points)
+    hc = alg.coordinates(dec.h)
+    rows = []
+    for gi, ((tails, st), adj) in enumerate(zip(sp._gamma_tails(cfg, sections, -1), cfg._adjoints)):
+        for p, t in tails.items():
+            for j, deg in enumerate(dec.degrees):
+                if deg > p:
+                    row = [c * e for c in t for e in adj.rows[j]] + [0] * len(cfg.gamma_points)
+                    if p == -1:
+                        row[ncand + gi] = -hc[j] * st
+                    if any(row):
+                        rows.append(row)
+    prenorm_dim = ncols - len(rref(rows)[1])
+    aug = [row + [0] for row in rows]
+    tails = sections.laurent_coefficients(pole_point, -d, -1)
+    conditions = [(tails[-i].rows[0], sing.get(-i)) for i in range(1, d + 1)]
+    conditions += [(sections.eval(pt).rows[0], None) for pt in norm_points]
+    for values, target in conditions:
+        for u in range(alg.size):
+            for v in range(alg.size):
+                row = [c * b[u, v] for c in values for b in alg.basis] + [0] * len(cfg.gamma_points)
+                rhs = 0 if target is None else target[u, v]
+                if any(row) or rhs:
+                    aug.append(row + [rhs])
+    red, pivots = rref(aug)
+    rnk = sum(p < ncols for p in pivots)
+    if rnk < len(pivots):
+        raise ValueError(f"inconsistent constraint system: coefficient rank {rnk} of {ncols}, "
+                         f"so a {ncols - rnk}-dimensional space of admissible M with no "
+                         f"singular part vanishes at the normalization points")
+    if rnk < ncols:
+        raise ValueError(f"solution not unique: {ncols - rnk} residual degrees of freedom")
+    x = {c: red[r][ncols] for r, c in enumerate(pivots)}
+    m_op = sp._assemble(cfg, div, [[x[c] for c in range(ncand)]])[0]
+    return m_op, prenorm_dim, {g: x[ncand + gi] for gi, g in enumerate(cfg.gamma_points)}
+
+
+def _m_operator_or_error(solve, *args):
+    try:
+        return solve(*args), None
+    except ValueError as e:
+        return None, str(e)
+
+
+@pytest.mark.parametrize("kind, gammas", [("gl", (3, 5)), ("sl", (3, 5, 13)), ("so_even", (3, 5, 13)),
+                                          ("sp", (3, 5))])
+def test_m_operator_matches_the_dense_solve(kind, gammas):
+    # the Kronecker solve (section conditions, then the gamma block) gives
+    # the M, nu (value and type), prenorm_dim and error text of one dense
+    # elimination of every condition.  sl(2) and so(4) need three gamma
+    # points for an integer l.  Both raise on sp(4), which has depth 2, on
+    # so(4) with three gamma points (a 3-dimensional kernel), and on sl(2)
+    # at power 1, whose singular target (the identity) lies outside sl(2).
+    split = re.compile(r" \(section conditions: rank \d+ of \d+; gamma block: rank \d+ of \d+ unknowns\)")
+    outcomes = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        alg, dec = la.catalog_grading(kind, 2, 1)
+        frames = tuple(fm.random_group_element(alg, rng) for _ in gammas)
+        cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), tuple(map(F, gammas)), frames)
+        l = rand_member(rng, sp.build_lax_space(cfg, {F(0): 0, INF: 1, F(9): 1}).basis)
+        for power, order in [(2, 2), (1, 2), (2, 1), (4, 2)]:
+            if power % 2 and alg.has_defining_form:
+                continue
+            args = (cfg, l, power, F(0), order, (F(7), F(11), F(17))[:cfg.l_value() + 1])
+            res, err = _m_operator_or_error(sp.construct_m_operator, *args)
+            dense, dense_err = _m_operator_or_error(_dense_m_operator, *args)
+            if dense_err is not None:
+                assert res is None and err.startswith(dense_err) and split.fullmatch(err[len(dense_err):])
+                outcomes.add(dense_err.split(":")[0])
+                continue
+            m_op, prenorm_dim, nu = dense
+            assert (res.matrix.nums, res.matrix.den) == (m_op.nums, m_op.den)
+            assert res.prenorm_dim == prenorm_dim
+            assert [(g, v, type(v)) for g, v in res.nu.items()] == [(g, v, type(v)) for g, v in nu.items()]
+            outcomes.add("solved")
+    raised = "inconsistent constraint system"
+    assert outcomes == {"gl": {"solved"}, "sl": {"solved", raised}, "so_even": {raised}, "sp": {raised}}[kind]
+
+
 def test_wrong_normalization_count_rejected(mop_setup, rng):
     cfg, pole_orders, space = mop_setup
     l = rand_member(rng, space.basis)
     with pytest.raises(ValueError):
         sp.construct_m_operator(cfg, l, power=2, pole_point=F(0), order=2, norm_points=(F(7),))
+
+
+def test_normalization_point_at_a_pole_rejected(mop_setup, rng):
+    # the sections have poles at the gamma points and the pole point
+    cfg, pole_orders, space = mop_setup
+    l = rand_member(rng, space.basis)
+    for pt in (F(3), F(0)):
+        with pytest.raises(ZeroDivisionError, match=f"pole at {pt}"):
+            sp.construct_m_operator(cfg, l, power=2, pole_point=F(0), order=2, norm_points=(F(7), pt))
 
 
 def test_incompatible_gamma_count_for_l_value():
