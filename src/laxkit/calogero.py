@@ -2,15 +2,20 @@
 
 Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
-matrices on the torus, valued in the defining algebra of the family; the
+matrices on the torus, valued in the defining algebra of the family: one
+builder reads a root-sum table per system, built once by ``CMSystem`` from
+the roots, root vectors E_alpha and Cartan rows H of ``liealg``, and gives
+L = G W G^-1 with W = p.H + sum_alpha f_alpha Phi(alpha(q), z) E_alpha,
+Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x)), and G a torus gauge of one
+rule per family.  For B and C the table holds the gl(n) roots only; their
+off-diagonal blocks and the B border are added as the one remainder.  The
 second-order Hamiltonian has two independent routes, a closed form and the
 contour residue of z^{-1} tr L(z)^2 at the puncture, which must agree (for
 the B family up to the exact constant 2 n wp(q0) dropped when restricting
 to the frozen-q0 submanifold).
 
 Isospectrality of the closed-form flow holds for A (all n) and for D with
-n <= 3, where the so(2n) weight-form matrix, made elliptic by a diagonal
-gauge, is used.  It fails for D with n >= 4 and for the B and C matrices.
+n <= 3.  It fails for D with n >= 4 and for the B and C matrices.
 ``expansion_violations`` measures the local expansion conditions of the
 Lax operator algebra at the moving poles: the A and D matrices meet them,
 the B and C matrices do not in the standard frame.
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import Lattice, PoleProximityError
-from .liealg import family_to_kind, sigma_for
+from .liealg import family_to_kind, sigma_for, weight_basis
 
 __all__ = [
     "CMSystem",
@@ -127,6 +132,7 @@ class CMSystem:
             self.couplings = default_couplings(self.family, self.n)
         self._validate_couplings()
         self._plan = _linear_plan(self.family, self.n, self.q0)
+        self._lax = _lax_plan(self.family, self.n, self.couplings)
 
     def _validate_couplings(self):
         c = self.couplings
@@ -149,7 +155,7 @@ class CMSystem:
 
     @property
     def matrix_size(self):
-        return {"A": self.n, "B": 2 * self.n + 1, "C": 2 * self.n, "D": 2 * self.n}[self.family]
+        return self._lax.size
 
     def sign(self):
         return -1.0 if self.physical_sign else 1.0
@@ -243,6 +249,52 @@ def check_state(sys_, state):
         raise _collision_error(sys_, hit[0])
 
 
+_LaxPlan = namedtuple("_LaxPlan", "size R u v r c ga gb H gauge")
+
+# the gauge h as its numerator and denominator sigma arguments
+# (name, coefficient of z, coefficient of q): s(q)/s(z-q) for A, B and C,
+# s(z+q/2)/s(z-q/2) for D
+_GAUGES = {"A": (("q", 0, 1.0), ("z-q", 1, -1.0)),
+           "D": (("z+q/2", 1, 0.5), ("z-q/2", 1, -0.5))}
+
+
+def _root_coupling(c, a, b, sa, sb):
+    """f_alpha of the root sa e_a + sb e_b (a < b): f_ab on e_a - e_b; on
+    +-(e_a + e_b) fB_ab e_ab and fC_ba e_ab with e_ab = (-1)^(a+b+1), so
+    that the entries of the pair multiply to wp(z) - wp(q_a + q_b)."""
+    if sa != sb:
+        return c["f"][a, b] if sa > 0 else c["f"][b, a]
+    return (-1.0) ** (a + b + 1) * (c["fB"][a, b] if sa > 0 else c["fC"][b, a])
+
+
+def _lax_plan(family, n, couplings):
+    """The root-sum table of L = p.H + sum_alpha f_alpha Phi(alpha(q), z)
+    h^alpha E_alpha, Phi(x, z) = s(z - x) / (s(z) s(x)): the torus gauge
+    G W G^-1, G = h^H, of the root-sum form W, as G E_alpha G^-1 =
+    h^alpha E_alpha.
+
+    The roots, the rows of R (alpha(q) = R q), are all roots for A and D and
+    the gl(n) roots e_i - e_j for B and C.  Entry e sits at (u[e], v[e])
+    with root r[e] and coefficient c[e] = f_alpha (E_alpha)_uv; the Cartan
+    rows H place p.  Every root is +-e_a +- e_b, so h^alpha = hh[ga] hh[gb]
+    with hh = (h, 1/h)."""
+    basis, cartan, weights = weight_basis(family_to_kind(family), n)
+    E = np.array([b.rows for b in basis], dtype=float)
+    wt = np.array(weights)
+    keep = wt.any(axis=1)
+    if family in ("B", "C"):
+        keep &= wt.sum(axis=1) == 0
+    R, E = wt[keep], E[keep]
+    rows, cols = np.nonzero(R)
+    a, b = cols[0::2], cols[1::2]
+    sa, sb = R[rows[0::2], a], R[rows[1::2], b]
+    f = np.array([_root_coupling(couplings, *ab) for ab in zip(a, b, sa, sb)])
+    r, u, v = np.nonzero(E)
+    return _LaxPlan(size=len(cartan), R=R, u=u, v=v, r=r, c=f[r] * E[r, u, v],
+                    ga=a + n * (sa < 0), gb=b + n * (sb < 0), H=np.array(cartan, dtype=float),
+                    gauge=_GAUGES["D" if family == "D" else "A"])
+
+
 def _sigma_table(lat, args):
     """Sigma of named argument groups in one call.
 
@@ -257,29 +309,6 @@ def _sigma_table(lat, args):
     return out
 
 
-def _a_args(q, z):
-    """Arguments of ``_a_block`` at the nodes z (shape (K, 1))."""
-    d = (q[:, None] - q[None, :])[~np.eye(len(q), dtype=bool)]
-    return {"q": q, "d": d, "z": z, "z-q": z - q, "z-d": z - d}
-
-
-def _a_block(sys_, p, s):
-    """gl-type block over the nodes, shape (K, n, n): entries
-    f_ij s(z+q_j-q_i) s(z-q_j) s(q_i) / (s(z) s(z-q_i) s(q_i-q_j) s(q_j))
-    off the diagonal, p_j on it; ``s`` holds sigma at ``_a_args``."""
-    n = len(p)
-    off = ~np.eye(n, dtype=bool)
-    i, j = np.nonzero(off)
-    num = s["z-d"] * s["z-q"][:, j] * s["q"][i]
-    with np.errstate(invalid="ignore", over="ignore"):
-        den = s["z"] * s["z-q"][:, i] * s["d"] * s["q"][j]
-        vals = np.asarray(sys_.couplings["f"], dtype=complex)[off] * num / den
-    a = np.zeros((len(s["z"]), n, n), dtype=complex)
-    a[:, off] = vals
-    a[:, np.arange(n), np.arange(n)] = p
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n, diagonal=False):
     """Index pairs a < b (a <= b with ``diagonal``), as from triu_indices;
@@ -290,116 +319,46 @@ def _pairs(n, diagonal=False):
     return pairs
 
 
-def _bc_args(q, z, symmetric):
-    """Arguments of ``_bc_blocks`` beyond those of ``_a_args``."""
-    ps = (q[:, None] + q[None, :])[_pairs(len(q), symmetric)]
-    return {"ps": ps, "z-ps": z - ps, "z+ps": z + ps, "z+q": z + q}
+def _bc_args(sys_, q, z):
+    """Arguments of ``_bc_remainder`` beyond the gauge's q and z - q."""
+    ps = (q[:, None] + q[None, :])[_pairs(len(q), sys_.family == "C")]
+    args = {"ps": ps, "z-ps": z - ps, "z+ps": z + ps, "z+q": z + q}
+    if sys_.family == "B":
+        zq0 = z - sys_.q0
+        args.update({"z-q0": zq0, "z-q0-q": zq0 - q, "z-q0+q": zq0 + q})
+    return args
 
 
-def _bc_blocks(sys_, s, symmetric):
-    """The two off-diagonal blocks over the nodes, skew for B and symmetric
-    for C (with the extra diagonal entries in the symmetric case).
+def _bc_remainder(sys_, L, s):
+    """Add to the gauged gl(n) part L of a B or C matrix, over the nodes, its
+    two off-diagonal blocks, skew for B and symmetric for C, and for B the
+    border columns.
 
-    For a pair a < b (a <= b if symmetric) with x = q_a + q_b,
-    B_ab = fB_ab s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and
-    C_ba = fC_ba s(z+x) s(z-q_a) / (s(z) s(z+q_b) s(x))."""
-    n = s["q"].size
+    For a pair a < b (a <= b for C) with x = q_a + q_b, the upper block has
+    B_ab = fB_ab s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and the lower block
+    C_ba = fC_ba s(z+x) s(z-q_a) / (s(z) s(z+q_b) s(x)).  The B border has
+    the columns a_i = fa s(z-q0-q_i) s(z) / (s(z-q0) s(z-q_i) s(q_i)) and
+    b_i = fb s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0) s(q_i)) at (i, n) and
+    (n+1+i, n), with -b_i and -a_i in the middle row."""
+    n = sys_.n
+    lo = L.shape[1] - n
+    c = sys_.couplings
+    symmetric = sys_.family == "C"
     a, b = _pairs(n, symmetric)
-    fB = np.asarray(sys_.couplings["fB"], dtype=complex)
-    fC = np.asarray(sys_.couplings["fC"], dtype=complex)
-    bval = fB[a, b] * (s["z-ps"] * s["z+q"][:, b] / (s["z"] * s["z-q"][:, a] * s["ps"]))
-    cval = fC[b, a] * (s["z+ps"] * s["z-q"][:, a] / (s["z"] * s["z+q"][:, b] * s["ps"]))
+    bval = c["fB"][a, b] * (s["z-ps"] * s["z+q"][:, b] / (s["z"] * s["z-q"][:, a] * s["ps"]))
+    cval = c["fC"][b, a] * (s["z+ps"] * s["z-q"][:, a] / (s["z"] * s["z+q"][:, b] * s["ps"]))
     sign = 1.0 if symmetric else -1.0
-    B = np.zeros((len(s["z"]), n, n), dtype=complex)
-    C = np.zeros_like(B)
-    B[:, a, b] = bval
-    B[:, b, a] = sign * bval
-    C[:, a, b] = sign * cval
-    C[:, b, a] = cval
-    return B, C
-
-
-def _border_args(q, q0, z):
-    """Arguments of the B border beyond those of ``_a_args``."""
-    zq0 = z - q0
-    return {"z-q0": zq0, "z-q0-q": zq0 - q, "z-q0+q": zq0 + q}
-
-
-def _b_lax(sys_, p, s):
-    """Bordered so(2n+1) matrix over the nodes: the A and skew B/C blocks
-    with the columns a_i = fa s(z-q0-q_i) s(z) / (s(z-q0) s(z-q_i) s(q_i))
-    and b_i = fb s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0) s(q_i))."""
-    n = len(p)
-    a = _a_block(sys_, p, s)
-    B, C = _bc_blocks(sys_, s, symmetric=False)
-    fa = np.asarray(sys_.couplings["fa"], dtype=complex)
-    fb = np.asarray(sys_.couplings["fb"], dtype=complex)
-    avec = fa * s["z-q0-q"] * s["z"] / (s["z-q0"] * s["z-q"] * s["q"])
-    bvec = fb * s["z-q0+q"] * s["z-q"] / (s["z"] * s["z-q0"] * s["q"])
-    L = np.zeros((len(s["z"]), 2 * n + 1, 2 * n + 1), dtype=complex)
-    L[:, :n, :n] = a
-    L[:, :n, n] = avec
-    L[:, :n, n + 1:] = B
-    L[:, n, :n] = -bvec
-    L[:, n, n + 1:] = -avec
-    L[:, n + 1:, :n] = C
-    L[:, n + 1:, n] = bvec
-    L[:, n + 1:, n + 1:] = -np.swapaxes(a, 1, 2)
-    return L
-
-
-def _c_lax(sys_, p, s):
-    """sp(2n) matrix over the nodes: [[A, B], [C, -A^T]] with the A block and
-    the symmetric B/C blocks."""
-    n = len(p)
-    a = _a_block(sys_, p, s)
-    B, C = _bc_blocks(sys_, s, symmetric=True)
-    L = np.zeros((len(s["z"]), 2 * n, 2 * n), dtype=complex)
-    L[:, :n, :n] = a
-    L[:, :n, n:] = B
-    L[:, n:, :n] = C
-    L[:, n:, n:] = -np.swapaxes(a, 1, 2)
-    return L
-
-
-def _d_lax(sys_, q, p, z):
-    """so(2n) Lax matrix over the nodes z (shape (K, 1)): the weight form
-    [[A, B], [C, -A^T]] (B, C skew) conjugated by the torus gauge
-    diag(h, 1/h), h_i = s(z+q_i/2) / s(z-q_i/2).
-
-    With Phi(x) = s(z - x) / (s(z) s(x)) and e_ij = (-1)^(i+j+1) the weight
-    form has A_ii = p_i, A_ij = f_ij Phi(q_i - q_j), and for i < j
-    B_ij = fB_ij e_ij Phi(q_i + q_j), C_ji = -fC_ji e_ij Phi(-q_i - q_j), so
-    that B_ij C_ji = wp(z) - wp(q_i + q_j) under fB_ij fC_ji = -1.  Its
-    entries are only quasi-periodic in z; the gauge, which keeps the matrix
-    in so(2n), makes them elliptic and adds the simple moving poles at
-    z = +-q_i/2."""
-    n = len(q)
-    off = ~np.eye(n, dtype=bool)
-    iu = _pairs(n)
-    d = (q[:, None] - q[None, :])[off]
-    ssum = (q[:, None] + q[None, :])[iu]
-    x = np.concatenate([d, ssum, -ssum])
-    s = _sigma_table(sys_.lattice, {"x": x, "z-x": z - x, "z": z,
-                                    "z+q/2": z + q / 2, "z-q/2": z - q / 2})
-    phi = s["z-x"] / (s["z"] * s["x"])
-    k, m = d.size, ssum.size
-    e = (-1.0) ** (iu[0] + iu[1] + 1)
-    bval = np.asarray(sys_.couplings["fB"])[iu] * e * phi[:, k:k + m]
-    cval = -np.asarray(sys_.couplings["fC"]).T[iu] * e * phi[:, k + m:]
-    L = np.zeros((len(z), 2 * n, 2 * n), dtype=complex)
-    a = L[:, :n, :n]
-    a[:, off] = np.asarray(sys_.couplings["f"])[off] * phi[:, :k]
-    a[:, np.arange(n), np.arange(n)] = p
-    L[:, n:, n:] = -np.swapaxes(a, 1, 2)
-    i, j = iu
-    L[:, i, n + j] = bval
-    L[:, j, n + i] = -bval
-    L[:, n + j, i] = cval
-    L[:, n + i, j] = -cval
-    h = s["z+q/2"] / s["z-q/2"]
-    g = np.concatenate([h, 1 / h], axis=1)
-    return g[:, :, None] * L / g[:, None, :]
+    L[:, a, lo + b] = bval
+    L[:, b, lo + a] = sign * bval
+    L[:, lo + a, b] = sign * cval
+    L[:, lo + b, a] = cval
+    if not symmetric:
+        avec = c["fa"] * s["z-q0-q"] * s["z"] / (s["z-q0"] * s["z-q"] * s["q"])
+        bvec = c["fb"] * s["z-q0+q"] * s["z-q"] / (s["z"] * s["z-q0"] * s["q"])
+        L[:, :n, n] = avec
+        L[:, n, :n] = -bvec
+        L[:, n, lo:] = -avec
+        L[:, lo:, n] = bvec
 
 
 def lax_matrix(sys_, state, z):
@@ -407,27 +366,37 @@ def lax_matrix(sys_, state, z):
 
     ``z`` is a scalar, giving the (N, N) matrix, or a 1-d array of nodes,
     giving the (K, N, N) stack of the matrices at each node; the state is
-    guarded once and sigma is evaluated in one call either way.  Every
-    family gives sigma-quotient entries that are elliptic in z, with the
-    fixed pole z = 0 and moving poles at ``moving_points``.  D uses the
-    gauged weight form of ``_d_lax``; its flow is isospectral for n <= 3
-    only."""
+    guarded once and sigma is evaluated in one call either way, on each
+    distinct argument once.  L is the torus gauge of the root-sum form of
+    the system's ``_lax_plan``, plus for B and C the blocks of
+    ``_bc_remainder``.  Every family gives sigma-quotient entries that are
+    elliptic in z, with the fixed pole z = 0 and moving poles at
+    ``moving_points``; the D flow is isospectral for n <= 3 only."""
     check_state(sys_, state)
     q, p = state.q, state.p
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ValueError("z must be a scalar or a 1-d array of nodes")
     nodes = zs.reshape(-1, 1)
-    if sys_.family == "D":
-        L = _d_lax(sys_, q, p, nodes)
-    else:
-        args = _a_args(q, nodes)
-        if sys_.family in ("B", "C"):
-            args.update(_bc_args(q, nodes, symmetric=sys_.family == "C"))
-        if sys_.family == "B":
-            args.update(_border_args(q, sys_.q0, nodes))
-        s = _sigma_table(sys_.lattice, args)
-        L = {"A": _a_block, "B": _b_lax, "C": _c_lax}[sys_.family](sys_, p, s)
+    plan = sys_._lax
+    x = plan.R @ q
+    args = {"x": x, "z": nodes, "z-x": nodes - x}
+    for name, zc, qc in plan.gauge:
+        args[name] = nodes + qc * q if zc else qc * q
+    remainder = sys_.family in ("B", "C")
+    if remainder:
+        args.update(_bc_args(sys_, q, nodes))
+    s = _sigma_table(sys_.lattice, args)
+    num, den = (s[name] for name, _, _ in plan.gauge)
+    h = num / den
+    hh = np.concatenate([h, 1 / h], axis=1)
+    roots = s["z-x"] / (s["z"] * s["x"]) * hh[:, plan.ga] * hh[:, plan.gb]
+    L = np.zeros((len(nodes), plan.size, plan.size), dtype=complex)
+    L[:, plan.u, plan.v] = plan.c * roots[:, plan.r]
+    d = np.arange(plan.size)
+    L[:, d, d] = plan.H @ p
+    if remainder:
+        _bc_remainder(sys_, L, s)
     return L[0] if zs.ndim == 0 else L
 
 
@@ -797,17 +766,16 @@ def moving_points(sys_, state):
 
     Returns (points, gradings); gradings[m] is the diagonal of the Cartan
     element h, in the standard frame, whose degree -1 entries carry the
-    pole at points[m]: h = -e_i at q_i for A; h = -+(e_i, -e_i) at +-q_i for
-    C, at +-q_i/2 for D, and at +-q_i for B with a zero middle entry.  The
-    B border pole q0 is not listed: no diagonal grading element carries it.
+    pole at points[m]: h = -H e_i, with the Cartan rows H of the Lax table,
+    at q_i (q_i/2 for D), and h = H e_i at the negated point for B, C and
+    D.  That is -e_i for A and -+(e_i, -e_i) for B, C and D, with a zero
+    middle entry for B.  The B border pole q0 is not listed: no diagonal
+    grading element carries it.
     """
     q = state.q
-    n = sys_.n
-    eye = np.eye(n)
+    plus = -sys_._lax.H.T
     if sys_.family == "A":
-        return q.copy(), -eye
-    mid = np.zeros((n, 1)) if sys_.family == "B" else np.zeros((n, 0))
-    plus = np.hstack([-eye, mid, eye])
+        return q.copy(), plus
     pts = q / 2 if sys_.family == "D" else q
     return np.concatenate([pts, -pts]), np.vstack([plus, -plus])
 

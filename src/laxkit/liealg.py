@@ -31,6 +31,7 @@ __all__ = [
     "build_root_system",
     "grading_by_simple_root",
     "matrix_realization",
+    "weight_basis",
     "graded_subspaces",
     "cartan_element",
     "grading_element",
@@ -361,6 +362,25 @@ def _expansion(solver, w):
 
 
 @lru_cache(maxsize=None)
+def weight_basis(kind, rank):
+    """(basis, cartan, weights) of the realization of ``kind`` at ``rank``:
+    the exact basis, the Cartan embedding rows and the weight of each basis
+    element as a functional of the Cartan coordinates (zero on the Cartan
+    elements, the root on a root vector).
+
+    This is the part of ``matrix_realization`` that needs neither the simple
+    roots nor the closure check, so it also serves rank 1."""
+    if kind in ("gl", "sl"):
+        basis = _gl_basis(rank, kind == "sl")
+    elif kind == "g2":
+        basis = _g2_basis()
+    else:
+        basis = _form_basis(sigma_for(kind, rank), rank)
+    cartan = _cartan_rows(kind, rank)
+    return tuple(basis), cartan, tuple(_weight(b, cartan) for b in basis)
+
+
+@lru_cache(maxsize=None)
 def matrix_realization(kind, rank):
     """Exact basis of gl/sl(n), so(2n+1), sp(2n), so(2n) or G2.
 
@@ -382,24 +402,17 @@ def matrix_realization(kind, rank):
     elif rank < 2:
         hint = " (matrix size of gl(n))" if family == "A" else ""
         raise ValueError(f"family {family} needs rank >= 2{hint}")
-    sigma = sigma_for(kind, rank)
-    if kind in ("gl", "sl"):
-        basis = _gl_basis(rank, kind == "sl")
-    elif kind == "g2":
-        basis = _g2_basis()
-    else:
-        basis = _form_basis(sigma, rank)
+    basis, _, weights = weight_basis(kind, rank)
     simple = _simple_root_functionals(kind, rank)
-    cartan = _cartan_rows(kind, rank)
     solver = ColumnSolver(simple)
-    weights = [_weight(b, cartan) for b in basis]
     labels = [_expansion(solver, w) for w in weights]
     exps = {w: lab for w, lab in zip(weights, labels) if any(lab) and min(lab) >= 0}
     roots = tuple(exps)
     highest = max(reversed(roots), key=lambda r: sum(exps[r]))
     rs = RootSystem(family, rank, tuple(simple), roots, exps, highest)
     cartan_dim = sum(1 for lab in labels if not any(lab))
-    alg = MatrixAlgebra(kind, rank, sigma.n, basis, labels, sigma, cartan_dim, rs)
+    sigma = sigma_for(kind, rank)
+    alg = MatrixAlgebra(kind, rank, sigma.n, list(basis), labels, sigma, cartan_dim, rs)
     _verify_realization(alg)
     return alg
 

@@ -105,15 +105,6 @@ def test_decoupled_limit_vanishes():
     assert np.linalg.norm(L) == 0
 
 
-def test_double_periodicity_of_lax_entries():
-    sys_ = make("A", 2)
-    st = state_for(sys_)
-    z = 0.37 + 0.21j
-    L0 = cm.lax_matrix(sys_, st, z)
-    for w in (2 * LAT.omega1, 2 * LAT.omega2):
-        assert np.linalg.norm(cm.lax_matrix(sys_, st, z + w) - L0) < 1e-9
-
-
 def test_collision_guard():
     sys_ = make("A", 2)
     with pytest.raises(cm.CollisionError):
@@ -203,6 +194,115 @@ def test_lax_matrix_node_axis(family, n, lat):
     assert got.shape == (len(NODES), size, size)
     ref = per_node(sys_, st, NODES)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def random_couplings(family, n, rng):
+    """Couplings that meet the reduction products and are otherwise random,
+    so that a transposed coupling index shows in the entries."""
+    f = np.exp(rng.uniform(-0.5, 0.5, (n, n)))
+    c = {"f": np.triu(f, 1) + np.tril(1 / f.T, -1) + np.eye(n)}
+    if family != "A":
+        fB = np.exp(rng.uniform(-0.5, 0.5, (n, n))) * rng.choice([-1.0, 1.0], (n, n))
+        c["fB"], c["fC"] = fB, -1 / fB.T
+        if family == "C":
+            np.fill_diagonal(c["fC"], -2 / np.diag(fB))
+    if family == "B":
+        c["fa"], c["fb"] = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    return c
+
+
+def entrywise_lax(sys_, st, z):
+    """L(z) entry by entry, one scalar sigma call per factor: A from the gl
+    formula f_ij s(z+q_j-q_i) s(z-q_j) s(q_i) / (s(z) s(z-q_i) s(q_i-q_j)
+    s(q_j)); D as the weight form with e_ij = (-1)^(i+j+1) conjugated by
+    diag(h, 1/h), h_i = s(z+q_i/2) / s(z-q_i/2); B and C as the gl block and
+    its -transpose, the skew (B) or symmetric (C) off-diagonal blocks and,
+    for B, the border columns a_i and b_i."""
+    s = sys_.lattice.sigma
+    q, p, n, c = st.q, st.p, sys_.n, sys_.couplings
+    size = {"A": n, "B": 2 * n + 1}.get(sys_.family, 2 * n)
+    L = np.zeros((size, size), dtype=complex)
+
+    def phi(x):
+        return s(z - x) / (s(z) * s(x))
+
+    def gl(i, j):
+        if i == j:
+            return p[i]
+        return (c["f"][i, j] * s(z + q[j] - q[i]) * s(z - q[j]) * s(q[i])
+                / (s(z) * s(z - q[i]) * s(q[i] - q[j]) * s(q[j])))
+
+    if sys_.family == "A":
+        for i in range(n):
+            for j in range(n):
+                L[i, j] = gl(i, j)
+        return L
+    if sys_.family == "D":
+        for i in range(n):
+            for j in range(n):
+                L[i, j] = p[i] if i == j else c["f"][i, j] * phi(q[i] - q[j])
+                L[n + j, n + i] = -L[i, j]
+            for j in range(i + 1, n):
+                e = (-1.0) ** (i + j + 1)
+                L[i, n + j] = c["fB"][i, j] * e * phi(q[i] + q[j])
+                L[j, n + i] = -L[i, n + j]
+                L[n + j, i] = -c["fC"][j, i] * e * phi(-q[i] - q[j])
+                L[n + i, j] = -L[n + j, i]
+        h = [s(z + x / 2) / s(z - x / 2) for x in q]
+        g = h + [1 / x for x in h]
+        return np.array([[g[u] * L[u, v] / g[v] for v in range(size)] for u in range(size)])
+    lo = size - n
+    for i in range(n):
+        for j in range(n):
+            L[i, j] = gl(i, j)
+            L[lo + j, lo + i] = -L[i, j]
+    sign = 1.0 if sys_.family == "C" else -1.0
+    for a in range(n):
+        for b in range(a if sys_.family == "C" else a + 1, n):
+            x = q[a] + q[b]
+            bv = c["fB"][a, b] * s(z - x) * s(z + q[b]) / (s(z) * s(z - q[a]) * s(x))
+            cv = c["fC"][b, a] * s(z + x) * s(z - q[a]) / (s(z) * s(z + q[b]) * s(x))
+            L[a, lo + b], L[b, lo + a] = bv, sign * bv
+            L[lo + a, b], L[lo + b, a] = sign * cv, cv
+    if sys_.family == "B":
+        q0 = sys_.q0
+        for i in range(n):
+            av = c["fa"][i] * s(z - q0 - q[i]) * s(z) / (s(z - q0) * s(z - q[i]) * s(q[i]))
+            bv = c["fb"][i] * s(z - q0 + q[i]) * s(z - q[i]) / (s(z) * s(z - q0) * s(q[i]))
+            L[i, n], L[n, i], L[n, n + 1 + i], L[n + 1 + i, n] = av, -bv, -av, bv
+    return L
+
+
+@pytest.mark.parametrize("lat", [LAT, SKEW], ids=["square", "skewed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_lax_matrix_matches_the_entry_formulas(family, n, lat):
+    rng = np.random.default_rng(7 * n + len(family))
+    sys_ = cm.CMSystem(family, n, lat, couplings=random_couplings(family, n, rng), q0=0.51 * 6)
+    st = cm.random_state(sys_, rng)
+    zs = NODES[-3:]
+    got = cm.lax_matrix(sys_, st, zs)
+    for z, g in zip(zs, got):
+        np.testing.assert_allclose(g, entrywise_lax(sys_, st, z), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_lax_matrix_makes_one_sigma_call(family):
+    sys_ = cm.CMSystem(family, 3, Lattice(6.0, 6.0j), q0=0.51 * 6)
+    st = cm.random_state(sys_, np.random.default_rng(4))
+    calls = []
+    sigma = sys_.lattice.sigma
+
+    def counted(x):
+        calls.append(np.ravel(x))
+        return sigma(x)
+
+    sys_.lattice.sigma = counted
+    for z in (NODES[-1], 0.35 * np.exp(2j * np.pi * np.arange(64) / 64)):
+        calls.clear()
+        cm.lax_matrix(sys_, st, z)
+        assert len(calls) == 1
+        assert np.unique(calls[0]).size == calls[0].size  # each argument once
 
 
 def reference_residue(sys_, st, m, power, radius, nodes=64):
@@ -510,10 +610,12 @@ def test_d3_isospectral_and_in_so6():
     assert rep["max_spec_drift"] < 1e-8
 
 
-def test_d_lax_matrix_elliptic():
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_lax_matrix_elliptic(family, n):
     lat = Lattice(1.0, 0.3 + 1.1j)
-    sys_ = cm.CMSystem("D", 3, lat)
-    st = cm.CMState([0.21 + 0.05j, 0.47 - 0.1j, 0.83 + 0.2j], [0.3, -0.2, 0.5])
+    sys_ = cm.CMSystem(family, n, lat)
+    st = cm.CMState([0.21 + 0.05j, 0.47 - 0.1j, 0.83 + 0.2j][:n], [0.3, -0.2, 0.5][:n])
     z = 0.13 + 0.27j
     L = cm.lax_matrix(sys_, st, z)
     for period in (2 * lat.omega1, 2 * lat.omega2):
