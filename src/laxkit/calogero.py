@@ -288,7 +288,8 @@ def _lax_plan(family, n, couplings):
     rows, cols = np.nonzero(R)
     a, b = cols[0::2], cols[1::2]
     sa, sb = R[rows[0::2], a], R[rows[1::2], b]
-    f = np.array([_root_coupling(couplings, *ab) for ab in zip(a, b, sa, sb)])
+    c = {k: np.asarray(v) for k, v in couplings.items()}
+    f = np.array([_root_coupling(c, *ab) for ab in zip(a, b, sa, sb)])
     r, u, v = np.nonzero(E)
     return _LaxPlan(size=len(cartan), R=R, u=u, v=v, r=r, c=f[r] * E[r, u, v],
                     ga=a + n * (sa < 0), gb=b + n * (sb < 0), H=np.array(cartan, dtype=float),
@@ -342,7 +343,7 @@ def _bc_remainder(sys_, L, s):
     (n+1+i, n), with -b_i and -a_i in the middle row."""
     n = sys_.n
     lo = L.shape[1] - n
-    c = sys_.couplings
+    c = {k: np.asarray(v) for k, v in sys_.couplings.items()}
     symmetric = sys_.family == "C"
     a, b = _pairs(n, symmetric)
     bval = c["fB"][a, b] * (s["z-ps"] * s["z+q"][:, b] / (s["z"] * s["z-q"][:, a] * s["ps"]))
