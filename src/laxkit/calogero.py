@@ -372,7 +372,9 @@ def lax_matrix(sys_, state, z):
     the system's ``_lax_plan``, plus for B and C the blocks of
     ``_bc_remainder``.  Every family gives sigma-quotient entries that are
     elliptic in z, with the fixed pole z = 0 and moving poles at
-    ``moving_points``; the D flow is isospectral for n <= 3 only."""
+    ``moving_points``; the D flow is isospectral for n <= 3 only.  An A
+    particle exactly on a lattice point, a pole of the gauge that
+    ``check_state`` lets through, raises the q_i CollisionError."""
     check_state(sys_, state)
     q, p = state.q, state.p
     zs = np.asarray(z, dtype=complex)
@@ -388,12 +390,17 @@ def lax_matrix(sys_, state, z):
     if remainder:
         args.update(_bc_args(sys_, q, nodes))
     s = _sigma_table(sys_.lattice, args)
-    num, den = (s[name] for name, _, _ in plan.gauge)
-    h = num / den
-    hh = np.concatenate([h, 1 / h], axis=1)
-    roots = s["z-x"] / (s["z"] * s["x"]) * hh[:, plan.ga] * hh[:, plan.gb]
     L = np.zeros((len(nodes), plan.size, plan.size), dtype=complex)
-    L[:, plan.u, plan.v] = plan.c * roots[:, plan.r]
+    if plan.r.size:  # n = 1 has no roots, so no gauge
+        num, den = (s[name] for name, _, _ in plan.gauge)
+        if num.ndim == 1 and not num.all():  # family A: B and C guard q_i as a row
+            i = int(np.flatnonzero(num == 0)[0]) + 1
+            raise CollisionError(f"particle on a lattice point: argument q_{i} (kind q_i) is a zero "
+                                 f"of sigma(q), a pole of the gauge of L(z)", kind="q_i", particles=(i,))
+        h = num / den
+        hh = np.concatenate([h, 1 / h], axis=1)
+        roots = s["z-x"] / (s["z"] * s["x"]) * hh[:, plan.ga] * hh[:, plan.gb]
+        L[:, plan.u, plan.v] = plan.c * roots[:, plan.r]
     d = np.arange(plan.size)
     L[:, d, d] = plan.H @ p
     if remainder:
@@ -433,30 +440,47 @@ def _pole_set(sys_, state):
     return np.concatenate([[0j], moving_points(sys_, state)[0], extra])
 
 
-def residue_hamiltonian(sys_, state, m=1, power=2, center=0.0, nodes=64, radius=None):
-    """res_{z=center} z^{-m} tr L(z)^power dz by trapezoidal contour
-    quadrature (exponentially accurate on the annulus of analyticity).
+def _circle(sys_, state, center, nodes):
+    """The nodes w of the contour circle around ``center`` and the stack of
+    L(center + w), from one ``lax_matrix`` call.
 
-    The radius defaults to one third of the distance from the center to the
-    nearest other pole of the integrand.
-    """
-    if sys_.family in ("B", "C", "D") and power % 2:
-        raise ValueError("odd trace powers vanish identically for this family")
+    The radius is a third of the lattice distance from the center to the
+    nearest pole of ``_pole_set`` farther than 1e-4 |omega1|; nearer poles
+    count as enclosed.  With no such pole (the one-particle A system at a
+    lattice point) it is 0.1 |omega1|."""
     lat = sys_.lattice
-    poles = _pole_set(sys_, state)
-    dist = lat.lattice_distance(poles - center)
-    dist = dist[dist > 1e-12]
-    if radius is None:
-        if dist.size == 0:
-            radius = 0.1 * abs(lat.omega1)
-        else:
-            radius = float(np.min(dist)) / 3.0
+    dist = lat.lattice_distance(_pole_set(sys_, state) - center)
+    dist = dist[dist > 1e-4 * abs(lat.omega1)]
+    radius = float(np.min(dist)) / 3.0 if dist.size else 0.1 * abs(lat.omega1)
     if radius < 10 * lat._guard_radius:
-        raise ValueError("contour radius collides with a neighbouring pole")
+        raise ValueError(f"contour radius collides with a neighbouring pole: radius {radius:.3e} "
+                         f"at {complex(center):.6g}, below 10 guard radii")
     w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    ls = lax_matrix(sys_, state, center + w)
-    traces = np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)
-    return np.sum(traces * w ** (1 - m)) / nodes
+    return w, lax_matrix(sys_, state, center + w)
+
+
+def _residues(sys_, state, specs, nodes):
+    """res_{z=0} z^{-m} tr L(z)^power dz for each (power, m) of ``specs``, by
+    trapezoidal quadrature on one ``_circle`` (exponentially accurate on the
+    annulus of analyticity)."""
+    if sys_.family in ("B", "C", "D") and any(power % 2 for power, _ in specs):
+        raise ValueError("odd trace powers vanish identically for this family")
+    w, ls = _circle(sys_, state, 0.0, nodes)
+    out = []
+    for power, m in specs:
+        traces = np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)
+        out.append(np.sum(traces * w ** (1 - m)) / nodes)
+    return np.array(out)
+
+
+def residue_hamiltonian(sys_, state, m=1, power=2, nodes=64):
+    """res_{z=0} z^{-m} tr L(z)^power dz, the one-spec case of ``_residues``.
+
+    Every contour quadrature uses one circle rule (``_circle``): the radius
+    is a third of the lattice distance from the center to the nearest pole
+    of L(z) farther than 1e-4 |omega1|, or 0.1 |omega1| when there is none,
+    and a radius below 10 guard radii raises ValueError."""
+    return _residues(sys_, state, [(power, m)], nodes)[0]
 
 
 def hamiltonian_from_residue(sys_, state, nodes=64):
@@ -467,8 +491,7 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
     if sys_.family == "B":
         val = val + 2 * sys_.n * sys_.lattice.wp(sys_.q0)
     v = complex(val)
-    out = v.real if abs(v.imag) < 1e-9 * max(1.0, abs(v.real)) else v
-    return sys_.sign() * out
+    return sys_.sign() * (v.real if abs(v.imag) < 1e-9 * max(1.0, abs(v.real)) else v)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +581,11 @@ def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
                 times.append(k * dt)
                 qs.append(state.q.copy())
                 ps.append(state.p.copy())
-    except (CollisionError, PoleProximityError) as exc:
+    except CollisionError as exc:
         traj = Trajectory(np.array(times), np.array(qs), np.array(ps), completed=False)
         when = f"in the step to t = {k * dt:.6g}" if k else "at t = 0"
-        raise CollisionError(f"{exc} ({when})", trajectory=traj, kind=getattr(exc, "kind", None),
-                             particles=getattr(exc, "particles", ())) from None
+        raise CollisionError(f"{exc} ({when})", trajectory=traj, kind=exc.kind,
+                             particles=exc.particles) from None
     return Trajectory(np.array(times), np.array(qs), np.array(ps))
 
 
@@ -659,31 +682,31 @@ def eigenvalue_drift(l0, l1):
     return worst
 
 
-def poisson_bracket(sys_, ha, hb, state, rel_step=1e-6):
-    """Canonical bracket sum_i (dHa/dq_i dHb/dp_i - dHa/dp_i dHb/dq_i) with
-    central differences; returns exactly 0.0 when ha is hb."""
+def _gradient(h, state):
+    """Central differences (dh/dq, dh/dp) of h, scalar- or vector-valued, at
+    the state: each coordinate x of q and p moves by 1e-6 (1 + |x|) either
+    way.  The particle axis comes last, after the shape of h's value."""
+    n = len(state.q)
+    y = np.concatenate([state.q, state.p])
+    cols = []
+    for k in range(2 * n):
+        step = 1e-6 * (1 + abs(y[k]))
+        plus, minus = y.copy(), y.copy()
+        plus[k] += step
+        minus[k] -= step
+        cols.append((h(CMState(plus[:n], plus[n:])) - h(CMState(minus[:n], minus[n:]))) / (2 * step))
+    g = np.stack(cols, axis=-1)
+    return g[..., :n], g[..., n:]
+
+
+def poisson_bracket(sys_, ha, hb, state):
+    """Canonical bracket sum_i (dHa/dq_i dHb/dp_i - dHa/dp_i dHb/dq_i) from
+    the central differences of ``_gradient`` (a residue Hamiltonian reads
+    each shifted state on the one circle of ``residue_hamiltonian``);
+    returns exactly 0.0 when ha is hb."""
     if ha is hb:
         return 0.0
-    n = sys_.n
-
-    def grad(h):
-        gq = np.zeros(n, dtype=complex)
-        gp = np.zeros(n, dtype=complex)
-        for i in range(n):
-            hq = rel_step * (1 + abs(state.q[i]))
-            sp_, sm = state.copy(), state.copy()
-            sp_.q[i] += hq
-            sm.q[i] -= hq
-            gq[i] = (h(sp_) - h(sm)) / (2 * hq)
-            hp = rel_step * (1 + abs(state.p[i]))
-            sp_, sm = state.copy(), state.copy()
-            sp_.p[i] += hp
-            sm.p[i] -= hp
-            gp[i] = (h(sp_) - h(sm)) / (2 * hp)
-        return gq, gp
-
-    gqa, gpa = grad(ha)
-    gqb, gpb = grad(hb)
+    (gqa, gpa), (gqb, gpb) = _gradient(ha, state), _gradient(hb, state)
     return complex(np.sum(gqa * gpb - gpa * gqb))
 
 
@@ -696,34 +719,27 @@ def residue_hamiltonian_fn(sys_, m, power, nodes=64):
     return h
 
 
-def involution_table(sys_, state, specs, nodes=64, rel_step=1e-6):
+def involution_table(sys_, state, specs, nodes=64):
     """Pairwise Poisson brackets of residue Hamiltonians.
 
     ``specs`` is a list of (power, m) labels; returns a dict mapping pairs of
-    labels to |bracket|."""
-    fns = {spec: residue_hamiltonian_fn(sys_, spec[1], spec[0], nodes=nodes) for spec in specs}
-    out = {}
-    for i, sa in enumerate(specs):
-        for sb in specs[i + 1:]:
-            val = poisson_bracket(sys_, fns[sa], fns[sb], state, rel_step=rel_step)
-            out[(sa, sb)] = abs(val)
-    return out
+    labels to |bracket|.  One ``_gradient`` pass of the vector of residues
+    gives every pair from 4 n ``lax_matrix`` calls, each reading all specs
+    off the one circle of ``residue_hamiltonian``; a single spec gives {}
+    without evaluating anything."""
+    if len(specs) < 2:
+        return {}
+    gq, gp = _gradient(lambda st: _residues(sys_, st, specs, nodes), state)
+    return {(sa, sb): abs(complex(np.sum(gq[a] * gp[b] - gp[a] * gq[b])))
+            for a, sa in enumerate(specs) for b, sb in enumerate(specs) if a < b}
 
 
-def _matrix_residue(sys_, state, center, order=1, nodes=64, cluster_tol=None):
-    """Laurent coefficient matrix of L(z) at degree -order around center.
-
-    Poles within ``cluster_tol`` of the center count as enclosed (needed when
-    probing a slightly moved pole along a trajectory)."""
-    lat = sys_.lattice
-    if cluster_tol is None:
-        cluster_tol = 1e-4 * abs(lat.omega1)
-    poles = _pole_set(sys_, state)
-    dist = lat.lattice_distance(poles - center)
-    dist = dist[dist > cluster_tol]
-    radius = float(np.min(dist)) / 3.0
-    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return np.tensordot(w ** order, lax_matrix(sys_, state, center + w), 1) / nodes
+def _matrix_residue(sys_, state, center, order=1, nodes=64):
+    """Laurent coefficient matrix of L(z) at degree -order around center, on
+    the ``_circle`` there (poles within 1e-4 |omega1| of the center count as
+    enclosed, as a slightly moved pole along a trajectory needs)."""
+    w, ls = _circle(sys_, state, center, nodes)
+    return np.tensordot(w ** order, ls, 1) / nodes
 
 
 def tyurin_residue_check(sys_, state, flow_probe=None):
@@ -788,25 +804,19 @@ def expansion_violations(sys_, state, nodes=64):
     coefficient L_p of L(z) at degree p must lie in the level-p filtration,
     i.e. vanish at the entries (u, v) with h_u - h_v > p, for p = -k..k-1;
     p = -k-1 is checked too (no pole beyond order k).  The coefficients come
-    from trapezoidal quadrature on a circle of a third of the distance to
-    the nearest other pole.  Returns one dict per point and degree with the
-    largest offending entry ("violation") and, with every coefficient
-    scaled by radius^p, that entry over the largest coefficient entry at
-    the point ("relative").
+    from trapezoidal quadrature on the ``_circle`` at the point.  Returns
+    one dict per point and degree with the largest offending entry
+    ("violation") and, with every coefficient scaled by radius^p, that entry
+    over the largest coefficient entry at the point ("relative").
     """
-    lat = sys_.lattice
     points, gradings = moving_points(sys_, state)
-    poles = _pole_set(sys_, state)
     k = _GRADING_DEPTH[sys_.family]
     degrees = np.arange(-k - 1, k)
     out = []
     for gamma, hd in zip(points, gradings):
-        dist = lat.lattice_distance(poles - gamma)
-        radius = float(np.min(dist[dist > 1e-12])) / 3.0
-        w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        ls = lax_matrix(sys_, state, gamma + w)
+        w, ls = _circle(sys_, state, gamma, nodes)
         coeffs = np.tensordot(w[None, :] ** -degrees[:, None], ls, 1) / nodes
-        scaled = np.abs(coeffs) * radius ** degrees[:, None, None]
+        scaled = np.abs(coeffs) * w[0].real ** degrees[:, None, None]  # w[0] is the radius
         bad = (hd[:, None] - hd[None, :])[None] > degrees[:, None, None]
         scale = scaled.max()
         for p, c, sc, b in zip(degrees, coeffs, scaled, bad):

@@ -112,15 +112,14 @@ class Lattice:
 
     ``omega1`` and ``omega2`` are the half-periods; the orientation
     Im(omega2/omega1) > 0 is required.  Weierstrass constants (quasi-periods,
-    g2, g3) are precomputed once.
+    g2, g3) are precomputed once; the guard radius is 1e-3 |omega1|.
     """
 
-    def __init__(self, omega1=1.0, omega2=1.0j, guard=1e-3, tol=1e-17):
+    def __init__(self, omega1=1.0, omega2=1.0j):
         self.omega1 = complex(omega1)
         self.omega2 = complex(omega2)
         if (self.omega2 / self.omega1).imag <= 0:
             raise ValueError("require Im(omega2/omega1) > 0")
-        self.guard = guard
         self.A = 2 * self.omega1
         self.B = 2 * self.omega2
         self.Ar, self.Br = _reduce_basis(self.A, self.B)
@@ -130,7 +129,7 @@ class Lattice:
         e2 = e4 = e6 = 0.0 + 0.0j
         qn = Q
         n = 1
-        while abs(qn) > tol and n < 200:
+        while abs(qn) > 1e-17 and n < 200:
             f = qn / (1 - qn)
             e2 += n * f
             e4 += n**3 * f
@@ -168,7 +167,7 @@ class Lattice:
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
-        self._guard_radius = guard * abs(self.omega1)
+        self._guard_radius = 1e-3 * abs(self.omega1)
         # reduce: the integer shifts are Im(z conj(Br)) / d and Im(z conj(Ar)) / -d
         d = (self.Ar * np.conj(self.Br)).imag
         self._shift_rows = np.array([np.conj(self.Br), np.conj(self.Ar)])

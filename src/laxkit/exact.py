@@ -13,7 +13,9 @@ ints.  All-``int`` operands with a larger entry are multiplied in Python
 ints directly.  Any other operands (a ``Fraction`` entry, an empty shape)
 take the exact rational path: each operand is scaled to integers by one
 lcm, the product is formed in integers, and each entry is divided by the
-product of the two scales once (an ``int`` when that is exact).
+product of the two scales once (an ``int`` when that is exact).  Shapes
+that do not match raise ValueError: a product needs equal inner
+dimensions, a commutator two square matrices of one size.
 """
 
 from __future__ import annotations
@@ -67,19 +69,21 @@ def _int_rows(rows):
     return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
 
 
-def _int_product(a, b):
+def _int_product(a, b, comm=False):
+    """A B (A B - B A with ``comm``) of integer matrices, in Python ints."""
     cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    out = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    if comm:
+        out = [[x - y for x, y in zip(r, t)] for r, t in zip(out, _int_product(b, a))]
+    return out
 
 
 def _rational_product(arows, brows, comm=False):
-    """A B, or A B - B A when ``comm`` is set, over the rationals in
-    integers: s_a A and s_b B are integer matrices, and each entry of their
-    product is divided by s_a s_b once."""
+    """``_int_product`` over the rationals in integers: s_a A and s_b B are
+    integer matrices, and each entry of their product is divided by s_a s_b
+    once."""
     (a, sa), (b, sb) = _int_rows(arows), _int_rows(brows)
-    out = _int_product(a, b)
-    if comm:
-        out = [[x - y for x, y in zip(r, t)] for r, t in zip(out, _int_product(b, a))]
+    out = _int_product(a, b, comm)
     s = sa * sb
     return out if s == 1 else [[_exact_quotient(x, s) for x in r] for r in out]
 
@@ -93,6 +97,18 @@ def _fits_int64(arows, brows, terms):
         return None
     hb = _int_height(brows)
     return None if hb is None else ha * hb * terms < _INT64_LIMIT
+
+
+def _product(arows, brows, comm=False):
+    """A B (A B - B A with ``comm``): on int64 when that is provably exact,
+    in Python ints when every entry is an ``int``, else over the rationals."""
+    fits = _fits_int64(arows, brows, len(brows) * (2 if comm else 1))
+    if fits:
+        a, b = np.array(arows, dtype=np.int64), np.array(brows, dtype=np.int64)
+        return (a @ b - b @ a if comm else a @ b).tolist()
+    if fits is False:
+        return _int_product(arows, brows, comm)
+    return _rational_product(arows, brows, comm)
 
 
 class Mat:
@@ -140,27 +156,15 @@ class Mat:
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
-        fits = _fits_int64(self.rows, other.rows, self.m) if self.m == other.n else None
-        if fits:
-            a = np.array(self.rows, dtype=np.int64)
-            b = np.array(other.rows, dtype=np.int64)
-            return Mat((a @ b).tolist())
-        if fits is False:
-            return Mat(_int_product(self.rows, other.rows))
-        return Mat(_rational_product(self.rows, other.rows))
+        if self.m != other.n:
+            raise ValueError(f"cannot multiply a {self.n}x{self.m} by a {other.n}x{other.m} matrix")
+        return Mat(_product(self.rows, other.rows))
 
     def comm(self, other):
         if not self.n == self.m == other.n == other.m:
-            return self @ other - other @ self
-        fits = _fits_int64(self.rows, other.rows, 2 * self.m)
-        if fits:
-            a = np.array(self.rows, dtype=np.int64)
-            b = np.array(other.rows, dtype=np.int64)
-            return Mat((a @ b - b @ a).tolist())
-        if fits is False:
-            ab, ba = _int_product(self.rows, other.rows), _int_product(other.rows, self.rows)
-            return Mat([[x - y for x, y in zip(r, t)] for r, t in zip(ab, ba)])
-        return Mat(_rational_product(self.rows, other.rows, comm=True))
+            raise ValueError(f"commutator needs square matrices of one size, "
+                             f"not {self.n}x{self.m} and {other.n}x{other.m}")
+        return Mat(_product(self.rows, other.rows, comm=True))
 
     @property
     def T(self):

@@ -125,14 +125,13 @@ def _violations(dec, coeffs, hi):
     return violations
 
 
-def validate_lax(e, upto=None):
+def validate_lax(e):
     """Filtration violations of a series: list of (degree, graded level).
 
     Empty list means the coefficient at each degree p < depth lies in the
     level-p filtration space (degrees below -depth must vanish entirely).
     """
-    dec = e.dec
-    return _violations(dec, e.coeffs, min(e.trunc, dec.depth - 1) if upto is None else upto)
+    return _violations(e.dec, e.coeffs, min(e.trunc, e.dec.depth - 1))
 
 
 def as_lax(e):
@@ -252,14 +251,15 @@ def random_mop(dec, rng, trunc=None, lo=-3, hi=3):
     return MOpExpansion(Fraction(rng.randint(lo, hi)), MatrixLaurent(dec, coeffs, t))
 
 
-def random_group_element(alg, rng, steps=4, denom=3):
+def random_group_element(alg, rng):
     """Random element of the connected group preserving the realization.
 
     For the orthogonal and symplectic families this is a Cayley transform
     (I - X)(I + X)^{-1} of a random algebra element, which preserves the
     bilinear form exactly over the rationals.  For gl it is a product of
-    elementary unipotents, and for G2 a product of exponentials of nilpotent
-    root vectors (finite sums, hence exact group elements).
+    eight elementary unipotents, and for G2 a product of four exponentials
+    of nilpotent root vectors (finite sums, hence exact group elements).
+    Every random coefficient is a multiple of 1/3.
     """
     n = alg.size
     if alg.kind in ("so_even", "so_odd", "sp"):
@@ -268,7 +268,7 @@ def random_group_element(alg, rng, steps=4, denom=3):
             for b in alg.basis:
                 c = rng.randint(-2, 2)
                 if c:
-                    x = x + b.scale(Fraction(c, denom))
+                    x = x + b.scale(Fraction(c, 3))
             try:
                 g = (Mat.identity(n) - x) @ mat_inverse(Mat.identity(n) + x)
                 return g
@@ -279,21 +279,21 @@ def random_group_element(alg, rng, steps=4, denom=3):
         # alternate lower and upper elementary factors with nonzero entries
         # so the product is never triangular
         g = Mat.identity(n)
-        for s in range(steps * 2):
+        for s in range(8):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
             j = j if j < i else j + 1
             if (s % 2 == 0) != (i < j):
                 i, j = j, i
-            c = Fraction(rng.choice((-2, -1, 1, 2)), denom)
+            c = Fraction(rng.choice((-2, -1, 1, 2)), 3)
             g = g @ (Mat.identity(n) + Mat.unit(n, i, j, c))
         return g
     if alg.kind == "g2":
         roots = [b for b, lab in zip(alg.basis, alg.labels) if any(lab)]
         g = Mat.identity(n)
-        for _ in range(steps):
+        for _ in range(4):
             b = roots[rng.randrange(len(roots))]
-            g = g @ _exp_nilpotent(b, Fraction(rng.randint(-2, 2), denom))
+            g = g @ _exp_nilpotent(b, Fraction(rng.randint(-2, 2), 3))
         return g
     raise ValueError(alg.kind)
 
@@ -483,7 +483,6 @@ def validate_tyurin_form(alg, dec, e, g=None):
     alpha = _col(g, 0)
     violations = []
     extras = {}
-    sig = alg.sigma
     if kind in ("gl", "sl"):
         lm1 = e.coefficient(-1)
         # L_{-1} = alpha beta^t with beta^t alpha = 0
@@ -493,64 +492,44 @@ def validate_tyurin_form(alg, dec, e, g=None):
             violations.append("residue is not alpha beta^t")
         if _vec_dot(beta, alpha) != 0:
             violations.append("beta^t alpha != 0")
-        sq = lm1 @ lm1
-        if not sq.is_zero():
+        if not (lm1 @ lm1).is_zero():
             violations.append("residue does not square to zero")
-        kappa, ok = _extract_kappa(e.coefficient(0), alpha)
-        if not ok:
-            violations.append("alpha is not an eigenvector of L_0")
-        return TyurinReport(not violations, kind, violations, kappa=kappa, beta=beta, extras=extras)
-    if kind in ("so_even", "so_odd"):
-        lm1 = e.coefficient(-1)
-        sig_alpha = _mat_vec(sig, alpha)
-        if _vec_dot(alpha, sig_alpha) != 0:
-            violations.append("alpha^t sigma alpha != 0")
-        w = lm1 @ mat_inverse(sig)
-        if not (w + w.T).is_zero():
-            violations.append("L_{-1} sigma^{-1} is not skew")
-            beta = None
-        else:
-            beta = _solve_skew_rank2(w, alpha)
-            if beta is None:
-                violations.append("residue is not (alpha beta^t - beta alpha^t) sigma")
-            elif _vec_dot(beta, sig_alpha) != 0:
-                violations.append("beta^t sigma alpha != 0")
-        kappa, ok = _extract_kappa(e.coefficient(0), alpha)
-        if not ok:
-            violations.append("alpha is not an eigenvector of L_0")
-        return TyurinReport(not violations, kind, violations, kappa=kappa, beta=beta, extras=extras)
-    if kind == "sp":
-        if dec.depth != 2:
+    elif kind in ("so_even", "so_odd", "sp"):
+        symplectic = kind == "sp"
+        if symplectic and dec.depth != 2:
             raise ValueError("symplectic residue form is catalogued for the depth-2 grading")
-        sig_alpha = _mat_vec(sig, alpha)
-        siginv = mat_inverse(sig)
-        lm2 = e.coefficient(-2)
-        w2 = lm2 @ siginv
-        # L_{-2} = nu alpha alpha^t sigma
-        j0 = next(j for j, a in enumerate(alpha) if a)
-        nu = Fraction(w2.rows[j0][j0], alpha[j0] * alpha[j0])
-        if _outer(alpha, alpha).scale(nu) != w2:
-            violations.append("second-order residue is not nu alpha alpha^t sigma")
-        extras["nu"] = nu
-        lm1 = e.coefficient(-1)
-        w = lm1 @ siginv
-        if not (w - w.T).is_zero():
-            violations.append("L_{-1} sigma^{-1} is not symmetric")
+        sig_alpha = _mat_vec(alg.sigma, alpha)
+        siginv = mat_inverse(alg.sigma)
+        if not symplectic and _vec_dot(alpha, sig_alpha) != 0:
+            violations.append("alpha^t sigma alpha != 0")
+        if symplectic:
+            # L_{-2} = nu alpha alpha^t sigma
+            w2 = e.coefficient(-2) @ siginv
+            j0 = next(j for j, a in enumerate(alpha) if a)
+            nu = Fraction(w2.rows[j0][j0], alpha[j0] * alpha[j0])
+            if _outer(alpha, alpha).scale(nu) != w2:
+                violations.append("second-order residue is not nu alpha alpha^t sigma")
+            extras["nu"] = nu
+        # L_{-1} = (alpha beta^t - beta alpha^t) sigma for so, with + for sp
+        w = e.coefficient(-1) @ siginv
+        shape, sign = ("symmetric", "+") if symplectic else ("skew", "-")
+        if not (w - w.T if symplectic else w + w.T).is_zero():
+            violations.append(f"L_{{-1}} sigma^{{-1}} is not {shape}")
             beta = None
         else:
-            beta = _solve_sym_rank2(w, alpha)
+            beta = (_solve_sym_rank2 if symplectic else _solve_skew_rank2)(w, alpha)
             if beta is None:
-                violations.append("residue is not (alpha beta^t + beta alpha^t) sigma")
+                violations.append(f"residue is not (alpha beta^t {sign} beta alpha^t) sigma")
             elif _vec_dot(beta, sig_alpha) != 0:
                 violations.append("beta^t sigma alpha != 0")
-        kappa, ok = _extract_kappa(e.coefficient(0), alpha)
-        if not ok:
-            violations.append("alpha is not an eigenvector of L_0")
-        l1 = e.coefficient(1) if e.trunc >= 1 else None
-        if l1 is not None and _vec_dot(sig_alpha, _mat_vec(l1, alpha)) != 0:
-            violations.append("alpha^t sigma L_1 alpha != 0")
-        return TyurinReport(not violations, kind, violations, kappa=kappa, beta=beta, extras=extras)
-    raise ValueError(f"no catalogued residue form for kind {kind!r}")
+    else:
+        raise ValueError(f"no catalogued residue form for kind {kind!r}")
+    kappa, ok = _extract_kappa(e.coefficient(0), alpha)
+    if not ok:
+        violations.append("alpha is not an eigenvector of L_0")
+    if kind == "sp" and e.trunc >= 1 and _vec_dot(sig_alpha, _mat_vec(e.coefficient(1), alpha)):
+        violations.append("alpha^t sigma L_1 alpha != 0")
+    return TyurinReport(not violations, kind, violations, kappa=kappa, beta=beta, extras=extras)
 
 
 def _tyurin_g2(alg, e):

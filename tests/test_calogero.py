@@ -156,6 +156,24 @@ def test_argument_labels_follow_the_collision_layout(family):
         assert value[kind](*particles) == arg
 
 
+def test_a_particle_on_a_lattice_point_is_named():
+    # the A rows guard q_i - q_j only; sigma(q_i) = 0 is a pole of the gauge
+    sys_ = make("A", 2)
+    for q, i in (([0.0, 1.0], 1), ([1.0, 2 * LAT.omega1], 2)):
+        st = cm.CMState(np.array(q), np.zeros(2))
+        cm.check_state(sys_, st)
+        with pytest.raises(cm.CollisionError, match=rf"argument q_{i} \(kind q_i\)") as exc:
+            cm.lax_matrix(sys_, st, 0.4 + 0.3j)
+        assert (exc.value.kind, exc.value.particles) == ("q_i", (i,))
+    # one particle has no gauge, L = p; off the lattice the trace is gauge-free
+    one = cm.CMState(np.zeros(1), np.array([0.3]))
+    assert cm.lax_matrix(make("A", 1), one, 0.4 + 0.3j) == 0.3
+    assert abs(cm.hamiltonian_from_residue(make("A", 1), one) + 0.5 * 0.3 ** 2) < 1e-15
+    near = cm.CMState(np.array([1e-12, 1.0]), np.array([0.3, -0.2]))
+    h = cm.hamiltonian(sys_, near)
+    assert abs(cm.hamiltonian_from_residue(sys_, near) - h) < 1e-12 * abs(h)
+
+
 def test_integrate_keeps_the_collision_argument():
     sys_ = make("A", 2)
     st = cm.CMState(np.array([1.0, 1.0 + 1e-9]), np.zeros(2))
@@ -321,8 +339,10 @@ def reference_residue(sys_, st, m, power, radius, nodes=64):
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
     sys_, st = batch_case(family, 3, LAT)
-    ref, scale = reference_residue(sys_, st, m, power, radius=0.2)
-    got = cm.residue_hamiltonian(sys_, st, m=m, power=power, radius=0.2)
+    got = cm.residue_hamiltonian(sys_, st, m=m, power=power)
+    dist = sys_.lattice.lattice_distance(cm._pole_set(sys_, st))
+    radius = float(np.min(dist[dist > 1e-4 * abs(LAT.omega1)])) / 3.0
+    ref, scale = reference_residue(sys_, st, m, power, radius)
     assert abs(got - ref) <= 1e-13 * scale
 
 
@@ -705,6 +725,41 @@ def test_involution_table():
     table = cm.involution_table(sys_, st, [(2, 1), (3, 1)])
     assert max(table.values()) < 1e-6
     assert cm.involution_table(sys_, st, [(2, 1)]) == {}
+
+
+def test_involution_table_takes_one_gradient_pass(monkeypatch):
+    sys_ = make("A", 3)
+    st = state_for(sys_)
+    specs = [(2, 1), (3, 1), (4, 1)]
+    fns = {s: cm.residue_hamiltonian_fn(sys_, s[1], s[0]) for s in specs}
+    pairwise = {(a, b): abs(cm.poisson_bracket(sys_, fns[a], fns[b], st))
+                for i, a in enumerate(specs) for b in specs[i + 1:]}
+    calls = []
+    real = cm.lax_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cm, "lax_matrix", counted)
+    table = cm.involution_table(sys_, st, specs)
+    assert len(calls) == 4 * sys_.n
+    # the same central differences as one bracket per pair
+    assert table == pairwise
+    calls.clear()
+    assert cm.involution_table(sys_, st, specs[:1]) == {} and not calls
+
+
+def test_contour_radius_guard_applies_to_every_residue():
+    # q_2 - q_1 = 3e-3 |omega1| passes the collision guard of 1e-3 |omega1|,
+    # but a circle at q_1 gets a third of it, below 10 guard radii
+    sys_ = make("A", 2)
+    st = cm.CMState(np.array([1.0, 1.0 + 3e-3 * abs(LAT.omega1)]), np.zeros(2))
+    for fn in (lambda: cm._matrix_residue(sys_, st, st.q[0]),
+               lambda: cm.expansion_violations(sys_, st),
+               lambda: cm.tyurin_residue_check(sys_, st)):
+        with pytest.raises(ValueError, match="contour radius collides with a neighbouring pole"):
+            fn()
 
 
 @pytest.mark.xfail(strict=True,

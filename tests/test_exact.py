@@ -316,3 +316,12 @@ def test_non_square_and_empty_shapes():
     assert not _fits_int64(empty.rows, empty.rows, 0)
     flat = Mat([[], []])
     assert (flat @ empty).rows == ((), ())
+
+
+def test_mismatched_shapes_raise():
+    with pytest.raises(ValueError, match=r"1x2 by a 1x2"):
+        Mat([[1, 2]]) @ Mat([[3, 4]])
+    with pytest.raises(ValueError, match=r"2x3 and 3x2"):
+        Mat([[1, 2, 3], [4, 5, 6]]).comm(Mat([[1, 2], [3, 4], [5, 6]]))
+    with pytest.raises(ValueError, match=r"2x2 and 3x3"):
+        Mat.identity(2).comm(Mat.identity(3))

@@ -233,3 +233,96 @@ def test_commutator_matches_plain_python_sums():
             assert c.trunc == t
             assert {p: m.rows for p, m in c.coeffs.items()} == ref, (kind, rank, idx)
             assert all(type(x) is int for m in c.coeffs.values() for r in m.rows for x in r)
+
+
+# Tyurin-form violations, one condition broken at a time in the standard
+# frame (alpha = e_0); the gl pairs and the G2 orthogonality rows break two
+# conditions that cannot fail alone
+
+E = Mat.unit
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ({-1: E(3, 0, 1)}, []),
+    ({-1: E(3, 0, 1) + E(3, 2, 1)}, ["residue is not alpha beta^t"]),
+    ({-1: E(3, 0, 1) + E(3, 0, 0)}, ["beta^t alpha != 0", "residue does not square to zero"]),
+    ({-1: E(3, 0, 1) + E(3, 1, 2)}, ["residue is not alpha beta^t", "residue does not square to zero"]),
+    ({-1: E(3, 0, 1), 0: E(3, 1, 0)}, ["alpha is not an eigenvector of L_0"]),
+])
+def test_gl_residue_form_violations(coeffs, want):
+    alg, dec = la.catalog_grading("gl", 3, 1)
+    rep = fm.validate_tyurin_form(alg, dec, fm.MatrixLaurent(dec, coeffs, 1))
+    assert rep.violations == want and rep.ok == (not want)
+
+
+def _form_violations(kind, rank, idx, w2=None, w1=None, l0=None, l1=None, g=None):
+    """Violations of the series with L_{-2} = w2 sigma, L_{-1} = w1 sigma, L_0
+    and L_1 (zero where not given)."""
+    alg, dec = la.catalog_grading(kind, rank, idx)
+    coeffs = {0: l0, 1: l1}
+    coeffs.update({p: w @ alg.sigma for p, w in ((-2, w2), (-1, w1)) if w is not None})
+    e = fm.MatrixLaurent(dec, {p: m for p, m in coeffs.items() if m is not None}, 1)
+    return fm.validate_tyurin_form(alg, dec, e, g).violations
+
+
+@pytest.mark.parametrize("kind,s", [("so_even", 2), ("so_odd", 3)])
+def test_orthogonal_residue_form_violations(kind, s):
+    # sigma e_0 = e_s; beta = e_1 is sigma-orthogonal to alpha = e_0
+    n = 4 if kind == "so_even" else 5
+
+    def violations(**kw):
+        return _form_violations(kind, 2, 1, **kw)
+
+    assert violations(w1=E(n, 0, 1) - E(n, 1, 0)) == []
+    assert violations(g=Mat.identity(n) + E(n, s, 0)) == ["alpha^t sigma alpha != 0"]
+    assert violations(w1=E(n, 0, 0)) == ["L_{-1} sigma^{-1} is not skew"]
+    assert violations(w1=E(n, 1, 2) - E(n, 2, 1)) == [
+        "residue is not (alpha beta^t - beta alpha^t) sigma"]
+    assert violations(w1=E(n, 0, s) - E(n, s, 0)) == ["beta^t sigma alpha != 0"]
+    assert violations(l0=E(n, 1, 0)) == ["alpha is not an eigenvector of L_0"]
+
+
+def test_symplectic_residue_form_violations():
+    # sigma e_0 = -e_2; the depth-2 grading by the first simple root
+    def violations(**kw):
+        return _form_violations("sp", 2, 1, **kw)
+
+    assert violations(w2=E(4, 0, 0), w1=E(4, 0, 1) + E(4, 1, 0)) == []
+    assert violations(w2=E(4, 1, 1)) == ["second-order residue is not nu alpha alpha^t sigma"]
+    assert violations(w1=E(4, 0, 1)) == ["L_{-1} sigma^{-1} is not symmetric"]
+    assert violations(w1=E(4, 1, 1)) == ["residue is not (alpha beta^t + beta alpha^t) sigma"]
+    assert violations(w1=E(4, 0, 2) + E(4, 2, 0)) == ["beta^t sigma alpha != 0"]
+    assert violations(l0=E(4, 1, 0)) == ["alpha is not an eigenvector of L_0"]
+    assert violations(l1=E(4, 2, 0)) == ["alpha^t sigma L_1 alpha != 0"]
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ({-2: E(7, 2, 3) - E(7, 6, 5)}, []),
+    ({-2: E(7, 2, 3)}, ["second-order residue is outside the highest-root line"]),
+    ({-1: E(7, 1, 0)}, ["first-order a1-block is not parallel to the invariant direction"]),
+    ({-1: E(7, 4, 0)}, ["first-order a2-block is not parallel to the invariant direction"]),
+    ({-1: E(7, 1, 1)}, ["first-order A-block entry (0, 0) outside the residue shape"]),
+    ({-1: E(7, 2, 2)}, ["first-order A-block entry (1, 1) outside the residue shape",
+                        "orthogonality alpha1^t beta2 != 0 fails"]),
+    ({-1: E(7, 3, 3)}, ["first-order A-block entry (2, 2) outside the residue shape",
+                        "orthogonality alpha2^t beta1 != 0 fails"]),
+    ({0: E(7, 5, 0)}, ["eigen relation alpha1^t a2 = 0 fails"]),
+    ({0: E(7, 3, 0)}, ["eigen relation alpha2^t a1 = 0 fails"]),
+    ({0: E(7, 1, 2)}, ["alpha1 is not an eigenvector of the A-block"]),
+    ({0: E(7, 3, 1)}, ["alpha2 is not an eigenvector of the transposed A-block"]),
+])
+def test_g2_residue_form_violations(coeffs, want):
+    alg, dec = la.catalog_grading("g2", 2, 2)
+    rep = fm.validate_tyurin_form(alg, dec, fm.MatrixLaurent(dec, coeffs, 1))
+    assert rep.violations == want and rep.ok == (not want)
+
+
+def test_residue_form_frames_and_depths_are_checked():
+    alg, dec = la.catalog_grading("g2", 2, 2)
+    g = fm.random_group_element(alg, random.Random(2))
+    with pytest.raises(ValueError, match="standard frame only"):
+        fm.validate_tyurin_form(alg, dec, fm.MatrixLaurent(dec, {}, 1), g)
+    alg, dec = la.catalog_grading("sp", 2, 2)
+    assert dec.depth != 2
+    with pytest.raises(ValueError, match="depth-2 grading"):
+        fm.validate_tyurin_form(alg, dec, fm.MatrixLaurent(dec, {}, 1))
