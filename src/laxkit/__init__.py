@@ -8,9 +8,7 @@ from .liealg import (
     GradedDecomposition,
     MatrixAlgebra,
     RootSystem,
-    build_root_system,
     catalog_grading,
-    grading_by_simple_root,
     graded_subspaces,
     matrix_realization,
 )
@@ -32,9 +30,7 @@ __all__ = [
     "GradedDecomposition",
     "MatrixAlgebra",
     "RootSystem",
-    "build_root_system",
     "catalog_grading",
-    "grading_by_simple_root",
     "graded_subspaces",
     "matrix_realization",
     "INF",

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import Lattice, PoleProximityError
-from .liealg import family_to_kind, sigma_for, weight_basis
+from .liealg import family_to_kind, weight_basis
 
 __all__ = [
     "CMSystem",
@@ -52,7 +52,6 @@ __all__ = [
     "check_state",
     "default_couplings",
     "lax_matrix",
-    "family_sigma_matrix",
     "hamiltonian",
     "residue_hamiltonian",
     "hamiltonian_from_residue",
@@ -65,7 +64,6 @@ __all__ = [
     "spectral_invariants",
     "eigenvalue_drift",
     "poisson_bracket",
-    "residue_hamiltonian_fn",
     "involution_table",
     "tyurin_residue_check",
     "moving_points",
@@ -408,14 +406,6 @@ def lax_matrix(sys_, state, z):
     return L[0] if zs.ndim == 0 else L
 
 
-def family_sigma_matrix(family, n):
-    """Defining bilinear form of the matrix family (None for A), as a float
-    array of ``liealg.sigma_for``."""
-    if family == "A":
-        return None
-    return np.array(sigma_for(family_to_kind(family), n).rows, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
@@ -699,7 +689,7 @@ def _gradient(h, state):
     return g[..., :n], g[..., n:]
 
 
-def poisson_bracket(sys_, ha, hb, state):
+def poisson_bracket(ha, hb, state):
     """Canonical bracket sum_i (dHa/dq_i dHb/dp_i - dHa/dp_i dHb/dq_i) from
     the central differences of ``_gradient`` (a residue Hamiltonian reads
     each shifted state on the one circle of ``residue_hamiltonian``);
@@ -708,15 +698,6 @@ def poisson_bracket(sys_, ha, hb, state):
         return 0.0
     (gqa, gpa), (gqb, gpb) = _gradient(ha, state), _gradient(hb, state)
     return complex(np.sum(gqa * gpb - gpa * gqb))
-
-
-def residue_hamiltonian_fn(sys_, m, power, nodes=64):
-    """Hamiltonian functional state -> res z^{-m} tr L^power for brackets."""
-
-    def h(state):
-        return residue_hamiltonian(sys_, state, m=m, power=power, nodes=nodes)
-
-    return h
 
 
 def involution_table(sys_, state, specs, nodes=64):

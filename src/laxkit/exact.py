@@ -147,9 +147,6 @@ class Mat:
     def __sub__(self, other):
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
-
     def scale(self, c):
         if c == 1:
             return self
@@ -178,9 +175,6 @@ class Mat:
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __getitem__(self, ij):
         i, j = ij

@@ -28,8 +28,6 @@ __all__ = [
     "RootSystem",
     "MatrixAlgebra",
     "GradedDecomposition",
-    "build_root_system",
-    "grading_by_simple_root",
     "matrix_realization",
     "weight_basis",
     "graded_subspaces",
@@ -87,44 +85,12 @@ class RootSystem:
     expansions: dict = field(repr=False)
     highest_root: tuple
 
-    @property
-    def n_simple(self):
-        return len(self.simple_roots)
-
-    def multiplicity(self, root, i):
-        """Multiplicity of the i-th simple root (1-based) in a positive root."""
-        return self.expansions[root][i - 1]
-
 
 def _vec(n, pairs):
     v = [0] * n
     for i, c in pairs:
         v[i] = c
     return tuple(v)
-
-
-def build_root_system(family, rank):
-    """Positive roots, expansions and highest root for the given family,
-    read off the labels of its matrix realization."""
-    return matrix_realization(family_to_kind(family), rank).root_system
-
-
-def grading_by_simple_root(rs, index, dual=False):
-    """Degrees of all roots under the grading attached to one simple root.
-
-    Returns (degrees, depth): ``degrees`` maps each positive root to the
-    degree of its root space (minus the multiplicity by default, plus it for
-    the dual grading); negative roots get the opposite degree.  The depth is
-    the largest multiplicity of the chosen simple root over positive roots,
-    which for an irreducible system equals its multiplicity in the highest
-    root.
-    """
-    if not (1 <= index <= rs.n_simple):
-        raise ValueError(f"simple root index {index} out of range 1..{rs.n_simple}")
-    sign = 1 if dual else -1
-    degrees = {r: sign * rs.multiplicity(r, index) for r in rs.positive_roots}
-    depth = max(rs.multiplicity(r, index) for r in rs.positive_roots)
-    return degrees, depth
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +199,6 @@ class MatrixAlgebra:
     def coordinates(self, m):
         """Exact coordinates of a matrix in the basis, or None if outside."""
         return self.solver().solve(m.flatten())
-
-    def contains(self, m):
-        return self.coordinates(m) is not None
 
     def element(self, coords):
         acc = Mat.zeros(self.size)
@@ -565,9 +528,6 @@ class GradedDecomposition:
         for i, j in self.positions_above(p):
             out[i][j] = m.rows[i][j]
         return Mat(out)
-
-    def in_filtration(self, m, p):
-        return not self.has_violation(m, p)
 
     def graded_components(self, m):
         out = {}

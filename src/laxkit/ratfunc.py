@@ -667,9 +667,6 @@ class RationalMatrix:
     def is_zero(self):
         return not any(a.n for r in self.nums for a in r)
 
-    def laurent_coefficient(self, point, degree):
-        return self.laurent_coefficients(point, degree, degree)[degree]
-
     def laurent_numerators(self, point, lo, hi):
         """(rows, d): the Laurent coefficient at a point or INF of degree p,
         lo <= p <= hi, is the integer matrix rows[p] over d, from one

@@ -1,9 +1,11 @@
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
 
 from laxkit import calogero as cm
+from laxkit import liealg as la
 from laxkit.elliptic import Lattice
 
 LAT = Lattice(6.0, 6.0j)
@@ -12,6 +14,11 @@ LAT = Lattice(6.0, 6.0j)
 def make(family, n=2, **kw):
     kw.setdefault("q0", 0.51 * 6)
     return cm.CMSystem(family, n, LAT, **kw)
+
+
+def sigma_matrix(family, n):
+    """Defining bilinear form of a B/C/D family as a float array."""
+    return np.array(la.sigma_for(la.family_to_kind(family), n).rows, dtype=float)
 
 
 def state_for(sys_, seed=3, **kw):
@@ -45,7 +52,7 @@ def test_coupling_validation():
 def test_lax_matrix_in_defining_algebra(family):
     sys_ = make(family)
     st = state_for(sys_)
-    sig = cm.family_sigma_matrix(family, 2)
+    sig = sigma_matrix(family, 2)
     for z in (0.21 + 0.3j, 1.1 - 0.7j):
         L = cm.lax_matrix(sys_, st, z)
         assert np.linalg.norm(L.T @ sig + sig @ L) < 1e-12
@@ -623,7 +630,7 @@ def test_d3_isospectral_and_in_so6():
     sys_, st = cm.conservation_initial_data("D", 3, rng)
     w = abs(sys_.lattice.omega1)
     z = complex(0.3 * w, 0.2 * w)
-    sig = cm.family_sigma_matrix("D", 3)
+    sig = sigma_matrix("D", 3)
     L = cm.lax_matrix(sys_, st, z)
     assert np.linalg.norm(L.T @ sig + sig @ L) < 1e-12
     _, rep = cm.run_conservation(sys_, st, 1.0, 1e-3, z_samples=[z])
@@ -703,20 +710,20 @@ def test_eigenvalue_drift_metric():
 def test_poisson_bracket_antisymmetric_and_identical_zero():
     sys_ = make("A", 2)
     st = state_for(sys_)
-    h = cm.residue_hamiltonian_fn(sys_, 1, 2)
-    assert cm.poisson_bracket(sys_, h, h, st) == 0.0
-    g = cm.residue_hamiltonian_fn(sys_, 1, 3)
-    ab = cm.poisson_bracket(sys_, h, g, st)
-    ba = cm.poisson_bracket(sys_, g, h, st)
+    h = partial(cm.residue_hamiltonian, sys_, m=1, power=2)
+    assert cm.poisson_bracket(h, h, st) == 0.0
+    g = partial(cm.residue_hamiltonian, sys_, m=1, power=3)
+    ab = cm.poisson_bracket(h, g, st)
+    ba = cm.poisson_bracket(g, h, st)
     assert abs(ab + ba) < 1e-8 * max(1.0, abs(ab))
 
 
 def test_momentum_commutes_with_hamiltonian():
     sys_ = make("A", 3)
     st = state_for(sys_)
-    h2 = cm.residue_hamiltonian_fn(sys_, 1, 2)
-    ptot = cm.residue_hamiltonian_fn(sys_, 1, 1)
-    assert abs(cm.poisson_bracket(sys_, h2, ptot, st)) < 1e-8
+    h2 = partial(cm.residue_hamiltonian, sys_, m=1, power=2)
+    ptot = partial(cm.residue_hamiltonian, sys_, m=1, power=1)
+    assert abs(cm.poisson_bracket(h2, ptot, st)) < 1e-8
 
 
 def test_involution_table():
@@ -731,8 +738,8 @@ def test_involution_table_takes_one_gradient_pass(monkeypatch):
     sys_ = make("A", 3)
     st = state_for(sys_)
     specs = [(2, 1), (3, 1), (4, 1)]
-    fns = {s: cm.residue_hamiltonian_fn(sys_, s[1], s[0]) for s in specs}
-    pairwise = {(a, b): abs(cm.poisson_bracket(sys_, fns[a], fns[b], st))
+    fns = {s: partial(cm.residue_hamiltonian, sys_, m=s[1], power=s[0]) for s in specs}
+    pairwise = {(a, b): abs(cm.poisson_bracket(fns[a], fns[b], st))
                 for i, a in enumerate(specs) for b in specs[i + 1:]}
     calls = []
     real = cm.lax_matrix

@@ -49,8 +49,6 @@ def test_validate_lax_reports_violation_level():
     assert fm.validate_lax(bad) == [(-1, 0)]
     too_deep = fm.MatrixLaurent(dec, {-2: Mat.unit(2, 0, 1)}, 1)
     assert fm.validate_lax(too_deep) == [(-2, None)]
-    with pytest.raises(ValueError):
-        fm.as_lax(bad)
 
 
 def test_filtration_containment_is_valid():
@@ -64,29 +62,36 @@ def test_filtration_containment_is_valid():
     assert fm.validate_lax(e2) == [(-2, -1)]
 
 
+def _full_series(mop):
+    """nu*h/z plus the regular part of M, as one MatrixLaurent."""
+    dec = mop.series.dec
+    return mop.series + fm.MatrixLaurent(dec, {-1: dec.h.scale(mop.nu)}, mop.series.trunc)
+
+
 @pytest.mark.parametrize("kind,rank,idx", [("gl", 3, 1), ("sp", 2, 1), ("g2", 2, 2)])
 def test_mop_bracket_bottom_coefficient(kind, rank, idx, rng):
     alg, dec = la.catalog_grading(kind, rank, idx)
     k = dec.depth
     L = fm.random_lax_expansion(dec, rng, trunc=k + 1)
     M = fm.random_mop(dec, rng, trunc=k + 1)
-    br = fm.commutator_with_mop(L, M)
+    br = fm.commutator(L, _full_series(M))
     assert br.low >= -k - 1
     assert (br.coefficient(-k - 1) - L.coefficient(-k).scale(k * M.nu)).is_zero()
 
 
-@pytest.mark.parametrize("kind,rank,idx", [("gl", 3, 1), ("so_odd", 2, 2), ("sp", 2, 1), ("g2", 2, 2)])
+@pytest.mark.parametrize("kind,rank,idx", [("gl", 3, 1), ("so_odd", 2, 2), ("sp", 2, 1), ("sp", 3, 1),
+                                           ("g2", 2, 2), ("g2", 2, 1)])
 def test_tangency_relations_consistency(kind, rank, idx, rng):
-    # oracle: with (Ldot, zdot) defined by the relations, the bracket matches
-    # the differentiated expansion coefficient by coefficient
+    # oracle: the series commutator [L, nu h/z + M] matches the coefficients
+    # the point-motion relations predict, at every degree -depth-1..0
     alg, dec = la.catalog_grading(kind, rank, idx)
     L = fm.random_lax_expansion(dec, rng, trunc=dec.depth + 1)
     M = fm.random_mop(dec, rng, trunc=dec.depth + 1)
-    res = fm.tangency_consistency_residuals(L, M)
-    assert all(m.is_zero() for m in res.values())
-    ldot, zdot = fm.induced_time_derivative(L, M)
-    s, mats = fm.tangency_residuals(L, ldot, M, zdot)
-    assert s == 0 and all(m.is_zero() for m in mats.values())
+    bracket = fm.commutator(L, _full_series(M))
+    predicted = fm.predicted_bracket(L, M)
+    assert predicted.trunc == 0
+    for p in range(-dec.depth - 1, 1):
+        assert bracket.coefficient(p) == predicted.coefficient(p), p
 
 
 def test_validate_mop_reads_the_regular_part():
@@ -96,18 +101,15 @@ def test_validate_mop_reads_the_regular_part():
     g_m1, g_p1 = dec.basis_of_subspace(-1)[0], dec.basis_of_subspace(1)[0]
     ok = fm.MOpExpansion(Fraction(5), fm.MatrixLaurent(dec, {-1: g_m1, 0: g_p1}, 1))
     assert fm.validate_mop(ok) == []
-    assert ok.coefficient(-1) == g_m1 + dec.h.scale(5) == ok.full_series().coefficient(-1)
     bad = fm.MOpExpansion(Fraction(5), fm.MatrixLaurent(dec, {-3: g_m1, -2: g_m1 + g_p1}, 1))
     assert fm.validate_mop(bad) == [(-3, None), (-2, -1), (-2, 1)]
 
 
 def test_tangency_zero_case():
     alg, dec = la.catalog_grading("gl", 2, 1)
-    zero = fm.MatrixLaurent(dec, {}, 2)
     L = fm.MatrixLaurent(dec, {}, 2)
     M = fm.MOpExpansion(Fraction(0), fm.MatrixLaurent(dec, {}, 2))
-    s, mats = fm.tangency_residuals(L, zero, M, 0)
-    assert s == 0 and all(m.is_zero() for m in mats.values())
+    assert fm.predicted_bracket(L, M).is_zero()
 
 
 def test_pole_elimination_removes_negative_degrees(rng):
@@ -156,7 +158,7 @@ def test_group_elements_are_exact_symmetries(rng):
     x = alg.basis[5]
     from laxkit.exact import mat_inverse
 
-    assert alg.contains(g @ x @ mat_inverse(g))
+    assert alg.coordinates(g @ x @ mat_inverse(g)) is not None
 
 
 @pytest.mark.parametrize("kind,rank,idx", [
@@ -236,8 +238,9 @@ def test_commutator_matches_plain_python_sums():
 
 
 # Tyurin-form violations, one condition broken at a time in the standard
-# frame (alpha = e_0); the gl pairs and the G2 orthogonality rows break two
-# conditions that cannot fail alone
+# frame (alpha = e_0); the gl pairs break two conditions that cannot fail
+# alone, and the G2 orthogonality relations are the A-block shape entries
+# (1, 1) and (2, 2)
 
 E = Mat.unit
 
@@ -302,10 +305,10 @@ def test_symplectic_residue_form_violations():
     ({-1: E(7, 1, 0)}, ["first-order a1-block is not parallel to the invariant direction"]),
     ({-1: E(7, 4, 0)}, ["first-order a2-block is not parallel to the invariant direction"]),
     ({-1: E(7, 1, 1)}, ["first-order A-block entry (0, 0) outside the residue shape"]),
-    ({-1: E(7, 2, 2)}, ["first-order A-block entry (1, 1) outside the residue shape",
-                        "orthogonality alpha1^t beta2 != 0 fails"]),
-    ({-1: E(7, 3, 3)}, ["first-order A-block entry (2, 2) outside the residue shape",
-                        "orthogonality alpha2^t beta1 != 0 fails"]),
+    ({-1: E(7, 2, 2)}, ["first-order A-block entry (1, 1) outside the residue shape"]),
+    ({-1: E(7, 3, 3)}, ["first-order A-block entry (2, 2) outside the residue shape"]),
+    ({-1: E(7, 2, 2) + E(7, 3, 3)}, ["first-order A-block entry (1, 1) outside the residue shape",
+                                     "first-order A-block entry (2, 2) outside the residue shape"]),
     ({0: E(7, 5, 0)}, ["eigen relation alpha1^t a2 = 0 fails"]),
     ({0: E(7, 3, 0)}, ["eigen relation alpha2^t a1 = 0 fails"]),
     ({0: E(7, 1, 2)}, ["alpha1 is not an eigenvector of the A-block"]),

@@ -97,7 +97,7 @@ def test_matrix_operations():
     assert m.matpow(2).rows[0][0] == z * z
     assert m.matpow(0).rows[0][1].is_zero()
     assert m.order_at(F(1)) == -1
-    assert m.laurent_coefficient(F(1), -1)[0, 1] == 1
+    assert m.laurent_coefficients(F(1), -1, -1)[-1][0, 1] == 1
     assert m.comm(m).is_zero()
     assert m.trace() == z + z * z
     ev = m.eval(F(2))
