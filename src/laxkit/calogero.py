@@ -2,17 +2,17 @@
 
 Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
-matrices on the torus, valued in the defining algebra of the family: one
-builder reads a root-sum table per system, built once by ``CMSystem`` from
-the roots, root vectors E_alpha and Cartan rows H of ``liealg``, and gives
-L = G W G^-1 with W = p.H + sum_alpha f_alpha Phi(alpha(q), z) E_alpha,
-Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x)), and G a torus gauge of one
-rule per family.  For B and C the table holds the gl(n) roots only; their
-off-diagonal blocks and the B border are added as the one remainder.  The
-second-order Hamiltonian has two independent routes, a closed form and the
-contour residue of z^{-1} tr L(z)^2 at the puncture, which must agree (for
-the B family up to the exact constant 2 n wp(q0) dropped when restricting
-to the frozen-q0 submanifold).
+matrices on the torus, valued in the defining algebra of the family, read
+off one table per system, built once by ``CMSystem``: each off-diagonal
+entry is a coefficient times a product of sigma values over a product of
+sigma values at linear forms a z + r.q + c.  The root entries are the torus
+gauge of the root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z)
+E_alpha, Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x)); for B and C the
+roots are the gl(n) roots, and the off-diagonal blocks and the B border
+are rows of their own.  The second-order Hamiltonian has two independent routes, a closed
+form and the contour residue of z^{-1} tr L(z)^2 at the puncture, which
+must agree (for the B family up to the exact constant 2 n wp(q0) dropped
+when restricting to the frozen-q0 submanifold).
 
 Isospectrality of the closed-form flow holds for A (all n) and for D with
 n <= 3.  It fails for D with n >= 4 and for the B and C matrices.
@@ -36,7 +36,6 @@ reverses time but changes no conserved quantity.
 from __future__ import annotations
 
 import csv
-import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -130,7 +129,7 @@ class CMSystem:
             self.couplings = default_couplings(self.family, self.n)
         self._validate_couplings()
         self._plan = _linear_plan(self.family, self.n, self.q0)
-        self._lax = _lax_plan(self.family, self.n, self.couplings)
+        self._lax = _lax_table(self.family, self.n, self.couplings, self.q0)
 
     def _validate_couplings(self):
         c = self.couplings
@@ -188,10 +187,10 @@ def _linear_plan(family, n, q0):
     eye = np.eye(n)
     singles = [(k,) for k in range(n)]
     # (rows of P, constant, weight(s), kind, 0-based particles of each row)
-    i, j = _pairs(n)
+    i, j = np.triu_indices(n, 1)
     sections = [(eye[i] - eye[j], 0, 1.0 if family == "A" else 2.0, "q_i-q_j", zip(i, j))]
     if family != "A":
-        i, j = _pairs(n, diagonal=True)
+        i, j = np.triu_indices(n)
         w_sum = np.where(i == j, 2.0 if family == "C" else 0.0, 2.0)
         sections += [(eye[i] + eye[j], 0, w_sum, "q_i+q_j", zip(i, j)),
                      (eye, 0, 2.0 if family == "B" else 0.0, "q_i", singles)]
@@ -247,91 +246,22 @@ def check_state(sys_, state):
         raise _collision_error(sys_, hit[0])
 
 
-_LaxPlan = namedtuple("_LaxPlan", "size R u v r c ga gb H gauge")
-
-# the gauge h as its numerator and denominator sigma arguments
-# (name, coefficient of z, coefficient of q): s(q)/s(z-q) for A, B and C,
-# s(z+q/2)/s(z-q/2) for D
-_GAUGES = {"A": (("q", 0, 1.0), ("z-q", 1, -1.0)),
-           "D": (("z+q/2", 1, 0.5), ("z-q/2", 1, -0.5))}
+_LaxTable = namedtuple("_LaxTable", "size H a Q c free poles u v coef num den")
 
 
-def _root_coupling(c, a, b, sa, sb):
-    """f_alpha of the root sa e_a + sb e_b (a < b): f_ab on e_a - e_b; on
-    +-(e_a + e_b) fB_ab e_ab and fC_ba e_ab with e_ab = (-1)^(a+b+1), so
-    that the entries of the pair multiply to wp(z) - wp(q_a + q_b)."""
-    if sa != sb:
-        return c["f"][a, b] if sa > 0 else c["f"][b, a]
-    return (-1.0) ** (a + b + 1) * (c["fB"][a, b] if sa > 0 else c["fC"][b, a])
+def _root_coupling(c, alpha):
+    """f_alpha of the root alpha: f_ab on e_a - e_b; fB_ab e_ab and fC_ba e_ab
+    on +-(e_a + e_b), a < b, with e_ab = (-1)^(a+b+1), so that the entries
+    of the pair multiply to wp(z) - wp(q_a + q_b)."""
+    a, b = (i for i, x in enumerate(alpha) if x)
+    if alpha[a] != alpha[b]:
+        return c["f"][a, b] if alpha[a] > 0 else c["f"][b, a]
+    return (-1.0) ** (a + b + 1) * (c["fB"][a, b] if alpha[a] > 0 else c["fC"][b, a])
 
 
-def _lax_plan(family, n, couplings):
-    """The root-sum table of L = p.H + sum_alpha f_alpha Phi(alpha(q), z)
-    h^alpha E_alpha, Phi(x, z) = s(z - x) / (s(z) s(x)): the torus gauge
-    G W G^-1, G = h^H, of the root-sum form W, as G E_alpha G^-1 =
-    h^alpha E_alpha.
-
-    The roots, the rows of R (alpha(q) = R q), are all roots for A and D and
-    the gl(n) roots e_i - e_j for B and C.  Entry e sits at (u[e], v[e])
-    with root r[e] and coefficient c[e] = f_alpha (E_alpha)_uv; the Cartan
-    rows H place p.  Every root is +-e_a +- e_b, so h^alpha = hh[ga] hh[gb]
-    with hh = (h, 1/h)."""
-    basis, cartan, weights = weight_basis(family_to_kind(family), n)
-    E = np.array([b.rows for b in basis], dtype=float)
-    wt = np.array(weights)
-    keep = wt.any(axis=1)
-    if family in ("B", "C"):
-        keep &= wt.sum(axis=1) == 0
-    R, E = wt[keep], E[keep]
-    rows, cols = np.nonzero(R)
-    a, b = cols[0::2], cols[1::2]
-    sa, sb = R[rows[0::2], a], R[rows[1::2], b]
-    c = {k: np.asarray(v) for k, v in couplings.items()}
-    f = np.array([_root_coupling(c, *ab) for ab in zip(a, b, sa, sb)])
-    r, u, v = np.nonzero(E)
-    return _LaxPlan(size=len(cartan), R=R, u=u, v=v, r=r, c=f[r] * E[r, u, v],
-                    ga=a + n * (sa < 0), gb=b + n * (sb < 0), H=np.array(cartan, dtype=float),
-                    gauge=_GAUGES["D" if family == "D" else "A"])
-
-
-def _sigma_table(lat, args):
-    """Sigma of named argument groups in one call.
-
-    1-d groups are z-independent; 2-d groups carry the node axis first.
-    Returns the values under the same names and in the same shapes."""
-    sig = lat.sigma(np.concatenate([a.ravel() for a in args.values()]))
-    out = {}
-    i = 0
-    for name, a in args.items():
-        out[name] = sig[i:i + a.size].reshape(a.shape)
-        i += a.size
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n, diagonal=False):
-    """Index pairs a < b (a <= b with ``diagonal``), as from triu_indices;
-    read-only, since every caller shares them."""
-    pairs = np.triu_indices(n, 0 if diagonal else 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
-
-
-def _bc_args(sys_, q, z):
-    """Arguments of ``_bc_remainder`` beyond the gauge's q and z - q."""
-    ps = (q[:, None] + q[None, :])[_pairs(len(q), sys_.family == "C")]
-    args = {"ps": ps, "z-ps": z - ps, "z+ps": z + ps, "z+q": z + q}
-    if sys_.family == "B":
-        zq0 = z - sys_.q0
-        args.update({"z-q0": zq0, "z-q0-q": zq0 - q, "z-q0+q": zq0 + q})
-    return args
-
-
-def _bc_remainder(sys_, L, s):
-    """Add to the gauged gl(n) part L of a B or C matrix, over the nodes, its
-    two off-diagonal blocks, skew for B and symmetric for C, and for B the
-    border columns.
+def _bc_rows(family, n, c, form):
+    """The rows of the two off-diagonal blocks of a B or C matrix, skew for B
+    and symmetric for C, and for B the border columns.
 
     For a pair a < b (a <= b for C) with x = q_a + q_b, the upper block has
     B_ab = fB_ab s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and the lower block
@@ -339,70 +269,116 @@ def _bc_remainder(sys_, L, s):
     the columns a_i = fa s(z-q0-q_i) s(z) / (s(z-q0) s(z-q_i) s(q_i)) and
     b_i = fb s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0) s(q_i)) at (i, n) and
     (n+1+i, n), with -b_i and -a_i in the middle row."""
-    n = sys_.n
-    lo = L.shape[1] - n
-    c = {k: np.asarray(v) for k, v in sys_.couplings.items()}
-    symmetric = sys_.family == "C"
-    a, b = _pairs(n, symmetric)
-    bval = c["fB"][a, b] * (s["z-ps"] * s["z+q"][:, b] / (s["z"] * s["z-q"][:, a] * s["ps"]))
-    cval = c["fC"][b, a] * (s["z+ps"] * s["z-q"][:, a] / (s["z"] * s["z+q"][:, b] * s["ps"]))
-    sign = 1.0 if symmetric else -1.0
-    L[:, a, lo + b] = bval
-    L[:, b, lo + a] = sign * bval
-    L[:, lo + a, b] = sign * cval
-    L[:, lo + b, a] = cval
-    if not symmetric:
-        avec = c["fa"] * s["z-q0-q"] * s["z"] / (s["z-q0"] * s["z-q"] * s["q"])
-        bvec = c["fb"] * s["z-q0+q"] * s["z-q"] / (s["z"] * s["z-q0"] * s["q"])
-        L[:, :n, n] = avec
-        L[:, n, :n] = -bvec
-        L[:, n, lo:] = -avec
-        L[:, lo:, n] = bvec
+    lo = n + 1 if family == "B" else n
+    sign = 1.0 if family == "C" else -1.0
+    z = form(1)
+    rows = []
+    for a, b in np.transpose(np.triu_indices(n, 0 if family == "C" else 1)).tolist():
+        x = form(0, (a, 1), (b, 1))
+        upper = ([form(1, (a, -1), (b, -1)), form(1, (b, 1))], [z, form(1, (a, -1)), x])
+        lower = ([form(1, (a, 1), (b, 1)), form(1, (a, -1))], [z, form(1, (b, 1)), x])
+        fb, fc = c["fB"][a, b], c["fC"][b, a]
+        rows += [(a, lo + b, fb, *upper), (lo + b, a, fc, *lower)]
+        if a != b:
+            rows += [(b, lo + a, sign * fb, *upper), (lo + a, b, sign * fc, *lower)]
+    if family == "B":
+        for i in range(n):
+            col_a = ([form(1, (i, -1), k=-1), z], [form(1, k=-1), form(1, (i, -1)), form(0, (i, 1))])
+            col_b = ([form(1, (i, 1), k=-1), form(1, (i, -1))], [z, form(1, k=-1), form(0, (i, 1))])
+            rows += [(i, n, c["fa"][i], *col_a), (n, lo + i, -c["fa"][i], *col_a),
+                     (n, i, -c["fb"][i], *col_b), (lo + i, n, c["fb"][i], *col_b)]
+    return rows
+
+
+def _lax_table(family, n, couplings, q0):
+    """The sigma-quotient table of L: one row (u, v, coef, numerator forms,
+    denominator forms) per off-diagonal entry, L_uv = coef prod s(numerator)
+    / prod s(denominator), each form a z + r.q + k q0 stored once (z-free
+    first, then the others with their ``a``; ``poles`` are the z-free forms
+    in some denominator), and the Cartan rows H.
+
+    A root row is f_alpha (E_alpha)_uv Phi(alpha(q), z) h^alpha, Phi(x, z) =
+    s(z - x) / (s(z) s(x)), h^alpha = prod_i h_i^alpha_i: the torus gauge
+    h^H of W = p.H + sum_alpha f_alpha Phi E_alpha, with h_i = s(q_i)/s(z -
+    q_i) for A, B and C and s(z + q_i/2)/s(z - q_i/2) for D.  The roots are
+    all roots for A and D and the gl(n) roots for B and C, plus ``_bc_rows``."""
+    basis, cartan, weights = weight_basis(family_to_kind(family), n)
+    wt = np.array(weights)
+    keep = wt.any(axis=1)
+    if family in ("B", "C"):
+        keep &= wt.sum(axis=1) == 0
+    c = {k: np.asarray(v) for k, v in couplings.items()}
+
+    def form(zc, *terms, k=0):  # the key of zc z + sum_i w_i q_i + k q0, terms (i, w_i)
+        qc = [0.0] * n
+        for i, w in terms:
+            qc[i] += w
+        return (zc, *qc, k)
+
+    gz, gw = (1, 0.5) if family == "D" else (0, 1)  # h_i = s(gz z + gw q_i) / s(z - gw q_i)
+    gauge = [(form(gz, (i, gw)), form(1, (i, -gw))) for i in range(n)]
+    rows = []
+    for alpha, b in zip(wt[keep].tolist(), (b for b, k in zip(basis, keep) if k)):
+        terms = [(i, w) for i, w in enumerate(alpha) if w]
+        num, den = [form(1, *((i, -w) for i, w in terms))], [form(1), form(0, *terms)]
+        for i, w in terms:
+            top, bottom = gauge[i] if w > 0 else gauge[i][::-1]
+            num += [top] * abs(w)
+            den += [bottom] * abs(w)
+        f = _root_coupling(c, alpha)
+        rows += [(u, v, f * e, num, den) for u, row in enumerate(b.rows) for v, e in enumerate(row) if e]
+    if family in ("B", "C"):
+        rows += _bc_rows(family, n, c, form)
+    forms = sorted({f for row in rows for f in row[3] + row[4]})
+    index = {f: k for k, f in enumerate(forms)}
+    width = max((len(fs) for row in rows for fs in row[3:]), default=0)
+
+    def gather(k):  # padded with the index of the column of ones
+        return np.array([[index[f] for f in row[k]] + [len(forms)] * (width - len(row[k]))
+                         for row in rows], dtype=int).reshape(len(rows), width)
+
+    X = np.array(forms, dtype=float).reshape(len(forms), n + 2)
+    free = sum(f[0] == 0 for f in forms)
+    den = gather(4)
+    u, v = np.array([row[:2] for row in rows], dtype=int).reshape(-1, 2).T
+    return _LaxTable(size=len(cartan), H=np.array(cartan, dtype=float), a=X[free:, 0],
+                     Q=X[:, 1:-1], c=X[:, -1] * complex(q0), free=free,
+                     poles=np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free]),
+                     u=u, v=v, coef=np.array([row[2] for row in rows], dtype=float),
+                     num=gather(3), den=den)
 
 
 def lax_matrix(sys_, state, z):
     """Spectral-parameter Lax matrix of the configured family at z.
 
     ``z`` is a scalar, giving the (N, N) matrix, or a 1-d array of nodes,
-    giving the (K, N, N) stack of the matrices at each node; the state is
-    guarded once and sigma is evaluated in one call either way, on each
-    distinct argument once.  L is the torus gauge of the root-sum form of
-    the system's ``_lax_plan``, plus for B and C the blocks of
-    ``_bc_remainder``.  Every family gives sigma-quotient entries that are
-    elliptic in z, with the fixed pole z = 0 and moving poles at
-    ``moving_points``; the D flow is isospectral for n <= 3 only.  An A
-    particle exactly on a lattice point, a pole of the gauge that
-    ``check_state`` lets through, raises the q_i CollisionError."""
+    giving the (K, N, N) stack; the state is guarded once and sigma is
+    evaluated in one call either way, once on each form of the system's
+    ``_lax_table`` (the z-free forms without the node axis).  Every entry
+    is elliptic in z, with the fixed pole z = 0 and moving poles at
+    ``moving_points``.  A z-free form in a denominator with sigma exactly 0,
+    which only the A gauge's sigma(q_i) can have past ``check_state``,
+    raises the q_i CollisionError."""
     check_state(sys_, state)
-    q, p = state.q, state.p
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ValueError("z must be a scalar or a 1-d array of nodes")
     nodes = zs.reshape(-1, 1)
-    plan = sys_._lax
-    x = plan.R @ q
-    args = {"x": x, "z": nodes, "z-x": nodes - x}
-    for name, zc, qc in plan.gauge:
-        args[name] = nodes + qc * q if zc else qc * q
-    remainder = sys_.family in ("B", "C")
-    if remainder:
-        args.update(_bc_args(sys_, q, nodes))
-    s = _sigma_table(sys_.lattice, args)
-    L = np.zeros((len(nodes), plan.size, plan.size), dtype=complex)
-    if plan.r.size:  # n = 1 has no roots, so no gauge
-        num, den = (s[name] for name, _, _ in plan.gauge)
-        if num.ndim == 1 and not num.all():  # family A: B and C guard q_i as a row
-            i = int(np.flatnonzero(num == 0)[0]) + 1
-            raise CollisionError(f"particle on a lattice point: argument q_{i} (kind q_i) is a zero "
-                                 f"of sigma(q), a pole of the gauge of L(z)", kind="q_i", particles=(i,))
-        h = num / den
-        hh = np.concatenate([h, 1 / h], axis=1)
-        roots = s["z-x"] / (s["z"] * s["x"]) * hh[:, plan.ga] * hh[:, plan.gb]
-        L[:, plan.u, plan.v] = plan.c * roots[:, plan.r]
-    d = np.arange(plan.size)
-    L[:, d, d] = plan.H @ p
-    if remainder:
-        _bc_remainder(sys_, L, s)
+    t = sys_._lax
+    x = t.Q @ state.q + t.c
+    zx = t.a * nodes + x[t.free:]
+    s = sys_.lattice.sigma(np.concatenate([x[:t.free], zx.ravel()]))
+    hit = t.poles[s[t.poles] == 0]
+    if hit.size:
+        i = int(np.flatnonzero(t.Q[hit[0]])[0]) + 1
+        raise CollisionError(f"particle on a lattice point: argument q_{i} (kind q_i) is a zero "
+                             f"of sigma(q), a pole of the gauge of L(z)", kind="q_i", particles=(i,))
+    S = np.concatenate([np.broadcast_to(s[:t.free], (len(nodes), t.free)),
+                        s[t.free:].reshape(zx.shape), np.ones((len(nodes), 1))], axis=1)
+    L = np.zeros((len(nodes), t.size, t.size), dtype=complex)
+    L[:, t.u, t.v] = t.coef * S[:, t.num].prod(axis=-1) / S[:, t.den].prod(axis=-1)
+    d = np.arange(t.size)
+    L[:, d, d] = t.H @ state.p
     return L[0] if zs.ndim == 0 else L
 
 
@@ -419,8 +395,13 @@ def hamiltonian(sys_, state):
     One guarded wp call on the plan's arguments stands for ``check_state``."""
     plan = sys_._plan
     wp = _guarded(sys_, state.q, sys_.lattice.wp)
-    h = complex(plan.kappa * np.sum(state.p * state.p) + plan.w @ wp)
-    return sys_.sign() * (h.real if abs(h.imag) < 1e-9 * max(1.0, abs(h.real)) else h)
+    return sys_.sign() * _real_if_close(plan.kappa * np.sum(state.p * state.p) + plan.w @ wp)
+
+
+def _real_if_close(v):
+    """v as a float when |imag v| < 1e-9 max(1, |real v|), else complex."""
+    v = complex(v)
+    return v.real if abs(v.imag) < 1e-9 * max(1.0, abs(v.real)) else v
 
 
 def _pole_set(sys_, state):
@@ -480,8 +461,7 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
     val = -0.5 * residue_hamiltonian(sys_, state, m=1, power=2, nodes=nodes)
     if sys_.family == "B":
         val = val + 2 * sys_.n * sys_.lattice.wp(sys_.q0)
-    v = complex(val)
-    return sys_.sign() * (v.real if abs(v.imag) < 1e-9 * max(1.0, abs(v.real)) else v)
+    return sys_.sign() * _real_if_close(val)
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +695,12 @@ def involution_table(sys_, state, specs, nodes=64):
             for a, sa in enumerate(specs) for b, sb in enumerate(specs) if a < b}
 
 
-def _matrix_residue(sys_, state, center, order=1, nodes=64):
-    """Laurent coefficient matrix of L(z) at degree -order around center, on
-    the ``_circle`` there (poles within 1e-4 |omega1| of the center count as
-    enclosed, as a slightly moved pole along a trajectory needs)."""
+def _laurent(sys_, state, center, degrees, nodes=64):
+    """The radius of the ``_circle`` at ``center`` and the Laurent coefficients
+    of L(z) there at ``degrees`` (poles within 1e-4 |omega1| of the center
+    count as enclosed, as a slightly moved pole along a trajectory needs)."""
     w, ls = _circle(sys_, state, center, nodes)
-    return np.tensordot(w ** order, ls, 1) / nodes
+    return w[0].real, np.tensordot(w ** -np.c_[degrees], ls, 1) / nodes
 
 
 def tyurin_residue_check(sys_, state, flow_probe=None):
@@ -739,7 +719,7 @@ def tyurin_residue_check(sys_, state, flow_probe=None):
         if sys_.n == 1:
             reports.append({"sv_ratio": 0.0, "square_ratio": 0.0})
             continue
-        r = _matrix_residue(sys_, state, state.q[i], order=1)
+        (r,) = _laurent(sys_, state, state.q[i], [-1])[1]
         svals = np.linalg.svd(r, compute_uv=False)
         sv_ratio = float(svals[1] / svals[0]) if svals[0] > 0 else 0.0
         sq_ratio = float(np.linalg.norm(r @ r) / np.linalg.norm(r) ** 2)
@@ -747,8 +727,8 @@ def tyurin_residue_check(sys_, state, flow_probe=None):
         if flow_probe is not None:
             sm, sp_, dt = flow_probe
             # double-pole coefficient of dL/dt at q_i equals qdot_i * residue
-            c2 = (_matrix_residue(sys_, sp_, state.q[i], order=2)
-                  - _matrix_residue(sys_, sm, state.q[i], order=2)) / (2 * dt)
+            c2 = (_laurent(sys_, sp_, state.q[i], [-2])[1][0]
+                  - _laurent(sys_, sm, state.q[i], [-2])[1][0]) / (2 * dt)
             qdot_pred = np.vdot(r, c2) / np.vdot(r, r)
             qdot_obs = (sp_.q[i] - sm.q[i]) / (2 * dt)
             rep["flow_mismatch"] = abs(qdot_pred - qdot_obs)
@@ -795,9 +775,8 @@ def expansion_violations(sys_, state, nodes=64):
     degrees = np.arange(-k - 1, k)
     out = []
     for gamma, hd in zip(points, gradings):
-        w, ls = _circle(sys_, state, gamma, nodes)
-        coeffs = np.tensordot(w[None, :] ** -degrees[:, None], ls, 1) / nodes
-        scaled = np.abs(coeffs) * w[0].real ** degrees[:, None, None]  # w[0] is the radius
+        radius, coeffs = _laurent(sys_, state, gamma, degrees, nodes)
+        scaled = np.abs(coeffs) * radius ** degrees[:, None, None]
         bad = (hd[:, None] - hd[None, :])[None] > degrees[:, None, None]
         scale = scaled.max()
         for p, c, sc, b in zip(degrees, coeffs, scaled, bad):

@@ -32,6 +32,12 @@ def _seed_of(args):
     return int(env) if env else 0
 
 
+def _usage_error(message):
+    """Print the usage error line; returns the usage exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _emit(payload, out=None):
     text = json.dumps(payload, indent=2, default=str)
     if out:
@@ -51,8 +57,7 @@ def cmd_grading(args):
         alg, dec = liealg.catalog_grading(liealg.family_to_kind(args.family), args.rank,
                                           args.root, dual=args.dual)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     dims = {str(p): dec.dim_subspace(p) for p in sorted(dec.subspaces)}
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -282,6 +287,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.pairs < 1:
+        return _usage_error("--pairs must be at least 1")
     seed = _seed_of(args)
     fn = _SUITES[args.suite]
     checks = fn(seed) if args.suite != "closure" else fn(seed, pairs=args.pairs)
@@ -302,12 +309,20 @@ def cmd_verify(args):
 
 
 def cmd_cm(args):
+    if args.n < 1:
+        return _usage_error("--n must be at least 1")
+    if args.dt <= 0:
+        return _usage_error("--dt must be positive")
+    if args.period <= 0:
+        return _usage_error("--period must be positive")
+    try:
+        tau = complex(args.tau)
+    except ValueError:
+        return _usage_error(f"--tau must be a complex number, got {args.tau!r}")
+    if tau.imag <= 0:
+        return _usage_error("--tau must have a positive imaginary part")
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
-    tau = complex(args.tau)
-    if tau.imag <= 0:
-        print("error: tau must have positive imaginary part", file=sys.stderr)
-        return 2
     if args.period != calogero.CONSERVATION_PERIOD or tau != 1j:
         lat = Lattice(args.period, args.period * tau)
         q0 = args.q0 if args.q0 is not None else 0.085 * args.period
@@ -345,9 +360,14 @@ def cmd_cm(args):
 
 
 def cmd_involution(args):
+    if args.n < 1:
+        return _usage_error("--n must be at least 1")
+    try:
+        powers = [int(p) for p in args.powers.split(",") if p.strip()]
+    except ValueError:
+        return _usage_error(f"--powers must be comma-separated integers, got {args.powers!r}")
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
-    powers = [int(p) for p in args.powers.split(",") if p.strip()]
     if args.family in ("B", "C", "D"):
         powers = [p for p in powers if p % 2 == 0]
     specs = [(p, 1) for p in powers]

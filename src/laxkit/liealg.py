@@ -207,22 +207,6 @@ class MatrixAlgebra:
                 acc = acc + b.scale(c)
         return acc
 
-    def cartan_basis(self):
-        return [b for b, lab in zip(self.basis, self.labels) if not any(lab)]
-
-    def structure_constants(self):
-        """c[a][b] = coordinates of [X_a, X_b]; raises if not closed."""
-        out = []
-        for xa in self.basis:
-            row = []
-            for xb in self.basis:
-                coords = self.coordinates(xa.comm(xb))
-                if coords is None:
-                    raise AssertionError("algebra is not closed under commutator")
-                row.append(tuple(coords))
-            out.append(tuple(row))
-        return tuple(out)
-
     def __repr__(self):
         return f"MatrixAlgebra({self.kind}, rank={self.rank}, dim={self.dim})"
 
@@ -478,9 +462,6 @@ class GradedDecomposition:
     def dim_filtration(self, p):
         return sum(len(v) for q, v in self.subspaces.items() if q <= p)
 
-    def codim_filtration(self, p):
-        return self.alg.dim - self.dim_filtration(p)
-
     def basis_of_subspace(self, p):
         return [self.alg.basis[i] for i in self.subspaces.get(p, ())]
 
@@ -521,14 +502,6 @@ class GradedDecomposition:
             ]
         )
 
-    def violation_part(self, m, p):
-        """Entries of m at positions of degree > p (zero iff m is in the
-        level-p filtration space, for m in the algebra)."""
-        out = [[0] * m.m for _ in range(m.n)]
-        for i, j in self.positions_above(p):
-            out[i][j] = m.rows[i][j]
-        return Mat(out)
-
     def graded_components(self, m):
         out = {}
         for p in self.subspaces:
@@ -536,10 +509,6 @@ class GradedDecomposition:
             if not c.is_zero():
                 out[p] = c
         return out
-
-    def codim_sum(self):
-        """sum of filtration codimensions over p = -k..k-1 (equals k dim g)."""
-        return sum(self.codim_filtration(p) for p in range(-self.depth, self.depth))
 
     def __repr__(self):
         dims = {p: self.dim_subspace(p) for p in sorted(self.subspaces)}

@@ -457,19 +457,15 @@ class SliceWindow:
             self._solvers[key] = ColumnSolver(cols)
         return self._solvers[key]
 
-    def decompose_in(self, mat, lo, hi, verify=False):
+    def decompose_in(self, mat, lo, hi):
         """Exact coordinates over the union of slice bases for degrees in
         [lo, hi], as a dict degree -> {basis index: coefficient}, or None.
 
-        ``verify`` additionally reconstructs the matrix function and compares
-        it symbolically (the sampling test is already exact by the degree
-        argument; the flag provides an independent route for tests).
-        """
+        The test runs on samples; it is exact by the degree argument."""
         coords = self._solver(lo, hi).solve(self._sample_vector(mat))
         if coords is None:
             return None
         out = {}
-        recon = None
         pos = 0
         for m in range(lo, hi + 1):
             for j in range(self.slices[m].dim):
@@ -477,13 +473,6 @@ class SliceWindow:
                 pos += 1
                 if c:
                     out.setdefault(m, {})[j] = c
-                    if verify:
-                        term = self.slices[m].basis[j].scale(rat_const(c))
-                        recon = term if recon is None else recon + term
-        if verify:
-            recon = RationalMatrix.zeros(self.cfg.alg.size) if recon is None else recon
-            if not (recon - mat).is_zero():
-                return None
         return out
 
     def minimal_band_of_bracket(self, m, i, n, j):
@@ -575,12 +564,10 @@ def check_connection_form(cfg, omega):
             )
 
 
-def cocycle_eta(cfg, l1, l2, omega, validate=False):
+def cocycle_eta(cfg, l1, l2, omega):
     """Local 2-cocycle: sum of residues over the P points of the pairing
-    one-form.  Exact rational output; ``validate`` additionally checks the
-    connection form's expansion at every gamma point first."""
-    if validate:
-        check_connection_form(cfg, omega)
+    one-form.  Exact rational output; ``check_connection_form`` checks the
+    connection form's expansion at every gamma point."""
     f = pairing_one_form(l1, l2, omega)
     return sum((f.residue_at(p) for p in cfg.p_points), Fraction(0))
 

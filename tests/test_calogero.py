@@ -313,21 +313,24 @@ def test_lax_matrix_matches_the_entry_formulas(family, n, lat):
 
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_lax_matrix_makes_one_sigma_call(family):
-    sys_ = cm.CMSystem(family, 3, Lattice(6.0, 6.0j), q0=0.51 * 6)
-    st = cm.random_state(sys_, np.random.default_rng(4))
-    calls = []
-    sigma = sys_.lattice.sigma
+    # at n = 1 there are no roots: B has only its border, C only its
+    # diagonal block, A and D no off-diagonal entry
+    for n in (1, 2, 3):
+        sys_ = cm.CMSystem(family, n, Lattice(6.0, 6.0j), q0=0.51 * 6)
+        st = cm.random_state(sys_, np.random.default_rng(4))
+        calls = []
+        sigma = sys_.lattice.sigma
 
-    def counted(x):
-        calls.append(np.ravel(x))
-        return sigma(x)
+        def counted(x):
+            calls.append(np.ravel(x))
+            return sigma(x)
 
-    sys_.lattice.sigma = counted
-    for z in (NODES[-1], 0.35 * np.exp(2j * np.pi * np.arange(64) / 64)):
-        calls.clear()
-        cm.lax_matrix(sys_, st, z)
-        assert len(calls) == 1
-        assert np.unique(calls[0]).size == calls[0].size  # each argument once
+        sys_.lattice.sigma = counted
+        for z in (NODES[-1], 0.35 * np.exp(2j * np.pi * np.arange(64) / 64)):
+            calls.clear()
+            cm.lax_matrix(sys_, st, z)
+            assert len(calls) == 1
+            assert np.unique(calls[0]).size == calls[0].size  # each argument once
 
 
 def reference_residue(sys_, st, m, power, radius, nodes=64):
@@ -357,9 +360,10 @@ def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
 def test_matrix_residue_matches_per_node_loop(order):
     sys_, st = batch_case("A", 3, SKEW)
     center = st.q[1]
-    got = cm._matrix_residue(sys_, st, center, order=order)
+    got_radius, (got,) = cm._laurent(sys_, st, center, [-order])
     dist = sys_.lattice.lattice_distance(cm._pole_set(sys_, st) - center)
     radius = float(np.min(dist[dist > 1e-4 * abs(SKEW.omega1)])) / 3.0
+    assert abs(got_radius - radius) <= 1e-15 * radius
     ref = np.zeros_like(got)
     for k in range(64):
         zk = center + radius * np.exp(2j * np.pi * k / 64)
@@ -762,7 +766,7 @@ def test_contour_radius_guard_applies_to_every_residue():
     # but a circle at q_1 gets a third of it, below 10 guard radii
     sys_ = make("A", 2)
     st = cm.CMState(np.array([1.0, 1.0 + 3e-3 * abs(LAT.omega1)]), np.zeros(2))
-    for fn in (lambda: cm._matrix_residue(sys_, st, st.q[0]),
+    for fn in (lambda: cm._laurent(sys_, st, st.q[0], [-1]),
                lambda: cm.expansion_violations(sys_, st),
                lambda: cm.tyurin_residue_check(sys_, st)):
         with pytest.raises(ValueError, match="contour radius collides with a neighbouring pole"):
@@ -777,7 +781,7 @@ def test_contour_radius_guard_applies_to_every_residue():
 def test_c_family_invariants_regular_at_moving_points():
     sys_ = make("C")
     st = state_for(sys_)
-    res = cm._matrix_residue(sys_, st, st.q[0], order=1)
+    (res,) = cm._laurent(sys_, st, st.q[0], [-1])[1]
     nodes, r = 96, 0.1
     acc = 0
     for k in range(nodes):

@@ -132,6 +132,23 @@ def test_cm_bad_tau_usage_error(capsys):
     assert run(["cm", "--family", "A", "--n", "2", "--tau", "1", "--T", "0"]) == 2
 
 
+@pytest.mark.parametrize("command, key, bad", [
+    ("cm", "n", 0), ("cm", "dt", 0), ("cm", "dt", -0.1), ("cm", "period", 0), ("cm", "tau", "x"),
+    ("involution", "n", 0), ("involution", "powers", "2,x"), ("verify", "pairs", 0)])
+def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, key, bad):
+    # rejected before any work, from a flag or from the config file alike
+    base = {"cm": {"family": "A", "n": 2, "T": 0}, "involution": {"family": "A", "n": 2},
+            "verify": {"suite": "closure"}}[command]
+    opts = {**base, key: bad}
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({command: opts}))
+    flags = [x for k, v in opts.items() for x in (f"--{k}", str(v))]
+    for argv in ([command, *flags], ["--config", str(conf), command]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: --{key} ")
+
+
 def test_involution_single_power_empty_table(tmp_path, capsys):
     path = tmp_path / "i.json"
     assert run(["involution", "--family", "A", "--n", "2", "--powers", "2",
