@@ -3,9 +3,10 @@
 Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
 matrices on the torus, valued in the defining algebra of the family, read
-off one table per system, built once by ``CMSystem``: each off-diagonal
-entry is a coefficient times a product of sigma values over a product of
-sigma values at linear forms a z + r.q + c.  The root entries are the torus
+off one table per system: its coupling- and q0-free part is built once per
+family and size and shared, and ``CMSystem`` gathers its coefficients.  Each
+off-diagonal entry is a coefficient times a product of sigma values over a
+product of sigma values at linear forms a z + r.q + c.  The root entries are the torus
 gauge of the root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z)
 E_alpha, Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x)); for B and C the
 roots are the gl(n) roots, and the off-diagonal blocks and the B border
@@ -38,6 +39,7 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,20 +248,29 @@ def check_state(sys_, state):
         raise _collision_error(sys_, hit[0])
 
 
-_LaxTable = namedtuple("_LaxTable", "size H a Q c free poles u v coef num den")
+# the coupling arrays a family's Lax matrix reads, flattened and joined in
+# this order into the vector its coefficients are gathered from: f, fB and
+# fC are (n, n), fa and fb (n,)
+_COUPLINGS = {"A": ("f",), "B": ("f", "fB", "fC", "fa", "fb"), "C": ("f", "fB", "fC"),
+              "D": ("f", "fB", "fC")}
+
+_LaxForms = namedtuple("_LaxForms", "size H a Q k free poles u v names ref mult num den")
+_LaxTable = namedtuple("_LaxTable", _LaxForms._fields + ("c", "coef"))
 
 
-def _root_coupling(c, alpha):
-    """f_alpha of the root alpha: f_ab on e_a - e_b; fB_ab e_ab and fC_ba e_ab
-    on +-(e_a + e_b), a < b, with e_ab = (-1)^(a+b+1), so that the entries
-    of the pair multiply to wp(z) - wp(q_a + q_b)."""
+def _root_coupling(alpha):
+    """The coupling (name, index, multiplier) of f_alpha on the root alpha:
+    f_ab on e_a - e_b; fB_ab e_ab and fC_ba e_ab on +-(e_a + e_b), a < b, with
+    e_ab = (-1)^(a+b+1), so that the entries of the pair multiply to wp(z) -
+    wp(q_a + q_b)."""
     a, b = (i for i, x in enumerate(alpha) if x)
     if alpha[a] != alpha[b]:
-        return c["f"][a, b] if alpha[a] > 0 else c["f"][b, a]
-    return (-1.0) ** (a + b + 1) * (c["fB"][a, b] if alpha[a] > 0 else c["fC"][b, a])
+        return ("f", (a, b), 1.0) if alpha[a] > 0 else ("f", (b, a), 1.0)
+    sign = (-1.0) ** (a + b + 1)
+    return ("fB", (a, b), sign) if alpha[a] > 0 else ("fC", (b, a), sign)
 
 
-def _bc_rows(family, n, c, form):
+def _bc_rows(family, n, form):
     """The rows of the two off-diagonal blocks of a B or C matrix, skew for B
     and symmetric for C, and for B the border columns.
 
@@ -277,25 +288,30 @@ def _bc_rows(family, n, c, form):
         x = form(0, (a, 1), (b, 1))
         upper = ([form(1, (a, -1), (b, -1)), form(1, (b, 1))], [z, form(1, (a, -1)), x])
         lower = ([form(1, (a, 1), (b, 1)), form(1, (a, -1))], [z, form(1, (b, 1)), x])
-        fb, fc = c["fB"][a, b], c["fC"][b, a]
-        rows += [(a, lo + b, fb, *upper), (lo + b, a, fc, *lower)]
+        fb, fc = ("fB", (a, b)), ("fC", (b, a))
+        rows += [(a, lo + b, (*fb, 1.0), *upper), (lo + b, a, (*fc, 1.0), *lower)]
         if a != b:
-            rows += [(b, lo + a, sign * fb, *upper), (lo + a, b, sign * fc, *lower)]
+            rows += [(b, lo + a, (*fb, sign), *upper), (lo + a, b, (*fc, sign), *lower)]
     if family == "B":
         for i in range(n):
             col_a = ([form(1, (i, -1), k=-1), z], [form(1, k=-1), form(1, (i, -1)), form(0, (i, 1))])
             col_b = ([form(1, (i, 1), k=-1), form(1, (i, -1))], [z, form(1, k=-1), form(0, (i, 1))])
-            rows += [(i, n, c["fa"][i], *col_a), (n, lo + i, -c["fa"][i], *col_a),
-                     (n, i, -c["fb"][i], *col_b), (lo + i, n, c["fb"][i], *col_b)]
+            fa, fb = ("fa", (i,)), ("fb", (i,))
+            rows += [(i, n, (*fa, 1.0), *col_a), (n, lo + i, (*fa, -1.0), *col_a),
+                     (n, i, (*fb, -1.0), *col_b), (lo + i, n, (*fb, 1.0), *col_b)]
     return rows
 
 
-def _lax_table(family, n, couplings, q0):
-    """The sigma-quotient table of L: one row (u, v, coef, numerator forms,
-    denominator forms) per off-diagonal entry, L_uv = coef prod s(numerator)
-    / prod s(denominator), each form a z + r.q + k q0 stored once (z-free
+@lru_cache(maxsize=None)
+def _lax_forms(family, n):
+    """The coupling- and q0-free sigma-quotient table of L, built once per
+    (family, n): one row (u, v, coupling, numerator forms, denominator forms)
+    per off-diagonal entry, L_uv = mult f prod s(numerator) / prod s(denominator)
+    with f the coupling entry ``ref`` of the vector that gathers the arrays
+    ``names`` flattened, each form a z + r.q + k q0 stored once (z-free
     first, then the others with their ``a``; ``poles`` are the z-free forms
-    in some denominator), and the Cartan rows H.
+    in some denominator), and the Cartan rows H.  The arrays are read-only:
+    every system of the family and size shares them.
 
     A root row is f_alpha (E_alpha)_uv Phi(alpha(q), z) h^alpha, Phi(x, z) =
     s(z - x) / (s(z) s(x)), h^alpha = prod_i h_i^alpha_i: the torus gauge
@@ -307,7 +323,6 @@ def _lax_table(family, n, couplings, q0):
     keep = wt.any(axis=1)
     if family in ("B", "C"):
         keep &= wt.sum(axis=1) == 0
-    c = {k: np.asarray(v) for k, v in couplings.items()}
 
     def form(zc, *terms, k=0):  # the key of zc z + sum_i w_i q_i + k q0, terms (i, w_i)
         qc = [0.0] * n
@@ -325,10 +340,11 @@ def _lax_table(family, n, couplings, q0):
             top, bottom = gauge[i] if w > 0 else gauge[i][::-1]
             num += [top] * abs(w)
             den += [bottom] * abs(w)
-        f = _root_coupling(c, alpha)
-        rows += [(u, v, f * e, num, den) for u, row in enumerate(b.rows) for v, e in enumerate(row) if e]
+        name, idx, sign = _root_coupling(alpha)
+        rows += [(u, v, (name, idx, sign * e), num, den)
+                 for u, row in enumerate(b.rows) for v, e in enumerate(row) if e]
     if family in ("B", "C"):
-        rows += _bc_rows(family, n, c, form)
+        rows += _bc_rows(family, n, form)
     forms = sorted({f for row in rows for f in row[3] + row[4]})
     index = {f: k for k, f in enumerate(forms)}
     width = max((len(fs) for row in rows for fs in row[3:]), default=0)
@@ -337,15 +353,32 @@ def _lax_table(family, n, couplings, q0):
         return np.array([[index[f] for f in row[k]] + [len(forms)] * (width - len(row[k]))
                          for row in rows], dtype=int).reshape(len(rows), width)
 
+    offset = {"f": 0, "fB": n * n, "fC": 2 * n * n, "fa": 3 * n * n, "fb": 3 * n * n + n}
     X = np.array(forms, dtype=float).reshape(len(forms), n + 2)
     free = sum(f[0] == 0 for f in forms)
     den = gather(4)
     u, v = np.array([row[:2] for row in rows], dtype=int).reshape(-1, 2).T
-    return _LaxTable(size=len(cartan), H=np.array(cartan, dtype=float), a=X[free:, 0],
-                     Q=X[:, 1:-1], c=X[:, -1] * complex(q0), free=free,
-                     poles=np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free]),
-                     u=u, v=v, coef=np.array([row[2] for row in rows], dtype=float),
-                     num=gather(3), den=den)
+    table = _LaxForms(size=len(cartan), H=np.array(cartan, dtype=float), a=X[free:, 0],
+                      Q=X[:, 1:-1], k=X[:, -1], free=free,
+                      poles=np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free]),
+                      u=u, v=v, names=_COUPLINGS[family],
+                      ref=np.array([offset[name] + np.ravel_multi_index(idx, (n,) * len(idx))
+                                    for _, _, (name, idx, _), _, _ in rows], dtype=int),
+                      mult=np.array([r[2][2] for r in rows], dtype=float),
+                      num=gather(3), den=den)
+    for arr in table:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return table
+
+
+def _lax_table(family, n, couplings, q0):
+    """The system's Lax table: the shared ``_lax_forms`` of (family, n), the
+    form constants c = k q0 and the entry coefficients coef = mult f, from one
+    gather of the couplings."""
+    forms = _lax_forms(family, n)
+    flat = np.concatenate([np.ravel(np.asarray(couplings[k], dtype=float)) for k in forms.names])
+    return _LaxTable(*forms, c=forms.k * complex(q0), coef=forms.mult * flat[forms.ref])
 
 
 def lax_matrix(sys_, state, z):
@@ -433,13 +466,16 @@ def _circle(sys_, state, center, nodes):
 def _residues(sys_, state, specs, nodes):
     """res_{z=0} z^{-m} tr L(z)^power dz for each (power, m) of ``specs``, by
     trapezoidal quadrature on one ``_circle`` (exponentially accurate on the
-    annulus of analyticity)."""
+    annulus of analyticity).  Each trace is the sum of the entries of L^(power
+    - 1) times those of L transposed, with no last matrix product."""
+    if any(power < 1 for power, _ in specs):
+        raise ValueError("trace powers must be at least 1")
     if sys_.family in ("B", "C", "D") and any(power % 2 for power, _ in specs):
         raise ValueError("odd trace powers vanish identically for this family")
     w, ls = _circle(sys_, state, 0.0, nodes)
     out = []
     for power, m in specs:
-        traces = np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)
+        traces = np.einsum("kij,kji->k", np.linalg.matrix_power(ls, power - 1), ls)
         out.append(np.sum(traces * w ** (1 - m)) / nodes)
     return np.array(out)
 

@@ -366,6 +366,8 @@ def cmd_involution(args):
         powers = [int(p) for p in args.powers.split(",") if p.strip()]
     except ValueError:
         return _usage_error(f"--powers must be comma-separated integers, got {args.powers!r}")
+    if any(p < 1 for p in powers):
+        return _usage_error(f"--powers must be at least 1, got {args.powers!r}")
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     if args.family in ("B", "C", "D"):

@@ -24,12 +24,15 @@ the conjugated basis and denominators of the reduction, the guard radius and
 one (2, 2, 1, T) block of the weights of theta_1 to theta_1''' over those
 powers.  wp has its own block, with E2/3 theta_1 folded into the theta_1''
 row, so its constant term costs no cancelling sum at run time.  A call
-reduces the arguments in one (N, 2) pass.  sigma sums its row over the odd
-powers of s alone; zeta, wp and wp' raise [s, c] to the odd powers in one
-operation, form all their theta sums as one product and one row sum per
-argument and read them as ratios to theta_1.  So the equations of motion,
-which call wp' on 1 to 19 arguments for n <= 3, pay a fixed cost of about
-two dozen numpy operations.
+reduces the arguments in one (N, 2) pass.  sigma evaluates its row by
+Horner's rule in s^2 and multiplies by s once: a few full-width products
+and sums, and no table of powers, which pays on the wide calls of L(z) on
+a contour (hundreds to thousands of arguments).  zeta, wp and wp' raise [s,
+c] to the odd powers in one operation, form all their theta sums as one
+product and one row sum per argument and read them as ratios to theta_1.
+Their calls in the equations of motion carry 1 to 19 arguments for n <= 3
+and cost a fixed two dozen or so numpy operations; Horner's rule would add
+about six more per call there, so they keep the power table.
 """
 
 from __future__ import annotations
@@ -154,14 +157,15 @@ class Lattice:
         # wp = -(pi/Ar)^2 (theta_1''/theta_1 + E2/3 - (theta_1'/theta_1)^2): its
         # block folds the constant into the second-derivative row
         self._w, self._w_wp = _theta_weights(c, self.E2 / 3)
-        self._w_sigma = self._w[0, 0, 0]
+        # theta_1 over s = sin u, highest power first, for Horner's rule in s^2
+        self._horner = tuple(np.array(w) for w in self._w[0, 0, 0])
         # complex exponents: integer ones would be cast on every call
         self._odd = k[::-1].astype(complex)
         self._u_scale = np.array(np.pi / self.Ar)
         th1p0 = float((c * k).real.sum()) + 1j * float((c * k).imag.sum())
         # sigma = scale * exp(gauss * z0^2 + quasi-periodic exponent) * theta_1
-        self._sigma_scale = (self.Ar / np.pi) / th1p0
-        self._sigma_gauss = self.eta_Ar / (2 * self.Ar)
+        self._sigma_scale = np.array((self.Ar / np.pi) / th1p0)
+        self._sigma_gauss = np.array(self.eta_Ar / (2 * self.Ar))
         self._wp_scale = np.array(-((np.pi / self.Ar) ** 2))
         self._wpp_scale = np.array(-((np.pi / self.Ar) ** 3))
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
@@ -175,6 +179,8 @@ class Lattice:
         # constants of the per-call arithmetic are 0-d arrays: numpy converts a
         # Python scalar operand anew on every call
         self._ar, self._br = np.array(self.Ar), np.array(self.Br)
+        self._half_ar, self._half_br = np.array(self.Ar / 2), np.array(self.Br / 2)
+        self._eta_ar, self._eta_br = np.array(self.eta_Ar), np.array(self.eta_Br)
         # quasi-period of the original first/second periods
         m1, n1 = self._int_coords(self.A)
         m2, n2 = self._int_coords(self.B)
@@ -208,12 +214,21 @@ class Lattice:
         the first ``orders`` rows of the weight block ``w`` (by default
         theta_1 and its derivatives), shape (N, orders).
 
-        One sine and one cosine per argument, their odd powers, and one row
-        sum over them per value; every value is computed from its own
-        argument alone, which keeps it independent of the batch."""
+        theta_1 takes one sine per argument and Horner's rule in its
+        square; the block takes one sine and one cosine per argument, their
+        odd powers, and one row sum over them per value.  Every value is
+        computed from its own argument alone, which keeps it independent of
+        the batch."""
         u = z0 * self._u_scale
         if orders == 1:
-            return np.add.reduce(np.sin(u)[:, None] ** self._odd * self._w_sigma, axis=-1)
+            # Horner's rule in s^2, then the factor s; out of place, because an
+            # in-place product can round a short array differently
+            s = np.sin(u)
+            s2 = s * s
+            acc = self._horner[0]
+            for w in self._horner[1:]:
+                acc = acc * s2 + w
+            return acc * s
         sc = np.empty((2, u.size), complex)
         np.sin(u, sc[0])
         np.cos(u, sc[1])
@@ -243,13 +258,15 @@ class Lattice:
         """Weierstrass sigma (entire, odd, simple zeros on the lattice); unguarded."""
 
         def formula(z0, m, n, th):
-            w = m * self._ar + n * self._br
-            etaw = m * self.eta_Ar + n * self.eta_Br
+            etaw = m * self._eta_ar + n * self._eta_br
             with np.errstate(over="ignore", invalid="ignore"):
                 # the quasi-periodicity factor overflows for arguments many
-                # periods out; callers guard ranges
-                sign = 1 - 2 * ((m + n + m * n) % 2)
-                expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + w / 2)
+                # periods out; callers guard ranges.  The sign is (-1)^(m + n
+                # + mn): half that exponent is a whole or a half integer, and
+                # floor costs far less than a float remainder
+                half = (m + n + m * n) * 0.5
+                sign = 1 - 4 * (half - np.floor(half))
+                expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + (m * self._half_ar + n * self._half_br))
                 return sign * self._sigma_scale * np.exp(expo) * th
 
         return self._evaluate(z, formula, 1, guarded=False)

@@ -356,6 +356,18 @@ def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
     assert abs(got - ref) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_residue_traces_match_the_matrix_power_trace(family, n):
+    sys_, st = batch_case(family, n, LAT)
+    powers = [1, 2, 3, 4] if family == "A" else [2, 4]
+    got = cm._residues(sys_, st, [(p, 1) for p in powers], 64)
+    w, ls = cm._circle(sys_, st, 0.0, 64)
+    for value, power in zip(got, powers):
+        ref = np.sum(np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)) / 64
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_matrix_residue_matches_per_node_loop(order):
     sys_, st = batch_case("A", 3, SKEW)
@@ -429,6 +441,9 @@ def test_residue_hamiltonian_conventions():
     assert abs(cm.residue_hamiltonian(sys_, st, m=0, power=1)) < 1e-12
     with pytest.raises(ValueError):
         cm.residue_hamiltonian(make("D"), state_for(make("D")), power=3)
+    for power in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            cm.residue_hamiltonian(sys_, st, power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +796,6 @@ def test_contour_radius_guard_applies_to_every_residue():
 def test_c_family_invariants_regular_at_moving_points():
     sys_ = make("C")
     st = state_for(sys_)
-    (res,) = cm._laurent(sys_, st, st.q[0], [-1])[1]
     nodes, r = 96, 0.1
     acc = 0
     for k in range(nodes):

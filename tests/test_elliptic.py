@@ -231,3 +231,12 @@ def test_values_independent_of_batch_shape(lat):
         assert np.array_equal(np.array([fn(x) for x in z]), whole)
         assert np.array_equal(np.concatenate([fn(z[i:i + 7]) for i in range(0, z.size, 7)]), whole)
         assert np.array_equal(fn(z.reshape(8, 25)), whole.reshape(8, 25))
+    # the width of a contour call of L(z): points of the reduced cell and
+    # points up to three periods out, interleaved, in chunks of 1, 7 and 64
+    cell = lat.Ar * (rng.uniform(-0.5, 0.5, 1620) + lat.tau * rng.uniform(-0.5, 0.5, 1620))
+    far = cell + lat.Ar * rng.integers(-3, 4, 1620) + lat.Br * rng.integers(-3, 4, 1620)
+    wide = np.where(rng.random(1620) < 0.5, cell, far)
+    for fn in (lat.sigma, lat.zeta, lat.wp, lat.wp_prime):
+        whole = fn(wide)
+        for size in (1, 7, 64):
+            assert np.array_equal(np.concatenate([fn(wide[i:i + size]) for i in range(0, wide.size, size)]), whole)
