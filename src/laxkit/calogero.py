@@ -2,18 +2,19 @@
 
 Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
-matrices on the torus, valued in the defining algebra of the family, read
-off one table per system: its coupling- and q0-free part is built once per
-family and size and shared, and ``CMSystem`` gathers its coefficients.  Each
-off-diagonal entry is a coefficient times a product of sigma values over a
-product of sigma values at linear forms a z + r.q + c.  The root entries are the torus
-gauge of the root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z)
-E_alpha, Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x)); for B and C the
-roots are the gl(n) roots, and the off-diagonal blocks and the B border
-are rows of their own.  The second-order Hamiltonian has two independent routes, a closed
-form and the contour residue of z^{-1} tr L(z)^2 at the puncture, which
-must agree (for the B family up to the exact constant 2 n wp(q0) dropped
-when restricting to the frozen-q0 submanifold).
+matrices on the torus, valued in the defining algebra of the family.
+Everything a system reads comes from one coupling- and q0-free table per
+(family, n), built once and shared; ``CMSystem`` adds its coupling
+coefficients and q0 constants.  Each off-diagonal entry of L is a
+coefficient times a product of sigma values over a product of sigma values
+at linear forms a z + r.q + c.  The root entries are the torus gauge of the
+root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z) E_alpha, Phi(x, z) =
+sigma(z - x) / (sigma(z) sigma(x)); for B and C the roots are the gl(n)
+roots, and the off-diagonal blocks and the B border are rows of their own.
+The second-order Hamiltonian has two independent routes, a closed form and
+the contour residue of z^{-1} tr L(z)^2 at the puncture, which must agree
+(for the B family up to the exact constant 2 n wp(q0) dropped when
+restricting to the frozen-q0 submanifold).
 
 Isospectrality of the closed-form flow holds for A (all n) and for D with
 n <= 3.  It fails for D with n >= 4 and for the B and C matrices.
@@ -21,17 +22,14 @@ n <= 3.  It fails for D with n >= 4 and for the B and C matrices.
 Lax operator algebra at the moving poles: the A and D matrices meet them,
 the B and C matrices do not in the standard frame.
 
-The closed form reads one linear plan per system, built once by
-``CMSystem``: one row P q + c per distinct argument (c nonzero only in the
-B rows that hold q0) with weights w, a kinetic coefficient kappa and one
-(kind, particles) label each.  H = kappa p.p + w . wp(P q + c), the
-equations of motion are its gradient (qdot = 2 kappa p, pdot = -P^T (w *
-wp'(P q + c)), read through the plan's exact force matrix G = P^T diag(w)),
-and the collision guard names the label of the first row on the lattice.
-
-Sign convention: the stored Hamiltonian has a negative kinetic term, as the
-residue normalization produces it; ``physical_sign=True`` negates it, which
-reverses time but changes no conserved quantity.
+The closed form reads the linear plan of the same table: one row P q + c
+per distinct argument (c nonzero only in the B rows that hold q0) with
+weights w, a kinetic coefficient kappa and one (kind, particles) label
+each.  H = kappa p.p + w . wp(P q + c), with the negative kinetic term of
+the residue normalization; the equations of motion are its gradient (qdot =
+2 kappa p, pdot = -P^T (w * wp'(P q + c)), read through the plan's exact
+force matrix G = P^T diag(w)), and the collision guard names the label of
+the first row on the lattice.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ __all__ = [
     "random_state",
     "conservation_initial_data",
     "conservation_z_samples",
-    "spectral_invariants",
     "eigenvalue_drift",
     "poisson_bracket",
     "involution_table",
@@ -120,7 +117,6 @@ class CMSystem:
     lattice: Lattice = field(default_factory=Lattice)
     couplings: dict = None
     q0: complex = 0.53
-    physical_sign: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -130,8 +126,11 @@ class CMSystem:
         if self.couplings is None:
             self.couplings = default_couplings(self.family, self.n)
         self._validate_couplings()
-        self._plan = _linear_plan(self.family, self.n, self.q0)
-        self._lax = _lax_table(self.family, self.n, self.couplings, self.q0)
+        t = self._table = _table(self.family, self.n)
+        # the constants c = k q0 of the plan rows, then of the Lax forms
+        self._plan_c, self._lax_c = np.split(t.k * complex(self.q0), [len(t.P)])
+        flat = np.concatenate([np.ravel(np.asarray(self.couplings[k], dtype=float)) for k in t.names])
+        self._coef = t.mult * flat[t.ref]
 
     def _validate_couplings(self):
         c = self.couplings
@@ -154,10 +153,7 @@ class CMSystem:
 
     @property
     def matrix_size(self):
-        return self._lax.size
-
-    def sign(self):
-        return -1.0 if self.physical_sign else 1.0
+        return self._table.size
 
 
 @dataclass
@@ -173,50 +169,47 @@ class CMState:
         return CMState(self.q.copy(), self.p.copy())
 
 
-_Plan = namedtuple("_Plan", "P c w G kappa labels")
-
-
-def _linear_plan(family, n, q0):
-    """The arguments P q + c of a system's wp, wp' and collision guard, with
-    the weights w and kinetic coefficient kappa of H = kappa p.p + w . wp(P q
-    + c), the force matrix G = P^T diag(w) and one (kind, 1-based particles)
-    label per row.  Rows, one per distinct argument: q_i - q_j (i < j); for
-    B/C/D q_i + q_j (i <= j) and q_i; for B q0, q_i -+ q0.  wp is even and wp'
-    odd, so a row stands for both orders of its pair and carries twice the
-    pair's weight; the first row on the lattice is the first hit in the
-    ordered-pair listing too, so it names the same argument.  G is exact: P
-    has entries 0, +-1, 2 and w has 0, 1, 2."""
+def _plan(family, n):
+    """The rows P of the arguments P q + k q0 of the closed form's wp, wp'
+    and collision guard, their q0 multipliers k and weights w.  Rows, one per
+    distinct argument: q_i - q_j (i < j); for B/C/D q_i + q_j (i <= j) and
+    q_i; for B q0, q_i -+ q0.  wp is even and wp' odd, so a row stands for
+    both orders of its pair and carries twice the pair's weight; the first
+    row on the lattice is the first hit in the ordered-pair listing too, so
+    it names the same argument."""
     eye = np.eye(n)
-    singles = [(k,) for k in range(n)]
-    # (rows of P, constant, weight(s), kind, 0-based particles of each row)
     i, j = np.triu_indices(n, 1)
-    sections = [(eye[i] - eye[j], 0, 1.0 if family == "A" else 2.0, "q_i-q_j", zip(i, j))]
+    sections = [(eye[i] - eye[j], 0, 1.0 if family == "A" else 2.0)]  # (rows, k, weights)
     if family != "A":
         i, j = np.triu_indices(n)
-        w_sum = np.where(i == j, 2.0 if family == "C" else 0.0, 2.0)
-        sections += [(eye[i] + eye[j], 0, w_sum, "q_i+q_j", zip(i, j)),
-                     (eye, 0, 2.0 if family == "B" else 0.0, "q_i", singles)]
+        sections += [(eye[i] + eye[j], 0, np.where(i == j, 2.0 if family == "C" else 0.0, 2.0)),
+                     (eye, 0, 2.0 if family == "B" else 0.0)]
     if family == "B":
-        sections += [(np.zeros((1, n)), q0, 0.0, "q0", [()]),
-                     (eye, -q0, 0.0, "q_i-q0", singles),
-                     (eye, q0, 0.0, "q_i+q0", singles)]
+        sections += [(np.zeros((1, n)), 1, 0.0), (eye, -1, 0.0), (eye, 1, 0.0)]
     rows = [len(s[0]) for s in sections]
-    P = np.concatenate([s[0] for s in sections])
-    w = np.concatenate([np.broadcast_to(s[2], r) for s, r in zip(sections, rows)])
-    return _Plan(
-        P=P,
-        c=np.repeat(np.array([s[1] for s in sections], dtype=complex), rows),
-        w=w,
-        G=P.T * w,
-        kappa=-0.5 if family == "A" else -1.0,
-        labels=tuple((kind, tuple(int(k) + 1 for k in ks))
-                     for _, _, _, kind, parts in sections for ks in parts))
+    return (np.concatenate([s[0] for s in sections]),
+            np.repeat([float(s[1]) for s in sections], rows),
+            np.concatenate([np.broadcast_to(s[2], r) for s, r in zip(sections, rows)]))
+
+
+def _label(r, k):
+    """The (kind, 1-based particles) label of the argument r.q + k q0 up to
+    its sign, which leaves its lattice hits as they are."""
+    idx = np.flatnonzero(r)
+    if not idx.size:
+        return "q0", ()
+    r, k = r * np.sign(r[idx[0]]), k * np.sign(r[idx[0]])
+    parts = tuple(int(i) + 1 for i in idx)
+    if r[idx[0]] == 2:
+        return "q_i+q_j", parts * 2
+    if len(idx) == 2:
+        return ("q_i+q_j" if r[idx[1]] > 0 else "q_i-q_j"), parts
+    return "q_i" + {0: "", 1: "+q0", -1: "-q0"}[int(k)], parts
 
 
 def _arguments(sys_, q):
     """The plan's arguments P q + c at the positions q."""
-    plan = sys_._plan
-    return plan.P @ q + plan.c
+    return sys_._table.P @ q + sys_._plan_c
 
 
 def _guarded(sys_, q, fn):
@@ -229,14 +222,21 @@ def _guarded(sys_, q, fn):
 
 
 def _collision_error(sys_, index):
-    """CollisionError naming the plan's argument ``index``."""
-    kind, particles = sys_._plan.labels[index]
+    """CollisionError naming the table's label ``index``: a plan row within
+    the guard radius of the lattice or, past the plan rows, a pole form of
+    L's gauge that is an exact zero of sigma."""
+    t = sys_._table
+    kind, particles = t.labels[index]
     label = kind
     for sym, k in zip(("i", "j"), particles):
         label = label.replace(f"_{sym}", f"_{k}")
-    return CollisionError(f"particle collision: argument {label} (kind {kind}) within "
-                          f"{sys_.lattice._guard_radius:.1e} of a lattice point",
-                          kind=kind, particles=particles)
+    if index < len(t.P):
+        message = (f"particle collision: argument {label} (kind {kind}) within "
+                   f"{sys_.lattice._guard_radius:.1e} of a lattice point")
+    else:
+        message = (f"particle on a lattice point: argument {label} (kind {kind}) is a zero "
+                   f"of sigma(q), a pole of the gauge of L(z)")
+    return CollisionError(message, kind=kind, particles=particles)
 
 
 def check_state(sys_, state):
@@ -254,8 +254,7 @@ def check_state(sys_, state):
 _COUPLINGS = {"A": ("f",), "B": ("f", "fB", "fC", "fa", "fb"), "C": ("f", "fB", "fC"),
               "D": ("f", "fB", "fC")}
 
-_LaxForms = namedtuple("_LaxForms", "size H a Q k free poles u v names ref mult num den")
-_LaxTable = namedtuple("_LaxTable", _LaxForms._fields + ("c", "coef"))
+_Table = namedtuple("_Table", "size H P w G kappa labels k a Q free poles u v names ref mult num den")
 
 
 def _root_coupling(alpha):
@@ -303,15 +302,23 @@ def _bc_rows(family, n, form):
 
 
 @lru_cache(maxsize=None)
-def _lax_forms(family, n):
-    """The coupling- and q0-free sigma-quotient table of L, built once per
-    (family, n): one row (u, v, coupling, numerator forms, denominator forms)
-    per off-diagonal entry, L_uv = mult f prod s(numerator) / prod s(denominator)
-    with f the coupling entry ``ref`` of the vector that gathers the arrays
-    ``names`` flattened, each form a z + r.q + k q0 stored once (z-free
-    first, then the others with their ``a``; ``poles`` are the z-free forms
-    in some denominator), and the Cartan rows H.  The arrays are read-only:
-    every system of the family and size shares them.
+def _table(family, n):
+    """The coupling- and q0-free description of a system, built once per
+    (family, n) and shared, read-only, by every system of the family and
+    size: ``CMSystem`` adds the constants c = k q0 and the Lax coefficients.
+
+    The closed form reads the ``_plan`` rows P, weights w, kinetic
+    coefficient kappa and force matrix G = P^T diag(w), exact (P has entries
+    0, +-1, 2 and w has 0, 1, 2): H = kappa p.p + w . wp(P q + c), qdot = 2
+    kappa p and pdot = -G wp'(P q + c).  The Lax matrix reads one row (u, v,
+    coupling, numerator forms, denominator forms) per off-diagonal entry,
+    L_uv = mult f prod s(numerator) / prod s(denominator) with f the
+    coupling entry ``ref`` of the vector that gathers the arrays ``names``
+    flattened, each form a z + r.q + k q0 stored once in Q (z-free first,
+    then the others with their ``a``; ``poles`` are the z-free forms in some
+    denominator), and the Cartan rows H.  k holds the q0 multipliers of the
+    plan rows, then of the forms; ``labels`` the ``_label`` of each plan row,
+    then of each pole form.
 
     A root row is f_alpha (E_alpha)_uv Phi(alpha(q), z) h^alpha, Phi(x, z) =
     s(z - x) / (s(z) s(x)), h^alpha = prod_i h_i^alpha_i: the torus gauge
@@ -358,27 +365,22 @@ def _lax_forms(family, n):
     free = sum(f[0] == 0 for f in forms)
     den = gather(4)
     u, v = np.array([row[:2] for row in rows], dtype=int).reshape(-1, 2).T
-    table = _LaxForms(size=len(cartan), H=np.array(cartan, dtype=float), a=X[free:, 0],
-                      Q=X[:, 1:-1], k=X[:, -1], free=free,
-                      poles=np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free]),
-                      u=u, v=v, names=_COUPLINGS[family],
-                      ref=np.array([offset[name] + np.ravel_multi_index(idx, (n,) * len(idx))
-                                    for _, _, (name, idx, _), _, _ in rows], dtype=int),
-                      mult=np.array([r[2][2] for r in rows], dtype=float),
-                      num=gather(3), den=den)
+    poles = np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free])
+    P, pk, w = _plan(family, n)
+    table = _Table(size=len(cartan), H=np.array(cartan, dtype=float), P=P, w=w, G=P.T * w,
+                   kappa=-0.5 if family == "A" else -1.0,
+                   labels=tuple(_label(r, k) for r, k in zip(np.vstack([P, X[poles, 1:-1]]),
+                                                              np.concatenate([pk, X[poles, -1]]))),
+                   k=np.concatenate([pk, X[:, -1]]), a=X[free:, 0], Q=X[:, 1:-1], free=free,
+                   poles=poles, u=u, v=v, names=_COUPLINGS[family],
+                   ref=np.array([offset[name] + np.ravel_multi_index(idx, (n,) * len(idx))
+                                 for _, _, (name, idx, _), _, _ in rows], dtype=int),
+                   mult=np.array([r[2][2] for r in rows], dtype=float),
+                   num=gather(3), den=den)
     for arr in table:
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
     return table
-
-
-def _lax_table(family, n, couplings, q0):
-    """The system's Lax table: the shared ``_lax_forms`` of (family, n), the
-    form constants c = k q0 and the entry coefficients coef = mult f, from one
-    gather of the couplings."""
-    forms = _lax_forms(family, n)
-    flat = np.concatenate([np.ravel(np.asarray(couplings[k], dtype=float)) for k in forms.names])
-    return _LaxTable(*forms, c=forms.k * complex(q0), coef=forms.mult * flat[forms.ref])
 
 
 def lax_matrix(sys_, state, z):
@@ -387,29 +389,27 @@ def lax_matrix(sys_, state, z):
     ``z`` is a scalar, giving the (N, N) matrix, or a 1-d array of nodes,
     giving the (K, N, N) stack; the state is guarded once and sigma is
     evaluated in one call either way, once on each form of the system's
-    ``_lax_table`` (the z-free forms without the node axis).  Every entry
-    is elliptic in z, with the fixed pole z = 0 and moving poles at
-    ``moving_points``.  A z-free form in a denominator with sigma exactly 0,
-    which only the A gauge's sigma(q_i) can have past ``check_state``,
-    raises the q_i CollisionError."""
+    ``_table`` (the z-free forms without the node axis).  Every entry is
+    elliptic in z, with the fixed pole z = 0 and moving poles at
+    ``moving_points``.  A pole form with sigma exactly 0, which only the A
+    gauge's sigma(q_i) can have past ``check_state``, raises the q_i
+    CollisionError."""
     check_state(sys_, state)
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ValueError("z must be a scalar or a 1-d array of nodes")
     nodes = zs.reshape(-1, 1)
-    t = sys_._lax
-    x = t.Q @ state.q + t.c
+    t = sys_._table
+    x = t.Q @ state.q + sys_._lax_c
     zx = t.a * nodes + x[t.free:]
     s = sys_.lattice.sigma(np.concatenate([x[:t.free], zx.ravel()]))
-    hit = t.poles[s[t.poles] == 0]
+    hit = np.flatnonzero(s[t.poles] == 0)
     if hit.size:
-        i = int(np.flatnonzero(t.Q[hit[0]])[0]) + 1
-        raise CollisionError(f"particle on a lattice point: argument q_{i} (kind q_i) is a zero "
-                             f"of sigma(q), a pole of the gauge of L(z)", kind="q_i", particles=(i,))
+        raise _collision_error(sys_, len(t.P) + hit[0])
     S = np.concatenate([np.broadcast_to(s[:t.free], (len(nodes), t.free)),
                         s[t.free:].reshape(zx.shape), np.ones((len(nodes), 1))], axis=1)
     L = np.zeros((len(nodes), t.size, t.size), dtype=complex)
-    L[:, t.u, t.v] = t.coef * S[:, t.num].prod(axis=-1) / S[:, t.den].prod(axis=-1)
+    L[:, t.u, t.v] = sys_._coef * S[:, t.num].prod(axis=-1) / S[:, t.den].prod(axis=-1)
     d = np.arange(t.size)
     L[:, d, d] = t.H @ state.p
     return L[0] if zs.ndim == 0 else L
@@ -426,9 +426,9 @@ def hamiltonian(sys_, state):
     B family restricted to the frozen-q0 submanifold, constants dropped).
 
     One guarded wp call on the plan's arguments stands for ``check_state``."""
-    plan = sys_._plan
+    t = sys_._table
     wp = _guarded(sys_, state.q, sys_.lattice.wp)
-    return sys_.sign() * _real_if_close(plan.kappa * np.sum(state.p * state.p) + plan.w @ wp)
+    return _real_if_close(t.kappa * np.sum(state.p * state.p) + t.w @ wp)
 
 
 def _real_if_close(v):
@@ -497,7 +497,7 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
     val = -0.5 * residue_hamiltonian(sys_, state, m=1, power=2, nodes=nodes)
     if sys_.family == "B":
         val = val + 2 * sys_.n * sys_.lattice.wp(sys_.q0)
-    return sys_.sign() * _real_if_close(val)
+    return _real_if_close(val)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +511,10 @@ def equations_of_motion(sys_, state):
     system's plan.
 
     One guarded wp' call on the plan's arguments stands for ``check_state``."""
-    plan = sys_._plan
+    t = sys_._table
     wpp = _guarded(sys_, state.q, sys_.lattice.wp_prime)
-    s = sys_.sign()
-    return s * 2 * plan.kappa * state.p, -s * (plan.G @ wpp)
+    # -1.0 times, not negated: the two differ in the sign of zero imaginary parts
+    return 2 * t.kappa * state.p, -1.0 * (t.G @ wpp)
 
 
 @dataclass
@@ -660,18 +660,6 @@ def conservation_z_samples(lattice):
 # ---------------------------------------------------------------------------
 
 
-def spectral_invariants(sys_, state, z, pmax=4):
-    """tr L(z)^p for p = 1..pmax plus characteristic polynomial coefficients."""
-    L = lax_matrix(sys_, state, z)
-    traces = []
-    acc = np.eye(L.shape[0], dtype=complex)
-    for _ in range(pmax):
-        acc = acc @ L
-        traces.append(complex(np.trace(acc)))
-    charpoly = np.poly(L)
-    return {"traces": traces, "charpoly": charpoly}
-
-
 def eigenvalue_drift(l0, l1):
     """Greedy matched multiset distance between eigenvalue sets."""
     a = list(np.linalg.eigvals(l0))
@@ -787,7 +775,7 @@ def moving_points(sys_, state):
     grading element carries it.
     """
     q = state.q
-    plus = -sys_._lax.H.T
+    plus = -sys_._table.H.T
     if sys_.family == "A":
         return q.copy(), plus
     pts = q / 2 if sys_.family == "D" else q
@@ -822,18 +810,18 @@ def expansion_violations(sys_, state, nodes=64):
     return out
 
 
-def run_conservation(sys_, state0, t_end, dt, scheme="rk4", z_samples=None,
-                     record_every=50):
+def run_conservation(sys_, state0, t_end, dt, scheme="rk4", z_samples=None):
     """Integrate and measure energy drift and isospectrality.
 
     Returns (trajectory, report) where the report carries the maximal
     relative H drift and the maximal eigenvalue-multiset drift of L(z0)
     over the sample spectral parameters (by default
-    ``conservation_z_samples`` of the lattice).
+    ``conservation_z_samples`` of the lattice), both read on every 50th
+    step and the last.
     """
     if z_samples is None:
         z_samples = conservation_z_samples(sys_.lattice)
-    traj = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=record_every)
+    traj = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=50)
     h0 = hamiltonian(sys_, traj.state(0))
     zs = np.asarray(z_samples, dtype=complex)
     l0 = lax_matrix(sys_, traj.state(0), zs)

@@ -99,6 +99,16 @@ def test_cm_b_family_reports_frozen_point(tmp_path, capsys):
     assert data["q0_frozen"] is True and "q0" in data
 
 
+def test_cm_q0_flag_on_the_default_lattice(tmp_path, capsys):
+    # on the default lattice the flag replaces the frozen point of the
+    # system of conservation_initial_data
+    rep = tmp_path / "r.json"
+    assert run(["cm", "--family", "B", "--n", "2", "--T", "0.02", "--dt", "1e-2",
+                "--seed", "1", "--q0", "2.75", "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["q0"] == "2.75" and data["completed"]
+
+
 def test_cm_collision_abort_exit_code(tmp_path, capsys):
     # tiny torus and long horizon: the attractive pair potential guarantees
     # a collision, the CSV is flushed with the truncation marker

@@ -337,6 +337,33 @@ def test_invalid_connection_form_rejected(gl2_cfg, gl2_window, rng):
     assert sp.cocycle_eta(cfg, l1, l1, good) == 0
 
 
+def test_connection_form_with_a_finite_q_point():
+    # with no Q point at infinity the form carries the correction
+    # -h/(z - q) at the first Q point, which must leave every gamma expansion
+    # h/(z - gamma) + regular and the cocycle identity intact
+    alg, dec = la.catalog_grading("gl", 2, 1)
+    cfg = sp.SphereConfig(dec, (F(0), F(1)), (F(7),), (F(3), F(5)))
+    assert cfg.a_weights() == (F(2),)
+    assert [cfg.q_degrees(m) for m in range(-2, 3)] == [(-3,), (-1,), (1,), (3,), (5,)]
+    omega = sp.standard_connection_form(cfg)
+    assert all(sp.connection_form_tail(cfg, omega, gi) == {} for gi in range(2))
+    sp.check_connection_form(cfg, omega)
+    assert any(not omega.rows[i][i].is_zero() and omega.rows[i][i].order_at(F(7)) == -1
+               for i in range(2))
+    win = sp.SliceWindow(cfg, -2, 2)
+    rng = random.Random(11)
+    values = []
+    for _ in range(6):
+        # degrees m and -m for the first two members, where eta is local
+        m = rng.randint(-2, 2)
+        f1, f2, f3 = (rand_member(rng, win.slices[d].basis) for d in (m, -m, rng.randint(-2, 2)))
+        values.append(sp.cocycle_eta(cfg, f1, f2, omega))
+        assert (sp.cocycle_eta(cfg, f1.comm(f2), f3, omega)
+                + sp.cocycle_eta(cfg, f2.comm(f3), f1, omega)
+                + sp.cocycle_eta(cfg, f3.comm(f1), f2, omega)) == 0
+    assert any(values)
+
+
 def test_cocycle_table_export(gl2_cfg, gl2_window):
     omega = sp.standard_connection_form(gl2_cfg)
     small = sp.SliceWindow(gl2_cfg, -1, 1)
