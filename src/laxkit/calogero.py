@@ -4,10 +4,10 @@ Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
 matrices on the torus, valued in the defining algebra of the family.
 Everything a system reads comes from one coupling- and q0-free table per
-(family, n), built once and shared; ``CMSystem`` adds its coupling
-coefficients and q0 constants.  Each off-diagonal entry of L is a
-coefficient times a product of sigma values over a product of sigma values
-at linear forms a z + r.q + c.  The root entries are the torus gauge of the
+(family, n), built once and shared; ``CMSystem``, a frozen dataclass, binds
+its coupling coefficients and q0 constants at construction.  Each
+off-diagonal entry of L is a coefficient times a product of sigma values
+over a product of sigma values at linear forms a z + r.q + c.  The root entries are the torus gauge of the
 root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z) E_alpha, Phi(x, z) =
 sigma(z - x) / (sigma(z) sigma(x)); for B and C the roots are the gl(n)
 roots, and the off-diagonal blocks and the B border are rows of their own.
@@ -110,8 +110,12 @@ def default_couplings(family, n):
     return c
 
 
-@dataclass
+@dataclass(frozen=True)
 class CMSystem:
+    """A Calogero-Moser system.  Frozen: the table, the constants k q0 and
+    the coupling gather are bound once at construction, so a field cannot
+    change under them; build a new system for new data."""
+
     family: str
     n: int
     lattice: Lattice = field(default_factory=Lattice)
@@ -124,13 +128,15 @@ class CMSystem:
         if self.n < 1:
             raise ValueError("need at least one particle")
         if self.couplings is None:
-            self.couplings = default_couplings(self.family, self.n)
+            object.__setattr__(self, "couplings", default_couplings(self.family, self.n))
         self._validate_couplings()
-        t = self._table = _table(self.family, self.n)
+        t = _table(self.family, self.n)
         # the constants c = k q0 of the plan rows, then of the Lax forms
-        self._plan_c, self._lax_c = np.split(t.k * complex(self.q0), [len(t.P)])
+        plan_c, lax_c = np.split(t.k * complex(self.q0), [len(t.P)])
         flat = np.concatenate([np.ravel(np.asarray(self.couplings[k], dtype=float)) for k in t.names])
-        self._coef = t.mult * flat[t.ref]
+        for name, value in (("_table", t), ("_plan_c", plan_c), ("_lax_c", lax_c),
+                            ("_coef", t.mult * flat[t.ref])):
+            object.__setattr__(self, name, value)
 
     def _validate_couplings(self):
         c = self.couplings

@@ -297,8 +297,41 @@ def nullspace(rows, ncols=None):
 
 
 def rank(rows):
-    """Matrix rank: the pivot count of the fraction-free :func:`rref`."""
-    return len(rref(rows)[1])
+    """Matrix rank: the pivot count of a fraction-free forward elimination.
+
+    Pivots are chosen as :func:`rref` chooses them, the first nonzero entry
+    at or below the current row.  Only the rows below each pivot are
+    eliminated, on the columns from the pivot on (the ones before it are
+    already zero there), and each new row is divided by its content.  No
+    back-substitution and no rational normalization are needed for a count.
+    """
+    a = []
+    for row in rows:
+        ints, _ = _ints(row)
+        g = math.gcd(*ints)
+        a.append([x // g for x in ints] if g > 1 else ints)
+    nrows = len(a)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r][c:]
+        piv = prow[0]
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            if not f:
+                continue
+            g = math.gcd(piv, f)
+            pg, fg = piv // g, f // g
+            new = [pg * x - fg * y for x, y in zip(a[i][c:], prow)]
+            h = math.gcd(*new)
+            a[i][c:] = [x // h for x in new] if h > 1 else new
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 class ColumnSolver:

@@ -168,43 +168,48 @@ def eliminate_poles(e, inverse=False):
 
 
 def _random_combination(pool, rng, lo, hi, size):
+    """sum c_b b over a pool given by the nonzero (i, j, v) entries of each
+    element b, one c_b = rng.randint(lo, hi) per element in pool order;
+    None when every c_b is zero."""
     rows = [[0] * size for _ in range(size)]
     nonzero = False
-    for b in pool:
+    for entries in pool:
         c = rng.randint(lo, hi)
-        if not c:
-            continue
-        nonzero = True
-        for i in range(size):
-            bi = b.rows[i]
-            ri = rows[i]
-            for j in range(size):
-                if bi[j]:
-                    ri[j] = ri[j] + c * bi[j]
+        if c:
+            nonzero = True
+            for i, j, v in entries:
+                rows[i][j] += c * v
     return Mat(rows) if nonzero else None
 
 
 def random_lax_expansion(dec, rng, trunc=None, lo=-3, hi=3):
     """Random valid expansion: coefficient at degree p drawn from the
-    level-p filtration space with integer coordinates."""
+    level-p filtration space with integer coordinates.
+
+    One ``rng.randint(lo, hi)`` per basis element of each level, in the
+    order of ``dec.basis_of_filtration(p)``; the combination is formed on
+    the nonzero entries of those elements only."""
     k = dec.depth
     t = k if trunc is None else trunc
     size = dec.alg.size
     coeffs = {}
     for p in range(-k, t + 1):
-        acc = _random_combination(dec.basis_of_filtration(p), rng, lo, hi, size)
+        acc = _random_combination(dec.filtration_entries(p), rng, lo, hi, size)
         if acc is not None and not acc.is_zero():
             coeffs[p] = acc
     return MatrixLaurent(dec, coeffs, t)
 
 
 def random_mop(dec, rng, trunc=None, lo=-3, hi=3):
+    """Random second Lax-pair member: filtration-bounded coefficients in
+    negative degrees, combinations of the whole basis (in ``alg.basis``
+    order) in degrees >= 0, then nu = rng.randint(lo, hi)."""
     k = dec.depth
     t = k if trunc is None else trunc
     size = dec.alg.size
     coeffs = {}
     for p in range(-k, t + 1):
-        pool = dec.basis_of_filtration(p) if p < 0 else dec.alg.basis
+        pool = dec.filtration_entries(p) if p < 0 else dec.alg.entries
         acc = _random_combination(pool, rng, lo, hi, size)
         if acc is not None and not acc.is_zero():
             coeffs[p] = acc

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ColumnSolver, Mat, mat_inverse, rank, rref
+import numpy as np
+
+from .exact import _INT64_LIMIT, ColumnSolver, Mat, _int_height, mat_inverse, rank, rref
 
 __all__ = [
     "RootSystem",
@@ -169,6 +171,8 @@ class MatrixAlgebra:
     Every basis element is a simultaneous eigenvector of ad(h) for all
     diagonal Cartan elements h; its label is the signed multiplicity vector
     of its root over the simple roots (the zero vector for Cartan elements).
+    ``entries`` holds the nonzero entries of each basis element as
+    (i, j, value) triples, row by row; a root vector has one or two.
     """
 
     def __init__(self, kind, rank, size, basis, labels, sigma, cartan_dim, root_system):
@@ -181,6 +185,7 @@ class MatrixAlgebra:
         self.cartan_dim = cartan_dim
         self.root_system = root_system
         self.dim = len(basis)
+        self.entries = tuple(map(_nonzero_entries, basis))
         self._solver = None
 
     @property
@@ -209,6 +214,11 @@ class MatrixAlgebra:
 
     def __repr__(self):
         return f"MatrixAlgebra({self.kind}, rank={self.rank}, dim={self.dim})"
+
+
+def _nonzero_entries(m):
+    """The nonzero entries of a matrix as (i, j, value) triples, row by row."""
+    return tuple((i, j, v) for i, row in enumerate(m.rows) for j, v in enumerate(row) if v)
 
 
 def _gl_basis(n, traceless):
@@ -296,7 +306,7 @@ def _g2_basis():
 def _weight(x, cartan):
     """Weight of a homogeneous element, read at its first nonzero entry
     (r, c) as the functional h_r - h_c of the Cartan coordinates."""
-    r, c = next((i, j) for i, row in enumerate(x.rows) for j, v in enumerate(row) if v)
+    r, c, _ = _nonzero_entries(x)[0]
     return tuple(a - b for a, b in zip(cartan[r], cartan[c]))
 
 
@@ -333,10 +343,10 @@ def matrix_realization(kind, rank):
 
     The labels, the root system and the Cartan dimension are derived from
     the basis, the Cartan embedding and the simple roots.  Closure under the
-    commutator is verified at construction: for the algebras cut out by a
-    bilinear form the form condition is checked on all pairwise commutators
-    (it characterizes membership exactly), for G2 every pairwise commutator
-    is decomposed over the basis.
+    commutator is verified at construction on all pairwise commutators
+    (``_verify_realization``): the form condition for so/sp (it
+    characterizes membership exactly), the trace for sl, and for G2 the
+    decomposition over the basis.
     """
     if kind in ("A", "B", "C", "D", "G2"):
         kind = family_to_kind(kind)
@@ -365,30 +375,56 @@ def matrix_realization(kind, rank):
 
 
 def _verify_realization(alg):
+    """Check that the basis is independent and closed under the commutator.
+
+    For the algebras cut out by a bilinear form every basis element must
+    satisfy X^T sigma + sigma X = 0.  Every pairwise commutator [b_a, b_c],
+    a < c, is built in one array stack per basis element b_a and must pass
+    the condition that characterizes membership: the form condition for
+    so/sp, the trace for sl and the coordinates over the basis for G2
+    (gl(n) holds every matrix).  The stacks are int64 when every basis and
+    form entry is an ``int`` and 4 n^2 h^2 max(s, 1) < 2**63, h and s the
+    largest basis and form entries, which bounds every partial sum of both
+    conditions; otherwise they hold the exact scalars as Python objects.
+    The first failure raises AssertionError naming the basis indices, their
+    labels and the condition.
+    """
     if rank([b.flatten() for b in alg.basis]) != alg.dim:
         raise AssertionError("basis is linearly dependent")
+    hb = _int_height([r for b in alg.basis for r in b.rows])
+    hs = _int_height(alg.sigma.rows)
+    fits = hb is not None and hs is not None and 4 * alg.size**2 * hb**2 * max(hs, 1) < _INT64_LIMIT
+    dtype = np.int64 if fits else object
+    basis = np.array([b.rows for b in alg.basis], dtype=dtype)
+    sigma = np.array(alg.sigma.rows, dtype=dtype)
+
+    def form(x):
+        return ((x.transpose(0, 2, 1) @ sigma + sigma @ x) != 0).any(axis=(1, 2))
+
+    def coordinates(x):
+        solve = alg.solver().solve
+        return np.array([solve(c) is None for c in x.reshape(len(x), -1).tolist()], dtype=bool)
+
+    def trace(x):
+        return np.trace(x, axis1=1, axis2=2) != 0
+
     if alg.has_defining_form:
-        s = alg.sigma
-        for b in alg.basis:
-            if not (b.T @ s + s @ b).is_zero():
-                raise AssertionError("basis element violates the defining bilinear form")
-    if alg.kind == "g2":
-        for i, xa in enumerate(alg.basis):
-            for xb in alg.basis[i + 1:]:
-                if alg.coordinates(xa.comm(xb)) is None:
-                    raise AssertionError("G2 realization is not closed under commutator")
-    elif alg.kind == "sl":
-        for i, xa in enumerate(alg.basis):
-            for xb in alg.basis[i + 1:]:
-                if xa.comm(xb).trace() != 0:
-                    raise AssertionError("sl realization not closed")
-    elif alg.has_defining_form:
-        s = alg.sigma
-        for i, xa in enumerate(alg.basis):
-            for xb in alg.basis[i + 1:]:
-                c = xa.comm(xb)
-                if not (c.T @ s + s @ c).is_zero():
-                    raise AssertionError(f"{alg.kind} realization not closed")
+        bad = np.flatnonzero(form(basis))
+        if bad.size:
+            a = int(bad[0])
+            raise AssertionError(f"{alg.kind} basis element b{a} (label {alg.labels[a]}) "
+                                 f"fails the form condition")
+    fails = {"g2": coordinates, "sl": trace, "gl": None}.get(alg.kind, form)
+    if fails is None:
+        return
+    for a in range(alg.dim - 1):
+        x, rest = basis[a], basis[a + 1:]
+        bad = np.flatnonzero(fails(x @ rest - rest @ x))
+        if bad.size:
+            c = a + 1 + int(bad[0])
+            raise AssertionError(f"{alg.kind} realization is not closed: [b{a}, b{c}] (labels "
+                                 f"{alg.labels[a]}, {alg.labels[c]}) fails the {fails.__name__} "
+                                 f"condition")
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +501,24 @@ class GradedDecomposition:
     def basis_of_subspace(self, p):
         return [self.alg.basis[i] for i in self.subspaces.get(p, ())]
 
-    def basis_of_filtration(self, p):
+    def _filtration(self, p):
+        """(basis, entries) of the level-p filtration space, built once per
+        level: its basis elements in degree order and their nonzero entries
+        (``alg.entries``)."""
         key = min(p, self.depth)
         cache = self._filt_cache
         if key not in cache:
-            out = []
-            for q in sorted(self.subspaces):
-                if q <= key:
-                    out.extend(self.alg.basis[i] for i in self.subspaces[q])
-            cache[key] = out
+            idx = [i for q in sorted(self.subspaces) if q <= key for i in self.subspaces[q]]
+            cache[key] = [self.alg.basis[i] for i in idx], [self.alg.entries[i] for i in idx]
         return cache[key]
+
+    def basis_of_filtration(self, p):
+        return self._filtration(p)[0]
+
+    def filtration_entries(self, p):
+        """Nonzero (i, j, value) entries of each element of
+        ``basis_of_filtration(p)``, in the same order."""
+        return self._filtration(p)[1]
 
     def positions_above(self, p):
         """Positions (i, j) with delta[i][j] > p, built once per level."""
@@ -518,26 +562,24 @@ class GradedDecomposition:
 def graded_subspaces(alg, h):
     """Decompose the algebra into ad(h)-eigenspaces with integer eigenvalues.
 
-    h must be a diagonal matrix in the Cartan subalgebra; every basis element
-    is then an exact eigenvector and non-integer eigenvalues are rejected.
+    h must be a diagonal matrix in the Cartan subalgebra.  Then
+    [h, b]_ij = (h_ii - h_jj) b_ij exactly, so a basis element is an
+    eigenvector when h_ii - h_jj is one value over its nonzero entries, and
+    that value is its degree; non-integer eigenvalues are rejected.
     """
     if not h.is_diagonal():
         raise ValueError("grading element must be diagonal (Cartan) in this realization")
+    if not (h.n == h.m == alg.size):
+        raise ValueError(f"grading element must be {alg.size}x{alg.size}, not {h.n}x{h.m}")
+    hd = [h[i, i] for i in range(h.n)]
     degrees = []
-    for b in alg.basis:
-        y = h.comm(b)
-        lam = None
-        for i in range(b.n):
-            for j in range(b.m):
-                if b.rows[i][j]:
-                    lam = Fraction(y.rows[i][j], b.rows[i][j])
-                    break
-            if lam is not None:
-                break
-        if lam is None:
+    for entries in alg.entries:
+        if not entries:
             raise ValueError("zero basis element")
-        if not (y - b.scale(lam)).is_zero():
+        lam, *rest = {hd[i] - hd[j] for i, j, _ in entries}
+        if rest:
             raise ValueError("basis element is not an ad(h) eigenvector; h outside the Cartan subalgebra")
+        lam = Fraction(lam)
         if lam.denominator != 1:
             raise ValueError(f"non-integer ad(h) eigenvalue {lam}: invalid grading element")
         degrees.append(lam.numerator)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 from functools import lru_cache, partial
 from pathlib import Path
@@ -192,6 +193,20 @@ def test_one_table_per_family_and_size(monkeypatch):
     assert arrays and not any(x.flags.writeable for x in arrays)
     with pytest.raises(ValueError):
         a._table.P[0, 0] = 5.0
+
+
+def test_a_system_is_frozen():
+    # q0 and the couplings are bound into constants at construction, so
+    # assigning them afterwards would leave L(z) built from the old values
+    sys_ = make("B", 2, q0=0.3)
+    st = state_for(sys_)
+    lax = cm.lax_matrix(sys_, st, 0.21 + 0.3j)
+    for name, value in (("q0", 0.35), ("couplings", cm.default_couplings("B", 2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sys_, name, value)
+    assert sys_.q0 == 0.3
+    assert np.array_equal(cm.lax_matrix(sys_, st, 0.21 + 0.3j), lax)
+    assert not np.allclose(cm.lax_matrix(make("B", 2, q0=0.35), st, 0.21 + 0.3j), lax)
 
 
 def test_a_particle_on_a_lattice_point_is_named():

@@ -119,6 +119,22 @@ def test_rref_is_independent_of_the_row_order():
             assert all(not x for row in got[len(pivots):] for x in row)
 
 
+def test_rank_counts_the_pivots_of_rref():
+    # forward elimination only, against the pivots of the full reduction, on
+    # seeded int and Fraction matrices with dependent and zero rows
+    rng = random.Random(25)
+    for _ in range(400):
+        rows = _random_rank_deficient(rng)
+        ncols = len(rows[0])
+        ints = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in rows]
+        for m in (rows, ints, rows + rows[:1], [[0] * ncols] + rows):
+            before = [list(r) for r in m]
+            assert rank(m) == len(rref(m)[1]), m
+            assert m == before  # input not modified
+    for m in ([], [[0]], [[3]], [[0], [Fraction(2, 3)], [-1]], [[0, 0], [0, 0]], [[]]):
+        assert rank(m) == len(rref(m)[1]), m
+
+
 def test_rref_empty_and_zero_systems():
     assert rref([]) == ([], [])
     assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])

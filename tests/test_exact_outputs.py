@@ -88,3 +88,23 @@ def test_mops_suite_reports_are_pinned():
                 for res, rep in cli._mop_samples(0))
     assert len(out) == 3
     assert _digest(out) == "c6b72f2e78052399fca3763e7d18400b94a6402bfc07348ca98ccaabe97e398e"
+
+
+def _series(e):
+    return (e.trunc, tuple((p, tuple(tuple(str(c) for c in r) for r in m.rows))
+                           for p, m in sorted(e.coeffs.items())))
+
+
+def test_catalog_degrees_and_closure_expansions_are_pinned():
+    # the degrees of every catalog grading and the first 64 expansion pairs
+    # per grading that the exact-closure benchmark draws for seed 1
+    rng = random.Random(1)
+    out = []
+    for kind, rank, root in liealg.acceptance_catalog():
+        _, dec = liealg.catalog_grading(kind, rank, root)
+        pairs = tuple((_series(formal.random_lax_expansion(dec, rng)),
+                       _series(formal.random_lax_expansion(dec, rng))) for _ in range(64))
+        out.append((kind, rank, root, dec.degrees, pairs))
+    assert _digest([entry[:4] for entry in out]) == \
+        "1ef7309a19b2e62d3b8e155e84d45e387e18e2ec54ddd000a413640a1726865b"
+    assert _digest(out) == "304268229bb92e1263ff92e83e542c5a9d2c543aad4fd0c5787f814b63bf8ca1"

@@ -237,6 +237,56 @@ def test_commutator_matches_plain_python_sums():
             assert all(type(x) is int for m in c.coeffs.values() for r in m.rows for x in r)
 
 
+def _dense_combination(pool, rng, lo, hi, size):
+    """sum c b over whole basis matrices, one rng.randint(lo, hi) per element
+    of the pool in order; None when every c is zero."""
+    acc, drawn = Mat.zeros(size), False
+    for b in pool:
+        c = rng.randint(lo, hi)
+        if c:
+            acc, drawn = acc + b.scale(c), True
+    return acc if drawn else None
+
+
+def _dense_series(dec, rng, trunc, pool):
+    size, coeffs = dec.alg.size, {}
+    for p in range(-dec.depth, trunc + 1):
+        acc = _dense_combination(pool(p), rng, -3, 3, size)
+        if acc is not None and not acc.is_zero():
+            coeffs[p] = acc
+    return fm.MatrixLaurent(dec, coeffs, trunc)
+
+
+def _dense_lax(dec, rng, trunc):
+    return _dense_series(dec, rng, trunc, dec.basis_of_filtration)
+
+
+def _dense_mop(dec, rng, trunc):
+    pool = lambda p: dec.basis_of_filtration(p) if p < 0 else dec.alg.basis
+    series = _dense_series(dec, rng, trunc, pool)
+    return fm.MOpExpansion(Fraction(rng.randint(-3, 3)), series)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generators_match_a_dense_reference(seed):
+    # the generators add c v at the nonzero entries of each basis element
+    # only; the dense sum over whole matrices must give the same series from
+    # the same draws, and leave the rng in the same state
+    for kind, rank, idx in la.acceptance_catalog():
+        alg, dec = la.catalog_grading(kind, rank, idx)
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for trunc in (dec.depth, dec.depth + 2):
+            for _ in range(3):
+                got = fm.random_lax_expansion(dec, got_rng, trunc=trunc)
+                want = _dense_lax(dec, ref_rng, trunc)
+                assert (got.trunc, got.coeffs) == (want.trunc, want.coeffs), (kind, rank, idx)
+                got = fm.random_mop(dec, got_rng, trunc=trunc)
+                want = _dense_mop(dec, ref_rng, trunc)
+                assert got.nu == want.nu, (kind, rank, idx)
+                assert (got.series.trunc, got.series.coeffs) == (want.series.trunc, want.series.coeffs)
+        assert got_rng.getstate() == ref_rng.getstate(), (kind, rank, idx)
+
+
 # Tyurin-form violations, one condition broken at a time in the standard
 # frame (alpha = e_0); the gl pairs break two conditions that cannot fail
 # alone, and the G2 orthogonality relations are the A-block shape entries

@@ -167,14 +167,71 @@ def test_zero_grading_element_gives_single_subspace():
 
 def test_non_integer_grading_element_rejected():
     alg = la.matrix_realization("gl", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"non-integer ad\(h\) eigenvalue 1/2: invalid"):
         la.graded_subspaces(alg, Mat.diag([Fraction(1, 2), 0]))
 
 
 def test_non_cartan_element_rejected():
     alg = la.matrix_realization("gl", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be diagonal"):
         la.graded_subspaces(alg, Mat([[0, 1], [0, 0]]))
+
+
+def _algebra_like(alg, basis, labels):
+    """A MatrixAlgebra with the kind, form and root data of ``alg`` and the
+    given basis and labels."""
+    return la.MatrixAlgebra(alg.kind, alg.rank, alg.size, basis, labels, alg.sigma,
+                            alg.cartan_dim, alg.root_system)
+
+
+def test_graded_subspaces_error_paths():
+    # after the diagonal check on h (above): its size, then per basis
+    # element in order: zero, eigenvector, integer eigenvalue (above)
+    alg = la.matrix_realization("gl", 2)
+    h = Mat.diag([1, 0])
+    with pytest.raises(ValueError, match="must be 2x2, not 3x3"):
+        la.graded_subspaces(alg, Mat.diag([1, 0, 0]))
+    # [[1, 1], [1, 0]] has entries of degree 0, 1 and -1 under h
+    mixed = Mat([[1, 1], [1, 0]])
+    labels = [(0,)] * 3
+    zero_first = _algebra_like(alg, [Mat.unit(2, 0, 1), Mat.zeros(2), mixed], labels)
+    with pytest.raises(ValueError, match=r"^zero basis element$"):
+        la.graded_subspaces(zero_first, h)
+    mixed_first = _algebra_like(alg, [Mat.unit(2, 0, 1), mixed, Mat.zeros(2)], labels)
+    with pytest.raises(ValueError, match=r"not an ad\(h\) eigenvector"):
+        la.graded_subspaces(mixed_first, h)
+
+
+def test_closure_errors_name_the_pair_and_the_condition():
+    g2 = la.matrix_realization("g2", 2)
+    # G2 less one element is independent and inside the form, but not closed
+    for drop in (0, 5, 13):
+        basis = [b for i, b in enumerate(g2.basis) if i != drop]
+        labels = [lab for i, lab in enumerate(g2.labels) if i != drop]
+        part = _algebra_like(g2, basis, labels)
+        a, c = next((a, c) for a in range(len(basis)) for c in range(a + 1, len(basis))
+                    if part.coordinates(basis[a].comm(basis[c])) is None)
+        with pytest.raises(AssertionError) as exc:
+            la._verify_realization(part)
+        assert str(exc.value) == (f"g2 realization is not closed: [b{a}, b{c}] (labels "
+                                  f"{labels[a]}, {labels[c]}) fails the coordinates condition")
+    so4 = la.matrix_realization("so_even", 2)
+    off = _algebra_like(so4, [*so4.basis[:2], Mat.unit(4, 0, 1), *so4.basis[3:]], so4.labels)
+    with pytest.raises(AssertionError) as exc:
+        la._verify_realization(off)
+    assert str(exc.value) == f"so_even basis element b2 (label {so4.labels[2]}) fails the form condition"
+    twice = _algebra_like(so4, [*so4.basis, so4.basis[0]], [*so4.labels, so4.labels[0]])
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        la._verify_realization(twice)
+
+
+@pytest.mark.parametrize("kind,rank", [("so_even", 3), ("sp", 2), ("g2", 2)])
+@pytest.mark.parametrize("scale", [1 << 31, Fraction(1, 3)])
+def test_closure_check_stays_exact_beyond_int64(kind, rank, scale):
+    # a scaled basis spans the same algebra; its entries are too large for a
+    # provably exact int64 check, or not integers, so the exact scalars are used
+    alg = la.matrix_realization(kind, rank)
+    la._verify_realization(_algebra_like(alg, [b.scale(scale) for b in alg.basis], alg.labels))
 
 
 def test_label_degrees_match_ad_eigenvalues():
