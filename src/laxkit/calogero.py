@@ -7,29 +7,25 @@ Everything a system reads comes from one coupling- and q0-free table per
 (family, n), built once and shared; ``CMSystem``, a frozen dataclass, binds
 its coupling coefficients and q0 constants at construction.  Each
 off-diagonal entry of L is a coefficient times a product of sigma values
-over a product of sigma values at linear forms a z + r.q + c.  The root entries are the torus gauge of the
-root-sum form p.H + sum_alpha f_alpha Phi(alpha(q), z) E_alpha, Phi(x, z) =
-sigma(z - x) / (sigma(z) sigma(x)); for B and C the roots are the gl(n)
-roots, and the off-diagonal blocks and the B border are rows of their own.
-The second-order Hamiltonian has two independent routes, a closed form and
-the contour residue of z^{-1} tr L(z)^2 at the puncture, which must agree
-(for the B family up to the exact constant 2 n wp(q0) dropped when
-restricting to the frozen-q0 submanifold).
+over a product of sigma values at linear forms a z + r.q + c, so sigma' on
+the same forms gives dL/dq exactly, and the involution brackets of the
+residue Hamiltonians res z^{-m} tr L(z)^p come off one contour.  The root
+entries are the torus gauge of the root-sum form p.H + sum_alpha f_alpha
+Phi(alpha(q), z) E_alpha, Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x));
+for B and C the roots are the gl(n) roots, and the off-diagonal blocks and
+the B border are rows of their own.  The second-order Hamiltonian has two
+independent routes, a closed form over the table's linear plan and the
+contour residue of z^{-1} tr L(z)^2 at the puncture, which must agree (for
+the B family up to the exact constant 2 n wp(q0) dropped when restricting
+to the frozen-q0 submanifold); the equations of motion are the closed
+form's gradient, and the collision guard names the first plan row on the
+lattice.
 
 Isospectrality of the closed-form flow holds for A (all n) and for D with
 n <= 3.  It fails for D with n >= 4 and for the B and C matrices.
 ``expansion_violations`` measures the local expansion conditions of the
 Lax operator algebra at the moving poles: the A and D matrices meet them,
 the B and C matrices do not in the standard frame.
-
-The closed form reads the linear plan of the same table: one row P q + c
-per distinct argument (c nonzero only in the B rows that hold q0) with
-weights w, a kinetic coefficient kappa and one (kind, particles) label
-each.  H = kappa p.p + w . wp(P q + c), with the negative kinetic term of
-the residue normalization; the equations of motion are its gradient (qdot =
-2 kappa p, pdot = -P^T (w * wp'(P q + c)), read through the plan's exact
-force matrix G = P^T diag(w)), and the collision guard names the label of
-the first row on the lattice.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ import csv
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,7 +58,6 @@ __all__ = [
     "conservation_initial_data",
     "conservation_z_samples",
     "eigenvalue_drift",
-    "poisson_bracket",
     "involution_table",
     "tyurin_residue_check",
     "moving_points",
@@ -114,12 +110,13 @@ def default_couplings(family, n):
 class CMSystem:
     """A Calogero-Moser system.  Frozen: the table, the constants k q0 and
     the coupling gather are bound once at construction, so a field cannot
-    change under them; build a new system for new data."""
+    change under them; build a new system for new data.  ``couplings`` holds
+    read-only float copies of the arrays passed, behind a read-only mapping."""
 
     family: str
     n: int
     lattice: Lattice = field(default_factory=Lattice)
-    couplings: dict = None
+    couplings: MappingProxyType = None
     q0: complex = 0.53
 
     def __post_init__(self):
@@ -127,13 +124,16 @@ class CMSystem:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("need at least one particle")
-        if self.couplings is None:
-            object.__setattr__(self, "couplings", default_couplings(self.family, self.n))
+        given = default_couplings(self.family, self.n) if self.couplings is None else self.couplings
+        frozen = {name: np.array(value, dtype=float) for name, value in given.items()}
+        for value in frozen.values():
+            value.flags.writeable = False
+        object.__setattr__(self, "couplings", MappingProxyType(frozen))
         self._validate_couplings()
         t = _table(self.family, self.n)
         # the constants c = k q0 of the plan rows, then of the Lax forms
         plan_c, lax_c = np.split(t.k * complex(self.q0), [len(t.P)])
-        flat = np.concatenate([np.ravel(np.asarray(self.couplings[k], dtype=float)) for k in t.names])
+        flat = np.concatenate([np.ravel(self.couplings[k]) for k in t.names])
         for name, value in (("_table", t), ("_plan_c", plan_c), ("_lax_c", lax_c),
                             ("_coef", t.mult * flat[t.ref])):
             object.__setattr__(self, name, value)
@@ -389,35 +389,58 @@ def _table(family, n):
     return table
 
 
+def _lax(sys_, state, nodes, gradient=False):
+    """The (K, N, N) stack of L at the 1-d ``nodes``, from ``check_state`` and
+    one sigma call on the forms of the ``_table``, the z-free ones without
+    the node axis.  A pole form with sigma exactly 0, which only the A
+    gauge's sigma(q_i) can have past ``check_state``, raises the q_i
+    CollisionError.  With ``gradient``, one sigma/sigma' call, and the exact
+    dL_uv/dq_i, (K, rows, n), of the table's rows comes too (dL/dp_i is the
+    diagonal H[:, i]): a numerator by the product rule, finite where a form
+    is a zero of sigma, a denominator by sigma'/sigma, its forms kept off
+    the lattice by ``check_state``, the pole check and the circle rule."""
+    check_state(sys_, state)
+    t = sys_._table
+    x = t.Q @ state.q + sys_._lax_c
+    zx = t.a * nodes[:, None] + x[t.free:]
+    args = np.concatenate([x[:t.free], zx.ravel()])
+    s, ds = sys_.lattice._sigma(args, 2) if gradient else (sys_.lattice.sigma(args), None)
+    hit = np.flatnonzero(s[t.poles] == 0)
+    if hit.size:
+        raise _collision_error(sys_, len(t.P) + hit[0])
+
+    def table(v, pad):  # (K, forms + 1): the forms in table order, the padding column last
+        return np.concatenate([np.broadcast_to(v[:t.free], (len(nodes), t.free)),
+                               v[t.free:].reshape(zx.shape), pad((len(nodes), 1))], axis=1)
+
+    S = table(s, np.ones)
+    den = S[:, t.den]
+    L = np.zeros((len(nodes), t.size, t.size), dtype=complex)
+    L[:, t.u, t.v] = sys_._coef * S[:, t.num].prod(axis=-1) / den.prod(axis=-1)
+    d = np.arange(t.size)
+    L[:, d, d] = t.H @ state.p
+    if not gradient:
+        return L
+    dS = table(ds, np.zeros)
+    r = np.vstack([t.Q, np.zeros((1, sys_.n))])  # the q-coefficients of the forms, the padding row last
+    # term j of the product rule: sigma'(f_j) times the other numerator factors
+    terms = np.where(np.eye(t.num.shape[1], dtype=bool), dS[:, t.num[:, None]], S[:, t.num[:, None]])
+    dnum = np.einsum("krw,rwi->kri", terms.prod(axis=-1), r[t.num])
+    dden = np.einsum("krw,rwi->kri", dS[:, t.den] / den, r[t.den])
+    return L, (sys_._coef / den.prod(axis=-1))[..., None] * dnum - L[:, t.u, t.v, None] * dden
+
+
 def lax_matrix(sys_, state, z):
     """Spectral-parameter Lax matrix of the configured family at z.
 
     ``z`` is a scalar, giving the (N, N) matrix, or a 1-d array of nodes,
-    giving the (K, N, N) stack; the state is guarded once and sigma is
-    evaluated in one call either way, once on each form of the system's
-    ``_table`` (the z-free forms without the node axis).  Every entry is
-    elliptic in z, with the fixed pole z = 0 and moving poles at
-    ``moving_points``.  A pole form with sigma exactly 0, which only the A
-    gauge's sigma(q_i) can have past ``check_state``, raises the q_i
-    CollisionError."""
-    check_state(sys_, state)
+    giving the (K, N, N) stack, from one guarded sigma call either way
+    (``_lax``, which names its CollisionError).  Every entry is elliptic in
+    z, with the fixed pole z = 0 and moving poles at ``moving_points``."""
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ValueError("z must be a scalar or a 1-d array of nodes")
-    nodes = zs.reshape(-1, 1)
-    t = sys_._table
-    x = t.Q @ state.q + sys_._lax_c
-    zx = t.a * nodes + x[t.free:]
-    s = sys_.lattice.sigma(np.concatenate([x[:t.free], zx.ravel()]))
-    hit = np.flatnonzero(s[t.poles] == 0)
-    if hit.size:
-        raise _collision_error(sys_, len(t.P) + hit[0])
-    S = np.concatenate([np.broadcast_to(s[:t.free], (len(nodes), t.free)),
-                        s[t.free:].reshape(zx.shape), np.ones((len(nodes), 1))], axis=1)
-    L = np.zeros((len(nodes), t.size, t.size), dtype=complex)
-    L[:, t.u, t.v] = sys_._coef * S[:, t.num].prod(axis=-1) / S[:, t.den].prod(axis=-1)
-    d = np.arange(t.size)
-    L[:, d, d] = t.H @ state.p
+    L = _lax(sys_, state, zs.reshape(-1))
     return L[0] if zs.ndim == 0 else L
 
 
@@ -451,13 +474,10 @@ def _pole_set(sys_, state):
 
 
 def _circle(sys_, state, center, nodes):
-    """The nodes w of the contour circle around ``center`` and the stack of
-    L(center + w), from one ``lax_matrix`` call.
-
-    The radius is a third of the lattice distance from the center to the
-    nearest pole of ``_pole_set`` farther than 1e-4 |omega1|; nearer poles
-    count as enclosed.  With no such pole (the one-particle A system at a
-    lattice point) it is 0.1 |omega1|."""
+    """The offsets w of the ``nodes`` contour nodes center + w on the circle
+    rule of ``residue_hamiltonian`` around ``center``, over ``_pole_set``
+    (the one-particle A system at a lattice point has no pole past 1e-4
+    |omega1|)."""
     lat = sys_.lattice
     dist = lat.lattice_distance(_pole_set(sys_, state) - center)
     dist = dist[dist > 1e-4 * abs(lat.omega1)]
@@ -465,8 +485,15 @@ def _circle(sys_, state, center, nodes):
     if radius < 10 * lat._guard_radius:
         raise ValueError(f"contour radius collides with a neighbouring pole: radius {radius:.3e} "
                          f"at {complex(center):.6g}, below 10 guard radii")
-    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return w, lax_matrix(sys_, state, center + w)
+    return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+def _check_specs(sys_, specs):
+    """Reject the (power, m) specs whose residue is not a Hamiltonian."""
+    if any(power < 1 for power, _ in specs):
+        raise ValueError("trace powers must be at least 1")
+    if sys_.family in ("B", "C", "D") and any(power % 2 for power, _ in specs):
+        raise ValueError("odd trace powers vanish identically for this family")
 
 
 def _residues(sys_, state, specs, nodes):
@@ -474,11 +501,9 @@ def _residues(sys_, state, specs, nodes):
     trapezoidal quadrature on one ``_circle`` (exponentially accurate on the
     annulus of analyticity).  Each trace is the sum of the entries of L^(power
     - 1) times those of L transposed, with no last matrix product."""
-    if any(power < 1 for power, _ in specs):
-        raise ValueError("trace powers must be at least 1")
-    if sys_.family in ("B", "C", "D") and any(power % 2 for power, _ in specs):
-        raise ValueError("odd trace powers vanish identically for this family")
-    w, ls = _circle(sys_, state, 0.0, nodes)
+    _check_specs(sys_, specs)
+    w = _circle(sys_, state, 0.0, nodes)
+    ls = lax_matrix(sys_, state, w)
     out = []
     for power, m in specs:
         traces = np.einsum("kij,kji->k", np.linalg.matrix_power(ls, power - 1), ls)
@@ -682,46 +707,30 @@ def eigenvalue_drift(l0, l1):
     return worst
 
 
-def _gradient(h, state):
-    """Central differences (dh/dq, dh/dp) of h, scalar- or vector-valued, at
-    the state: each coordinate x of q and p moves by 1e-6 (1 + |x|) either
-    way.  The particle axis comes last, after the shape of h's value."""
-    n = len(state.q)
-    y = np.concatenate([state.q, state.p])
-    cols = []
-    for k in range(2 * n):
-        step = 1e-6 * (1 + abs(y[k]))
-        plus, minus = y.copy(), y.copy()
-        plus[k] += step
-        minus[k] -= step
-        cols.append((h(CMState(plus[:n], plus[n:])) - h(CMState(minus[:n], minus[n:]))) / (2 * step))
-    g = np.stack(cols, axis=-1)
-    return g[..., :n], g[..., n:]
-
-
-def poisson_bracket(ha, hb, state):
-    """Canonical bracket sum_i (dHa/dq_i dHb/dp_i - dHa/dp_i dHb/dq_i) from
-    the central differences of ``_gradient`` (a residue Hamiltonian reads
-    each shifted state on the one circle of ``residue_hamiltonian``);
-    returns exactly 0.0 when ha is hb."""
-    if ha is hb:
-        return 0.0
-    (gqa, gpa), (gqb, gpb) = _gradient(ha, state), _gradient(hb, state)
-    return complex(np.sum(gqa * gpb - gpa * gqb))
+def _residue_gradients(sys_, state, specs, nodes=64):
+    """The exact (dH/dq, dH/dp), each (len(specs), n), of H = res z^{-m} tr
+    L^p for the (p, m) ``specs``, by the quadrature of ``_residues`` on one
+    ``_circle`` and one ``_lax`` call: dH/dq_i = res z^{-m} p sum_rows
+    (L^(p-1))_vu dL_uv/dq_i, dH/dp_i = res z^{-m} p sum_d (L^(p-1))_dd H_di."""
+    _check_specs(sys_, specs)
+    w = _circle(sys_, state, 0.0, nodes)
+    ls, dls = _lax(sys_, state, w, gradient=True)
+    t = sys_._table
+    lp = np.array([np.linalg.matrix_power(ls, power - 1) for power, _ in specs])
+    weight = np.array([power * w ** (1 - m) / nodes for power, m in specs])
+    return (np.einsum("sk,skr,kri->si", weight, lp[:, :, t.v, t.u], dls),
+            np.einsum("sk,skd,di->si", weight, np.diagonal(lp, axis1=2, axis2=3), t.H))
 
 
 def involution_table(sys_, state, specs, nodes=64):
-    """Pairwise Poisson brackets of residue Hamiltonians.
-
-    ``specs`` is a list of (power, m) labels; returns a dict mapping pairs of
-    labels to |bracket|.  One ``_gradient`` pass of the vector of residues
-    gives every pair from 4 n ``lax_matrix`` calls, each reading all specs
-    off the one circle of ``residue_hamiltonian``; a single spec gives {}
-    without evaluating anything."""
+    """Pairwise Poisson brackets of residue Hamiltonians: a dict mapping
+    pairs of the (power, m) labels of ``specs`` to |bracket|, from the exact
+    gradients of ``_residue_gradients`` (one circle and one sigma/sigma'
+    call per table); a single spec gives {} without evaluating anything."""
     if len(specs) < 2:
         return {}
-    gq, gp = _gradient(lambda st: _residues(sys_, st, specs, nodes), state)
-    return {(sa, sb): abs(complex(np.sum(gq[a] * gp[b] - gp[a] * gq[b])))
+    gq, gp = _residue_gradients(sys_, state, specs, nodes)
+    return {(sa, sb): abs(complex(gq[a] @ gp[b] - gp[a] @ gq[b]))
             for a, sa in enumerate(specs) for b, sb in enumerate(specs) if a < b}
 
 
@@ -729,8 +738,8 @@ def _laurent(sys_, state, center, degrees, nodes=64):
     """The radius of the ``_circle`` at ``center`` and the Laurent coefficients
     of L(z) there at ``degrees`` (poles within 1e-4 |omega1| of the center
     count as enclosed, as a slightly moved pole along a trajectory needs)."""
-    w, ls = _circle(sys_, state, center, nodes)
-    return w[0].real, np.tensordot(w ** -np.c_[degrees], ls, 1) / nodes
+    w = _circle(sys_, state, center, nodes)
+    return w[0].real, np.tensordot(w ** -np.c_[degrees], lax_matrix(sys_, state, center + w), 1) / nodes
 
 
 def tyurin_residue_check(sys_, state, flow_probe=None):

@@ -2,14 +2,15 @@
 
 The period basis is Gauss-reduced once per lattice, so the nome satisfies
 |q| <= e^{-pi sqrt(3)/2} and a handful of Jacobi theta terms give full
-double precision.  One evaluator serves sigma, zeta, wp and wp': it reduces
-the arguments once to the fundamental cell (sigma and zeta restore their
-quasi-periodicity factors from the integer shifts), guards them once and
-sums theta_1 and its derivatives along one row per argument.  sigma is
-entire and unguarded; zeta, wp and wp' raise PoleProximityError when any
-argument lies within the guard radius of a lattice point.  All functions
-take a scalar (returning a Python complex) or an array of any shape, and a
-value does not depend on the shape or length of the batch it came in.
+double precision.  One evaluator serves sigma, sigma', zeta, wp and wp': it
+reduces the arguments once to the fundamental cell (sigma, sigma' and zeta
+restore their quasi-periodicity factors from the integer shifts), guards
+them once and sums theta_1 and its derivatives along one row per argument.
+sigma and sigma' are entire and unguarded; zeta, wp and wp' raise
+PoleProximityError when any argument lies within the guard radius of a
+lattice point.  All functions take a scalar (returning a Python complex) or
+an array of any shape, and a value does not depend on the shape or length
+of the batch it came in.
 
 The theta series is summed in factored form.  With s = sin u and c = cos u,
 sin(ku) = (-1)^n T_k(s) and cos(ku) = T_k(c) for odd k = 2n + 1 (T_k the
@@ -24,15 +25,13 @@ the conjugated basis and denominators of the reduction, the guard radius and
 one (2, 2, 1, T) block of the weights of theta_1 to theta_1''' over those
 powers.  wp has its own block, with E2/3 theta_1 folded into the theta_1''
 row, so its constant term costs no cancelling sum at run time.  A call
-reduces the arguments in one (N, 2) pass.  sigma evaluates its row by
-Horner's rule in s^2 and multiplies by s once: a few full-width products
-and sums, and no table of powers, which pays on the wide calls of L(z) on
-a contour (hundreds to thousands of arguments).  zeta, wp and wp' raise [s,
-c] to the odd powers in one operation, form all their theta sums as one
-product and one row sum per argument and read them as ratios to theta_1.
-Their calls in the equations of motion carry 1 to 19 arguments for n <= 3
-and cost a fixed two dozen or so numpy operations; Horner's rule would add
-about six more per call there, so they keep the power table.
+reduces the arguments in one (N, 2) pass.  sigma alone takes Horner's rule
+in s^2, which pays on the wide calls of L(z) on a contour (hundreds to
+thousands of arguments).  The others raise [s, c] to the odd powers in one
+operation and form all their theta sums as one product and one row sum per
+argument: a fixed two dozen or so numpy operations on the 1 to 19
+arguments of the equations of motion for n <= 3, where Horner's rule would
+add about six.
 """
 
 from __future__ import annotations
@@ -238,8 +237,9 @@ class Lattice:
 
     def _evaluate(self, z, formula, orders, guarded=True, w=None):
         """``formula(z0, m, n, th)`` on the flattened ``z = z0 + m Ar + n Br``,
-        in the shape of ``z`` (a Python complex for a scalar), where ``th`` is
-        ``_theta(z0, orders, w)``.  The formula sees 1-d arrays and that block."""
+        its last axis in the shape of ``z`` (a Python complex for a scalar
+        value), where ``th`` is ``_theta(z0, orders, w)``.  The formula sees
+        1-d arrays and that block."""
         z = np.asarray(z, dtype=complex)
         z0, m, n = self.reduce(z.ravel())
         if guarded:
@@ -250,12 +250,17 @@ class Lattice:
                 i = int(np.flatnonzero(near < lim)[0])
                 raise PoleProximityError(i, float(near[i]), lim)
         val = formula(z0, m, n, self._theta(z0, orders, w))
-        return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
+        return complex(val[0]) if z.ndim == 0 and val.ndim == 1 else val.reshape(val.shape[:-1] + z.shape)
 
     # -- Weierstrass functions -------------------------------------------------
 
     def sigma(self, z):
         """Weierstrass sigma (entire, odd, simple zeros on the lattice); unguarded."""
+        return self._sigma(z, 1)
+
+    def _sigma(self, z, orders):
+        """sigma for ``orders`` 1; for 2, sigma and sigma' = sigma zeta stacked,
+        both entire: sigma' reads theta_1' with no quotient by theta_1."""
 
         def formula(z0, m, n, th):
             etaw = m * self._eta_ar + n * self._eta_br
@@ -267,9 +272,12 @@ class Lattice:
                 half = (m + n + m * n) * 0.5
                 sign = 1 - 4 * (half - np.floor(half))
                 expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + (m * self._half_ar + n * self._half_br))
+                if orders == 2:  # zeta = eta_Ar z0 / Ar + etaw + (pi / Ar) theta_1' / theta_1
+                    zeta_part = 2 * self._sigma_gauss * z0 + etaw
+                    th = np.stack([th[:, 0], th[:, 0] * zeta_part + self._u_scale * th[:, 1]])
                 return sign * self._sigma_scale * np.exp(expo) * th
 
-        return self._evaluate(z, formula, 1, guarded=False)
+        return self._evaluate(z, formula, orders, guarded=False)
 
     def zeta(self, z):
         """Weierstrass zeta (odd, quasi-periodic, simple poles)."""

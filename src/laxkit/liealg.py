@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _INT64_LIMIT, ColumnSolver, Mat, _int_height, mat_inverse, rank, rref
+from .exact import ColumnSolver, Mat, mat_inverse, rank, rref
 
 __all__ = [
     "RootSystem",
@@ -343,10 +343,10 @@ def matrix_realization(kind, rank):
 
     The labels, the root system and the Cartan dimension are derived from
     the basis, the Cartan embedding and the simple roots.  Closure under the
-    commutator is verified at construction on all pairwise commutators
-    (``_verify_realization``): the form condition for so/sp (it
-    characterizes membership exactly), the trace for sl, and for G2 the
-    decomposition over the basis.
+    commutator is verified at construction (``_verify_realization``): the
+    form condition on each element for so/sp (their commutators then meet
+    it too), the trace on each element for sl, and for G2 the coordinates
+    of every pairwise commutator over the basis.
     """
     if kind in ("A", "B", "C", "D", "G2"):
         kind = family_to_kind(kind)
@@ -377,54 +377,37 @@ def matrix_realization(kind, rank):
 def _verify_realization(alg):
     """Check that the basis is independent and closed under the commutator.
 
-    For the algebras cut out by a bilinear form every basis element must
-    satisfy X^T sigma + sigma X = 0.  Every pairwise commutator [b_a, b_c],
-    a < c, is built in one array stack per basis element b_a and must pass
-    the condition that characterizes membership: the form condition for
-    so/sp, the trace for sl and the coordinates over the basis for G2
-    (gl(n) holds every matrix).  The stacks are int64 when every basis and
-    form entry is an ``int`` and 4 n^2 h^2 max(s, 1) < 2**63, h and s the
-    largest basis and form entries, which bounds every partial sum of both
-    conditions; otherwise they hold the exact scalars as Python objects.
-    The first failure raises AssertionError naming the basis indices, their
-    labels and the condition.
+    gl(n) holds every matrix.  The matrices X with X^T sigma + sigma X = 0
+    form a Lie algebra, and tr [A, B] = 0 for any A and B, so a basis of
+    so/sp whose elements meet the form condition, or a basis of sl whose
+    elements are traceless, is closed: each element is checked alone.  G2
+    is a proper subalgebra of so(7): its elements meet the form condition,
+    and every pairwise commutator [b_a, b_c], a < c, must also have
+    coordinates over the basis.  The stacks hold the exact scalars as Python
+    objects.  The first failure raises AssertionError naming the basis
+    indices, their labels and the condition.
     """
     if rank([b.flatten() for b in alg.basis]) != alg.dim:
         raise AssertionError("basis is linearly dependent")
-    hb = _int_height([r for b in alg.basis for r in b.rows])
-    hs = _int_height(alg.sigma.rows)
-    fits = hb is not None and hs is not None and 4 * alg.size**2 * hb**2 * max(hs, 1) < _INT64_LIMIT
-    dtype = np.int64 if fits else object
-    basis = np.array([b.rows for b in alg.basis], dtype=dtype)
-    sigma = np.array(alg.sigma.rows, dtype=dtype)
-
-    def form(x):
-        return ((x.transpose(0, 2, 1) @ sigma + sigma @ x) != 0).any(axis=(1, 2))
-
-    def coordinates(x):
-        solve = alg.solver().solve
-        return np.array([solve(c) is None for c in x.reshape(len(x), -1).tolist()], dtype=bool)
-
-    def trace(x):
-        return np.trace(x, axis1=1, axis2=2) != 0
-
+    basis = np.array([b.rows for b in alg.basis], dtype=object)
     if alg.has_defining_form:
-        bad = np.flatnonzero(form(basis))
-        if bad.size:
-            a = int(bad[0])
-            raise AssertionError(f"{alg.kind} basis element b{a} (label {alg.labels[a]}) "
-                                 f"fails the form condition")
-    fails = {"g2": coordinates, "sl": trace, "gl": None}.get(alg.kind, form)
-    if fails is None:
+        sigma = np.array(alg.sigma.rows, dtype=object)
+        fails = ((basis.transpose(0, 2, 1) @ sigma + sigma @ basis) != 0).any(axis=(1, 2))
+    else:
+        fails = [alg.kind == "sl" and b.trace() != 0 for b in alg.basis]
+    bad = np.flatnonzero(fails)
+    if bad.size:
+        raise AssertionError(f"{alg.kind} basis element b{bad[0]} (label {alg.labels[bad[0]]}) fails "
+                             f"the {'form' if alg.has_defining_form else 'trace'} condition")
+    if alg.kind != "g2":
         return
     for a in range(alg.dim - 1):
         x, rest = basis[a], basis[a + 1:]
-        bad = np.flatnonzero(fails(x @ rest - rest @ x))
-        if bad.size:
-            c = a + 1 + int(bad[0])
-            raise AssertionError(f"{alg.kind} realization is not closed: [b{a}, b{c}] (labels "
-                                 f"{alg.labels[a]}, {alg.labels[c]}) fails the {fails.__name__} "
-                                 f"condition")
+        comms = (x @ rest - rest @ x).reshape(len(rest), -1).tolist()
+        bad = [c for c, m in enumerate(comms, a + 1) if alg.solver().solve(m) is None]
+        if bad:
+            raise AssertionError(f"g2 realization is not closed: [b{a}, b{bad[0]}] (labels {alg.labels[a]}, "
+                                 f"{alg.labels[bad[0]]}) fails the coordinates condition")
 
 
 # ---------------------------------------------------------------------------

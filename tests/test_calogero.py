@@ -209,6 +209,21 @@ def test_a_system_is_frozen():
     assert not np.allclose(cm.lax_matrix(make("B", 2, q0=0.35), st, 0.21 + 0.3j), lax)
 
 
+def test_couplings_are_read_only_copies():
+    # a write would leave the bound coefficients stale and skip validation
+    given = cm.default_couplings("B", 2)
+    sys_ = make("B", 2, couplings=given)
+    with pytest.raises(ValueError):
+        sys_.couplings["f"][0, 1] = 2.0
+    with pytest.raises(TypeError):
+        sys_.couplings["f"] = np.ones((2, 2))
+    # the caller's dict and arrays stay its own, and writable
+    given["f"][0, 1] = 2.0
+    assert sys_.couplings["f"][0, 1] == 1.0 and given["f"].flags.writeable
+    assert sys_.couplings.keys() == given.keys()
+    assert np.array_equal(make("B", 2).couplings["fb"], np.ones(2))
+
+
 def test_a_particle_on_a_lattice_point_is_named():
     # the A rows guard q_i - q_j only; sigma(q_i) = 0 is a pole of the gauge
     sys_ = make("A", 2)
@@ -408,7 +423,7 @@ def test_residue_traces_match_the_matrix_power_trace(family, n):
     sys_, st = batch_case(family, n, LAT)
     powers = [1, 2, 3, 4] if family == "A" else [2, 4]
     got = cm._residues(sys_, st, [(p, 1) for p in powers], 64)
-    w, ls = cm._circle(sys_, st, 0.0, 64)
+    ls = cm.lax_matrix(sys_, st, cm._circle(sys_, st, 0.0, 64))
     for value, power in zip(got, powers):
         ref = np.sum(np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)) / 64
         assert abs(value - ref) <= 1e-13 * abs(ref)
@@ -767,23 +782,57 @@ def test_eigenvalue_drift_metric():
     assert cm.eigenvalue_drift(a, b) < 2e-8
 
 
+def central_gradient(h, state):
+    """Central differences (dh/dq, dh/dp) of h, scalar- or vector-valued, at
+    the state: each coordinate x of q and p moves by 1e-6 (1 + |x|) either
+    way.  The particle axis comes last, after the shape of h's value.  The
+    oracle of the exact gradients; its own error, truncation and rounding,
+    is about 1e-9 to 1e-7 of the gradient in these tests."""
+    n = len(state.q)
+    y = np.concatenate([state.q, state.p])
+    cols = []
+    for k in range(2 * n):
+        step = 1e-6 * (1 + abs(y[k]))
+        plus, minus = y.copy(), y.copy()
+        plus[k] += step
+        minus[k] -= step
+        cols.append((h(cm.CMState(plus[:n], plus[n:])) - h(cm.CMState(minus[:n], minus[n:]))) / (2 * step))
+    g = np.stack(cols, axis=-1)
+    return g[..., :n], g[..., n:]
+
+
+def poisson_bracket(ha, hb, state):
+    """sum_i (dHa/dq_i dHb/dp_i - dHa/dp_i dHb/dq_i) from ``central_gradient``;
+    exactly 0.0 when ha is hb."""
+    if ha is hb:
+        return 0.0
+    (gqa, gpa), (gqb, gpb) = central_gradient(ha, state), central_gradient(hb, state)
+    return complex(np.sum(gqa * gpb - gpa * gqb))
+
+
+def oracle_table(sys_, st, specs, nodes=64):
+    """``involution_table`` from the central-difference oracle, one bracket
+    per pair."""
+    fns = {s: partial(cm.residue_hamiltonian, sys_, m=s[1], power=s[0], nodes=nodes) for s in specs}
+    return {(a, b): abs(poisson_bracket(fns[a], fns[b], st))
+            for i, a in enumerate(specs) for b in specs[i + 1:]}
+
+
 def test_poisson_bracket_antisymmetric_and_identical_zero():
     sys_ = make("A", 2)
     st = state_for(sys_)
     h = partial(cm.residue_hamiltonian, sys_, m=1, power=2)
-    assert cm.poisson_bracket(h, h, st) == 0.0
+    assert poisson_bracket(h, h, st) == 0.0
     g = partial(cm.residue_hamiltonian, sys_, m=1, power=3)
-    ab = cm.poisson_bracket(h, g, st)
-    ba = cm.poisson_bracket(g, h, st)
+    ab = poisson_bracket(h, g, st)
+    ba = poisson_bracket(g, h, st)
     assert abs(ab + ba) < 1e-8 * max(1.0, abs(ab))
 
 
 def test_momentum_commutes_with_hamiltonian():
     sys_ = make("A", 3)
     st = state_for(sys_)
-    h2 = partial(cm.residue_hamiltonian, sys_, m=1, power=2)
-    ptot = partial(cm.residue_hamiltonian, sys_, m=1, power=1)
-    assert abs(cm.poisson_bracket(h2, ptot, st)) < 1e-8
+    assert cm.involution_table(sys_, st, [(2, 1), (1, 1)])[(2, 1), (1, 1)] < 1e-8
 
 
 def test_involution_table():
@@ -798,23 +847,127 @@ def test_involution_table_takes_one_gradient_pass(monkeypatch):
     sys_ = make("A", 3)
     st = state_for(sys_)
     specs = [(2, 1), (3, 1), (4, 1)]
-    fns = {s: partial(cm.residue_hamiltonian, sys_, m=s[1], power=s[0]) for s in specs}
-    pairwise = {(a, b): abs(cm.poisson_bracket(fns[a], fns[b], st))
-                for i, a in enumerate(specs) for b in specs[i + 1:]}
-    calls = []
-    real = cm.lax_matrix
+    pairwise = oracle_table(sys_, st, specs)
+    calls = {"_circle": 0, "lax_matrix": 0, "check_state": 0, "_sigma": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(cm, "lax_matrix", counted)
+        def fn(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, fn)
+
+    for name in ("_circle", "lax_matrix", "check_state"):
+        counted(cm, name)
+    counted(sys_.lattice, "_sigma")
     table = cm.involution_table(sys_, st, specs)
-    assert len(calls) == 4 * sys_.n
-    # the same central differences as one bracket per pair
-    assert table == pairwise
-    calls.clear()
-    assert cm.involution_table(sys_, st, specs[:1]) == {} and not calls
+    assert calls == {"_circle": 1, "lax_matrix": 0, "check_state": 1, "_sigma": 1}
+    # the oracle's brackets are its own error, up to 1.4e-8 here; the exact
+    # ones are rounding, up to 1.6e-14
+    assert table.keys() == pairwise.keys()
+    assert all(table[k] < 1e-12 and abs(table[k] - pairwise[k]) < 1e-7 for k in table)
+    calls.update(dict.fromkeys(calls, 0))
+    assert cm.involution_table(sys_, st, specs[:1]) == {} and not any(calls.values())
+
+
+@pytest.mark.parametrize("lat", [LAT, SKEW], ids=["square", "skewed"])
+@pytest.mark.parametrize("family,n", [("A", 3), ("B", 2), ("C", 3), ("D", 3)])
+def test_lax_gradient_matches_the_oracle(family, n, lat):
+    sys_, st = batch_case(family, n, lat)
+    t = sys_._table
+    L, dL = cm._lax(sys_, st, NODES, gradient=True)
+    ref = cm.lax_matrix(sys_, st, NODES)
+    assert np.abs(L - ref).max() <= 1e-14 * np.abs(ref).max()
+    fd, fp = central_gradient(lambda s: cm.lax_matrix(sys_, s, NODES)[:, t.u, t.v], st)
+    assert dL.shape == fd.shape == (len(NODES), len(t.u), n)
+    assert np.abs(dL - fd).max() <= 1e-8 * np.abs(fd).max()
+    # the off-diagonal entries do not depend on p
+    assert not fp.any()
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("B", 2), ("C", 3), ("D", 3)])
+def test_residue_gradients_match_the_oracle(family, n):
+    # the oracle's error is its step's rounding, up to 1e-7 of the gradient
+    # here, where the forces are 1e-4 of H
+    sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
+    specs = [(2, 1), (4, 1), (4, 2)]
+    gq, gp = cm._residue_gradients(sys_, st, specs)
+    fq, fp = central_gradient(lambda s: cm._residues(sys_, s, specs, 64), st)
+    for got, want in ((gq, fq), (gp, fp)):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+    table, oracle = cm.involution_table(sys_, st, specs), oracle_table(sys_, st, specs)
+    if family in ("A", "D"):
+        assert max(table.values()) < 1e-16 and max(oracle.values()) < 1e-9
+    else:
+        # the brackets of the B and C residues do not vanish, and the two
+        # routes agree on them
+        assert all(abs(table[k] - oracle[k]) <= 1e-7 * max(oracle.values()) for k in table)
+        assert max(table.values()) > 1e-4
+
+
+def test_a_numerator_zero_on_the_contour_keeps_the_brackets_finite():
+    # q_2 - q_1 = 3 is the circle's radius, so the numerator form z - (q_2 -
+    # q_1) of L_21 is exactly 0 at node 0, where zeta(z - (q_2 - q_1)) has its
+    # pole; numpy warnings are errors here
+    sys_ = cm.CMSystem("A", 2, Lattice(40, 40j))
+    st = cm.CMState(np.array([9.0, 12.0]), np.array([0.05, -0.03]))
+    cm.check_state(sys_, st)
+    w = cm._circle(sys_, st, 0.0, 32)
+    assert w[0] == st.q[1] - st.q[0]
+    specs = [(2, 1), (3, 1), (4, 1)]
+    with np.errstate(all="raise"):
+        table = cm.involution_table(sys_, st, specs, nodes=32)
+        L, dL = cm._lax(sys_, st, w, gradient=True)
+    assert L[0, 1, 0] == 0 and np.isfinite(dL).all()
+    oracle = oracle_table(sys_, st, specs, nodes=32)
+    assert all(np.isfinite(v) and v < 1e-16 and abs(v - oracle[k]) < 1e-9 for k, v in table.items())
+
+
+def test_lax_gradient_raises_the_lax_collision_errors():
+    sys_ = make("A", 3)
+    for q, kind, parts in (([0.9, 2.5, 2.5 + 1e-9], "q_i-q_j", (2, 3)), ([0.0, 1.0, 2.5], "q_i", (1,))):
+        st = cm.CMState(np.array(q), np.zeros(3))
+        errors = []
+        for fn in (cm.lax_matrix, partial(cm._lax, gradient=True)):
+            with pytest.raises(cm.CollisionError) as exc:
+                fn(sys_, st, NODES)
+            errors.append((str(exc.value), exc.value.kind, exc.value.particles))
+        assert errors[0] == errors[1] and errors[0][1:] == (kind, parts)
+
+
+def rk4_residue_flow(sys_, st, spec, t_end, dt):
+    """rk4 on qdot = dH/dp, pdot = -dH/dq for the residue Hamiltonian of
+    ``spec``, from its exact gradient."""
+    n = sys_.n
+
+    def rhs(y):
+        gq, gp = cm._residue_gradients(sys_, cm.CMState(y[:n], y[n:]), [spec])
+        return np.concatenate([gp[0], -gq[0]])
+
+    y = np.concatenate([st.q, st.p])
+    for _ in range(int(round(t_end / dt))):
+        k1 = rhs(y)
+        k2 = rhs(y + dt / 2 * k1)
+        k3 = rhs(y + dt / 2 * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return cm.CMState(y[:n], y[n:])
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_the_h4_flow_keeps_h2_and_the_spectrum(family):
+    # the commutative hierarchy, dynamically: the flow of H_4 = res z^-1 tr
+    # L^4 leaves the closed-form H_2 and the spectrum of L(z) where they are
+    sys_, st = cm.conservation_initial_data(family, 3, np.random.default_rng(20240817))
+    end = rk4_residue_flow(sys_, st, (4, 1), 1.0, 1e-2)
+    assert np.abs(end.q - st.q).max() > 1e-4
+    h0 = cm.hamiltonian(sys_, st)
+    assert abs(cm.hamiltonian(sys_, end) - h0) <= 1e-12 * abs(h0)
+    zs = cm.conservation_z_samples(sys_.lattice)
+    pairs = zip(cm.lax_matrix(sys_, st, zs), cm.lax_matrix(sys_, end, zs))
+    assert max(cm.eigenvalue_drift(a, b) for a, b in pairs) <= 1e-12
 
 
 def test_contour_radius_guard_applies_to_every_residue():

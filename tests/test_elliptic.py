@@ -89,6 +89,23 @@ def test_zeta_derivative_is_minus_wp(lat):
     assert abs(num + lat.wp(z)) < 1e-6 * max(1.0, abs(lat.wp(z)))
 
 
+def test_sigma_prime_is_the_derivative_of_sigma(lat):
+    # points in and out of the reduced cell, and the zeros of sigma, where
+    # sigma' = 1 on the origin and zeta has its pole
+    z = np.array([0.44 + 0.37j, -0.81 + 0.12j, 1.3 - 0.9j, 2.6 + 1.7j])
+    s, ds = lat._sigma(z, 2)
+    assert np.abs(s - lat.sigma(z)).max() < 1e-15 * np.abs(s).max()
+    h = 1e-6
+    fd = (lat.sigma(z + h) - lat.sigma(z - h)) / (2 * h)
+    assert np.abs(ds - fd).max() < 1e-8 * np.abs(ds).max()
+    assert np.abs(ds - s * lat.zeta(z)).max() < 1e-13 * np.abs(ds).max()
+    zeros = np.array([0.0, 2 * lat.omega1, 2 * lat.omega2 - 2 * lat.omega1])
+    s0, ds0 = lat._sigma(zeros, 2)
+    assert s0[0] == 0 and abs(ds0[0] - 1) < 1e-15 and np.abs(s0).max() < 1e-14
+    assert np.abs(ds0 - (lat.sigma(zeros + h) - lat.sigma(zeros - h)) / (2 * h)).max() < 1e-8
+    assert lat._sigma(0.44 + 0.37j, 2).shape == (2,)
+
+
 def test_wp_prime_dual_route(lat):
     # independent evaluation path: wp'(z) = -sigma(2z)/sigma(z)^4
     for z in (0.41 + 0.23j, 0.72 - 0.31j):
