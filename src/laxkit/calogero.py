@@ -74,13 +74,15 @@ class CollisionError(RuntimeError):
 
     ``kind`` names the argument that hit the lattice (``q_i-q_j``,
     ``q_i+q_j``, ``q_i``, ``q0``, ``q_i-q0`` or ``q_i+q0``) and
-    ``particles`` its 1-based particle indices, when known."""
+    ``particles`` its 1-based particle indices, when known; ``member`` is the
+    index of the colliding system in a batch, None for one system."""
 
-    def __init__(self, message, trajectory=None, kind=None, particles=()):
+    def __init__(self, message, trajectory=None, kind=None, particles=(), member=None):
         super().__init__(message)
         self.trajectory = trajectory
         self.kind = kind
         self.particles = tuple(particles)
+        self.member = member
 
 
 # half-period of the square lattice of ``conservation_initial_data``, which
@@ -137,6 +139,7 @@ class CMSystem:
         for name, value in (("_table", t), ("_plan_c", plan_c), ("_lax_c", lax_c),
                             ("_coef", t.mult * flat[t.ref])):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_flow", _flow([self]))
 
     def _validate_couplings(self):
         c = self.couplings
@@ -213,45 +216,70 @@ def _label(r, k):
     return "q_i" + {0: "", 1: "+q0", -1: "-q0"}[int(k)], parts
 
 
-def _arguments(sys_, q):
-    """The plan's arguments P q + c at the positions q."""
-    return sys_._table.P @ q + sys_._plan_c
+_Flow = namedtuple("_Flow", "tables lattice P c G v rows coords")
 
 
-def _guarded(sys_, q, fn):
-    """``fn`` (a guarded lattice function) at the plan's arguments; a guard
-    hit becomes the CollisionError naming the argument."""
+def _flow(systems):
+    """The block-diagonal stack of the members' plans on their one lattice:
+    arguments P q + c, force matrix G and qdot coefficients v = 2 kappa per
+    coordinate, with the members' offsets in the plan ``rows`` and the
+    ``coords``.  A system binds its one-member flow; a member on another
+    lattice than the first raises ValueError."""
+    lat = systems[0].lattice
+    for i, s in enumerate(systems):
+        if (s.lattice.omega1, s.lattice.omega2) != (lat.omega1, lat.omega2):
+            raise ValueError(f"member {i} ({s.family}{s.n}) is on {s.lattice}, not on {lat}")
+    tables = tuple(s._table for s in systems)
+    rows = np.cumsum([0] + [len(t.P) for t in tables])
+    coords = np.cumsum([0] + [s.n for s in systems])
+    P = np.zeros((rows[-1], coords[-1]))
+    for t, r, c in zip(tables, rows, coords):
+        P[r:r + len(t.P), c:c + t.P.shape[1]] = t.P
+    G = P.T * np.concatenate([t.w for t in tables])
+    v = np.repeat([2 * t.kappa for t in tables], np.diff(coords))
+    return _Flow(tables, lat, P, np.concatenate([s._plan_c for s in systems]), G, v, rows, coords)
+
+
+def _guarded(flow, q, fn):
+    """``fn`` (a guarded lattice function) at the flow's arguments P q + c; a
+    guard hit becomes the CollisionError naming the argument."""
     try:
-        return fn(_arguments(sys_, q))
+        return fn(flow.P @ q + flow.c)
     except PoleProximityError as exc:
-        raise _collision_error(sys_, exc.index) from None
+        raise _collision_error(flow, exc.index) from None
 
 
-def _collision_error(sys_, index):
-    """CollisionError naming the table's label ``index``: a plan row within
-    the guard radius of the lattice or, past the plan rows, a pole form of
-    L's gauge that is an exact zero of sigma."""
-    t = sys_._table
+def _collision_error(flow, index):
+    """CollisionError naming the flow's label ``index`` and, in a batch, its
+    member: a plan row within the guard radius of the lattice or, past a lone
+    member's plan rows, a pole form of L's gauge that is a zero of sigma."""
+    m = int(np.searchsorted(flow.rows[1:-1], index, "right"))
+    t, index = flow.tables[m], index - flow.rows[m]
     kind, particles = t.labels[index]
     label = kind
     for sym, k in zip(("i", "j"), particles):
         label = label.replace(f"_{sym}", f"_{k}")
     if index < len(t.P):
         message = (f"particle collision: argument {label} (kind {kind}) within "
-                   f"{sys_.lattice._guard_radius:.1e} of a lattice point")
+                   f"{flow.lattice._guard_radius:.1e} of a lattice point")
     else:
         message = (f"particle on a lattice point: argument {label} (kind {kind}) is a zero "
                    f"of sigma(q), a pole of the gauge of L(z)")
-    return CollisionError(message, kind=kind, particles=particles)
+    return CollisionError(message, kind=kind, particles=particles, member=m if len(flow.tables) > 1 else None)
+
+
+def _check(flow, q):
+    """``check_state`` on the flow's arguments, naming the first hit."""
+    lat = flow.lattice
+    hit = np.flatnonzero(lat.lattice_distance(flow.P @ q + flow.c) < lat._guard_radius)
+    if hit.size:
+        raise _collision_error(flow, hit[0])
 
 
 def check_state(sys_, state):
     """Raise CollisionError, naming the argument, if one of the state's
     collision arguments lies within the guard radius of the lattice."""
-    lat = sys_.lattice
-    hit = np.flatnonzero(lat.lattice_distance(_arguments(sys_, state.q)) < lat._guard_radius)
-    if hit.size:
-        raise _collision_error(sys_, hit[0])
+    _check(sys_._flow, state.q)
 
 
 # the coupling arrays a family's Lax matrix reads, flattened and joined in
@@ -260,7 +288,7 @@ def check_state(sys_, state):
 _COUPLINGS = {"A": ("f",), "B": ("f", "fB", "fC", "fa", "fb"), "C": ("f", "fB", "fC"),
               "D": ("f", "fB", "fC")}
 
-_Table = namedtuple("_Table", "size H P w G kappa labels k a Q free poles u v names ref mult num den")
+_Table = namedtuple("_Table", "size H P w kappa labels k a Q free poles u v names ref mult num den")
 
 
 def _root_coupling(alpha):
@@ -313,18 +341,18 @@ def _table(family, n):
     (family, n) and shared, read-only, by every system of the family and
     size: ``CMSystem`` adds the constants c = k q0 and the Lax coefficients.
 
-    The closed form reads the ``_plan`` rows P, weights w, kinetic
-    coefficient kappa and force matrix G = P^T diag(w), exact (P has entries
-    0, +-1, 2 and w has 0, 1, 2): H = kappa p.p + w . wp(P q + c), qdot = 2
-    kappa p and pdot = -G wp'(P q + c).  The Lax matrix reads one row (u, v,
-    coupling, numerator forms, denominator forms) per off-diagonal entry,
-    L_uv = mult f prod s(numerator) / prod s(denominator) with f the
-    coupling entry ``ref`` of the vector that gathers the arrays ``names``
-    flattened, each form a z + r.q + k q0 stored once in Q (z-free first,
-    then the others with their ``a``; ``poles`` are the z-free forms in some
-    denominator), and the Cartan rows H.  k holds the q0 multipliers of the
-    plan rows, then of the forms; ``labels`` the ``_label`` of each plan row,
-    then of each pole form.
+    The closed form reads the ``_plan`` rows P, weights w and kinetic
+    coefficient kappa, exact (P has entries 0, +-1, 2 and w has 0, 1, 2): H =
+    kappa p.p + w . wp(P q + c), qdot = 2 kappa p and pdot = -G wp'(P q + c)
+    with the force matrix G = P^T diag(w) of the ``_flow``.  The Lax matrix
+    reads one row (u, v, coupling, numerator forms, denominator forms) per
+    off-diagonal entry, L_uv = mult f prod s(numerator) / prod s(denominator)
+    with f the coupling entry ``ref`` of the vector that gathers the arrays
+    ``names`` flattened, each form a z + r.q + k q0 stored once in Q (z-free
+    first, then the others with their ``a``; ``poles`` are the z-free forms in
+    some denominator), and the Cartan rows H.  k holds the q0 multipliers of
+    the plan rows, then of the forms; ``labels`` the ``_label`` of each plan
+    row, then of each pole form.
 
     A root row is f_alpha (E_alpha)_uv Phi(alpha(q), z) h^alpha, Phi(x, z) =
     s(z - x) / (s(z) s(x)), h^alpha = prod_i h_i^alpha_i: the torus gauge
@@ -373,7 +401,7 @@ def _table(family, n):
     u, v = np.array([row[:2] for row in rows], dtype=int).reshape(-1, 2).T
     poles = np.flatnonzero(np.bincount(den.ravel(), minlength=free)[:free])
     P, pk, w = _plan(family, n)
-    table = _Table(size=len(cartan), H=np.array(cartan, dtype=float), P=P, w=w, G=P.T * w,
+    table = _Table(size=len(cartan), H=np.array(cartan, dtype=float), P=P, w=w,
                    kappa=-0.5 if family == "A" else -1.0,
                    labels=tuple(_label(r, k) for r, k in zip(np.vstack([P, X[poles, 1:-1]]),
                                                               np.concatenate([pk, X[poles, -1]]))),
@@ -407,7 +435,7 @@ def _lax(sys_, state, nodes, gradient=False):
     s, ds = sys_.lattice._sigma(args, 2) if gradient else (sys_.lattice.sigma(args), None)
     hit = np.flatnonzero(s[t.poles] == 0)
     if hit.size:
-        raise _collision_error(sys_, len(t.P) + hit[0])
+        raise _collision_error(sys_._flow, len(t.P) + hit[0])
 
     def table(v, pad):  # (K, forms + 1): the forms in table order, the padding column last
         return np.concatenate([np.broadcast_to(v[:t.free], (len(nodes), t.free)),
@@ -456,7 +484,7 @@ def hamiltonian(sys_, state):
 
     One guarded wp call on the plan's arguments stands for ``check_state``."""
     t = sys_._table
-    wp = _guarded(sys_, state.q, sys_.lattice.wp)
+    wp = _guarded(sys_._flow, state.q, sys_.lattice.wp)
     return _real_if_close(t.kappa * np.sum(state.p * state.p) + t.w @ wp)
 
 
@@ -536,16 +564,19 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
 # ---------------------------------------------------------------------------
 
 
+def _force(flow, q):
+    """pdot = -G wp'(P q + c) over the flow, from one guarded wp' call."""
+    # -1.0 times, not negated: the two differ in the sign of zero imaginary parts
+    return -1.0 * (flow.G @ _guarded(flow, q, flow.lattice.wp_prime))
+
+
 def equations_of_motion(sys_, state):
     """(qdot, pdot) of the closed-form Hamiltonian: qdot = 2 kappa p and
     pdot = -P^T (w * wp'(P q + c)) = -G wp'(P q + c), its gradient over the
-    system's plan.
+    system's plan: the one-member case of the flow ``integrate`` steps.
 
     One guarded wp' call on the plan's arguments stands for ``check_state``."""
-    t = sys_._table
-    wpp = _guarded(sys_, state.q, sys_.lattice.wp_prime)
-    # -1.0 times, not negated: the two differ in the sign of zero imaginary parts
-    return 2 * t.kappa * state.p, -1.0 * (t.G @ wpp)
+    return sys_._flow.v * state.p, _force(sys_._flow, state.q)
 
 
 @dataclass
@@ -562,32 +593,27 @@ class Trajectory:
         return len(self.times)
 
 
-def _rk4_step(sys_, state, dt):
+def _rk4_step(flow, q, p, dt):
     # the stages run on y = (q, p) stacked: one array operation per update
-    n = sys_.n
+    n = len(q)
 
     def rhs(y):
-        return np.concatenate(equations_of_motion(sys_, CMState(y[:n], y[n:])))
+        return np.concatenate([flow.v * y[n:], _force(flow, y[:n])])
 
-    y = np.concatenate([state.q, state.p])
+    y = np.concatenate([q, p])
     k1 = rhs(y)
     k2 = rhs(y + dt / 2 * k1)
     k3 = rhs(y + dt / 2 * k2)
     k4 = rhs(y + dt * k3)
     y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return CMState(y[:n], y[n:])
+    return y[:n], y[n:]
 
 
-def _leapfrog_step(sys_, state, dt):
-    # separable H = T(p) + V(q): kick-drift-kick
-    q, p = state.q, state.p
-    _, pdot = equations_of_motion(sys_, CMState(q, p))
-    p = p + dt / 2 * pdot
-    qdot, _ = equations_of_motion(sys_, CMState(q, p))
-    q = q + dt * qdot
-    _, pdot = equations_of_motion(sys_, CMState(q, p))
-    p = p + dt / 2 * pdot
-    return CMState(q, p)
+def _leapfrog_step(flow, q, p, dt):
+    # separable H = T(p) + V(q): kick-drift-kick, two force calls
+    p = p + dt / 2 * _force(flow, q)
+    q = q + dt * (flow.v * p)
+    return q, p + dt / 2 * _force(flow, q)
 
 
 _STEPPERS = {"rk4": _rk4_step, "leapfrog": _leapfrog_step}
@@ -596,34 +622,51 @@ _STEPPERS = {"rk4": _rk4_step, "leapfrog": _leapfrog_step}
 def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
     """Fixed-step integration; aborts with the partial trajectory attached
     on collision, naming the time of the failed step (t = 0 for a colliding
-    initial state)."""
+    initial state).  Equal-length sequences of systems and states on one
+    lattice give the list of their trajectories, each bit for bit its own
+    run's, from one guarded wp' call per stage on the stacked ``_flow``; a
+    batch's errors start with ``member i (B2): ``, carry ``member`` i and
+    attach the list of the members' partial trajectories."""
+    batch = not isinstance(sys_, CMSystem)
+    systems, states = (list(sys_), list(state0)) if batch else ([sys_], [state0])
+    if not systems or len(systems) != len(states):
+        raise ValueError("a batch needs equal-length, nonempty sequences of systems and states")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in _STEPPERS:
         raise ValueError(f"scheme must be one of {sorted(_STEPPERS)}")
     step = _STEPPERS[scheme]
+    flow = _flow(systems) if batch else sys_._flow
     nsteps = int(round(t_end / dt)) if t_end > 0 else 0
-    times = [0.0]
-    qs = [state0.q.copy()]
-    ps = [state0.p.copy()]
-    state = state0.copy()
+    q, p = np.concatenate([s.q for s in states]), np.concatenate([s.p for s in states])
+    times, qs, ps = [0.0], [q], [p]
     k = 0
+
+    def split(completed):  # the members' trajectories, each with arrays of its own
+        tq, tp, c = np.array(qs), np.array(ps), flow.coords
+        trajs = [Trajectory(np.array(times), tq[:, a:b].copy(), tp[:, a:b].copy(), completed)
+                 for a, b in zip(c, c[1:])]
+        return trajs if batch else trajs[0]
+
     try:
-        check_state(sys_, state)
+        _check(flow, q)
         for k in range(1, nsteps + 1):
-            state = step(sys_, state, dt)
-            if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
-                raise CollisionError("state left the representable range")
+            q, p = step(flow, q, p, dt)
+            finite = np.isfinite(q) & np.isfinite(p)
+            if not finite.all():
+                m = int(np.searchsorted(flow.coords[1:-1], finite.argmin(), "right"))
+                raise CollisionError("state left the representable range", member=m)
             if k % record_every == 0 or k == nsteps:
                 times.append(k * dt)
-                qs.append(state.q.copy())
-                ps.append(state.p.copy())
+                qs.append(q)
+                ps.append(p)
     except CollisionError as exc:
-        traj = Trajectory(np.array(times), np.array(qs), np.array(ps), completed=False)
+        m = exc.member or 0
+        who = f"member {m} ({systems[m].family}{systems[m].n}): " if batch else ""
         when = f"in the step to t = {k * dt:.6g}" if k else "at t = 0"
-        raise CollisionError(f"{exc} ({when})", trajectory=traj, kind=exc.kind,
-                             particles=exc.particles) from None
-    return Trajectory(np.array(times), np.array(qs), np.array(ps))
+        raise CollisionError(f"{who}{exc} ({when})", trajectory=split(False), kind=exc.kind,
+                             particles=exc.particles, member=m if batch else None) from None
+    return split(True)
 
 
 def random_state(sys_, rng, p_scale=0.7, lo=None, hi=None, min_gap=None):
@@ -832,36 +875,33 @@ def run_conservation(sys_, state0, t_end, dt, scheme="rk4", z_samples=None):
     relative H drift and the maximal eigenvalue-multiset drift of L(z0)
     over the sample spectral parameters (by default
     ``conservation_z_samples`` of the lattice), both read on every 50th
-    step and the last.
+    step and the last.  For sequences of systems and states on one lattice
+    it integrates them as one batch (``integrate``) and returns a list of
+    the members' (trajectory, report) pairs.
     """
+    trajs = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=50)
+    batch = not isinstance(sys_, CMSystem)
+    systems, trajs = (list(sys_), trajs) if batch else ([sys_], [trajs])
     if z_samples is None:
-        z_samples = conservation_z_samples(sys_.lattice)
-    traj = integrate(sys_, state0, t_end, dt, scheme=scheme, record_every=50)
-    h0 = hamiltonian(sys_, traj.state(0))
+        z_samples = conservation_z_samples(systems[0].lattice)
     zs = np.asarray(z_samples, dtype=complex)
-    l0 = lax_matrix(sys_, traj.state(0), zs)
-    max_h = 0.0
-    max_spec = 0.0
-    for i in range(1, len(traj)):
-        st = traj.state(i)
-        max_h = max(max_h, abs(hamiltonian(sys_, st) - h0) / max(1e-300, abs(h0)))
-        for a, b in zip(l0, lax_matrix(sys_, st, zs)):
-            max_spec = max(max_spec, eigenvalue_drift(a, b))
-    report = {
-        "family": sys_.family,
-        "n": sys_.n,
-        "dt": dt,
-        "T": t_end,
-        "scheme": scheme,
-        "max_H_drift": max_h,
-        "max_spec_drift": max_spec,
-        "z_samples": [str(z) for z in z_samples],
-        "completed": bool(traj.completed),
-    }
-    if sys_.family == "B":
-        report["q0"] = str(sys_.q0)
-        report["q0_frozen"] = True
-    return traj, report
+    out = []
+    for sys_, traj in zip(systems, trajs):
+        h0 = hamiltonian(sys_, traj.state(0))
+        l0 = lax_matrix(sys_, traj.state(0), zs)
+        max_h = max_spec = 0.0
+        for i in range(1, len(traj)):
+            st = traj.state(i)
+            max_h = max(max_h, abs(hamiltonian(sys_, st) - h0) / max(1e-300, abs(h0)))
+            for a, b in zip(l0, lax_matrix(sys_, st, zs)):
+                max_spec = max(max_spec, eigenvalue_drift(a, b))
+        report = {"family": sys_.family, "n": sys_.n, "dt": dt, "T": t_end, "scheme": scheme,
+                  "max_H_drift": max_h, "max_spec_drift": max_spec,
+                  "z_samples": [str(z) for z in z_samples], "completed": bool(traj.completed)}
+        if sys_.family == "B":
+            report.update(q0=str(sys_.q0), q0_frozen=True)
+        out.append((traj, report))
+    return out if batch else out[0]
 
 
 def write_trajectory_csv(path, sys_, traj, z_samples=(), truncated=False):

@@ -175,6 +175,15 @@ def _perfbench_workloads():
     return mod
 
 
+def test_the_benchmark_runs_one_system_per_op():
+    # cm-dynamics calls run_conservation(sys_, st, T, dt, scheme="rk4",
+    # z_samples=...) with one system; round 0 has the A and D ops twice
+    ops = _perfbench_workloads().build("cm-dynamics", 1).round_ops(0)
+    assert len(ops) == 12
+    for op in ops:
+        assert op.check(op.run()) == ("isospectrality" if op.label[0] in "BC" else None), op.label
+
+
 def test_one_table_per_family_and_size(monkeypatch):
     # the cm-residue set-up makes 32 systems of 8 (family, n): 8 builds
     builds, build = [], cm._table.__wrapped__
@@ -692,6 +701,99 @@ def test_collision_abort_carries_partial_trajectory():
         cm.integrate(sys_, cm.CMState(np.array([0.4, 0.4]), np.zeros(2)), 1.0, 1e-2)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def count_wp_prime(monkeypatch):
+    """A list that gets the argument count of every ``Lattice.wp_prime`` call."""
+    calls, wp_prime = [], Lattice.wp_prime
+
+    def counted(self, z):
+        calls.append(np.size(z))
+        return wp_prime(self, z)
+
+    monkeypatch.setattr(Lattice, "wp_prime", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,n", [("A", 3), ("B", 2)])
+def test_leapfrog_is_kick_drift_kick_with_two_force_calls(family, n, monkeypatch):
+    sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
+    dt, q, p = 1e-3, st.q, st.p
+    for _ in range(200):
+        p = p + dt / 2 * cm.equations_of_motion(sys_, cm.CMState(q, p))[1]
+        q = q + dt * cm.equations_of_motion(sys_, cm.CMState(q, p))[0]
+        p = p + dt / 2 * cm.equations_of_motion(sys_, cm.CMState(q, p))[1]
+    calls = count_wp_prime(monkeypatch)
+    traj = cm.integrate(sys_, st, 200 * dt, dt, scheme="leapfrog")
+    assert len(calls) == 400
+    assert same_bits(traj.qs[-1], q) and same_bits(traj.ps[-1], p)
+
+
+def criterion_8_data():
+    """Criterion 8's eight systems, which share Lattice(40, 40i), and states."""
+    rng = np.random.default_rng(20240817)
+    return zip(*(cm.conservation_initial_data(f, n, rng) for f in "ABCD" for n in (2, 3)))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog"])
+def test_a_batch_gives_each_member_its_own_run(scheme, monkeypatch):
+    systems, states = criterion_8_data()
+    calls = count_wp_prime(monkeypatch)
+    trajs = cm.integrate(systems, states, 0.05, 1e-3, scheme=scheme)
+    # one call per stage on the 70 arguments of all eight plans
+    assert calls == [70] * (50 * {"rk4": 4, "leapfrog": 2}[scheme])
+    runs = cm.run_conservation(list(systems), list(states), 0.05, 1e-3, scheme=scheme)
+    assert len(trajs) == len(runs) == 8
+    for sys_, st, traj, (_, report) in zip(systems, states, trajs, runs):
+        alone = cm.integrate(sys_, st, 0.05, 1e-3, scheme=scheme)
+        for name in ("times", "qs", "ps"):
+            assert same_bits(getattr(traj, name).view(float), getattr(alone, name).view(float))
+        assert report == cm.run_conservation(sys_, st, 0.05, 1e-3, scheme=scheme)[1]
+
+
+def test_a_batch_names_the_colliding_member():
+    lat = Lattice(1.0, 1j)
+    a1, a2 = cm.CMSystem("A", 1, lat), cm.CMSystem("A", 2, lat)
+    free = cm.CMState(np.array([0.3]), np.array([0.2]))
+    fall = cm.CMState(np.array([0.4, 0.6]), np.zeros(2))  # attractive fall
+    at_zero = cm.CMState(np.array([0.4, 0.4]), np.zeros(2))
+    for states, scheme in (([free, fall, free], "rk4"), ([free, free, at_zero], "leapfrog")):
+        systems = [a1 if len(st.q) == 1 else a2 for st in states]
+        m = next(i for i, st in enumerate(states) if len(st.q) == 2)
+        with pytest.raises(cm.CollisionError) as alone:
+            cm.integrate(systems[m], states[m], 20.0, 1e-2, scheme=scheme)
+        with pytest.raises(cm.CollisionError) as exc:
+            cm.integrate(systems, states, 20.0, 1e-2, scheme=scheme)
+        assert str(exc.value) == f"member {m} (A2): {alone.value}"
+        assert (exc.value.member, exc.value.kind, exc.value.particles) == (m, "q_i-q_j", (1, 2))
+        assert alone.value.member is None
+        trajs = exc.value.trajectory
+        assert len(trajs) == 3 and len({len(t) for t in trajs}) == 1
+        assert not any(t.completed for t in trajs)
+        assert same_bits(trajs[m].qs, alone.value.trajectory.qs)
+    # a member that leaves the representable range is named too
+    runaway = cm.CMState(np.array([1.0]), np.array([2.9e307]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(cm.CollisionError) as exc:
+            cm.integrate([a1, a1], [free, runaway], 20.0, 1.0)
+    assert str(exc.value) == "member 1 (A1): state left the representable range (in the step to t = 7)"
+    assert exc.value.member == 1 and [len(t) for t in exc.value.trajectory] == [7, 7]
+
+
+def test_a_batch_shares_one_lattice():
+    st = cm.CMState(np.array([1.0, 2.0]), np.zeros(2))
+    same = [cm.CMSystem("A", 2, Lattice(6.0, 6.0j)), cm.CMSystem("D", 2, Lattice(6.0, 6.0j))]
+    assert len(cm.integrate(same, [st, st], 0.01, 1e-3)) == 2  # equal lattices, two objects
+    other = [same[0], cm.CMSystem("D", 2, Lattice(6.0, 6.5j))]
+    for fn in (cm.integrate, cm.run_conservation):
+        with pytest.raises(ValueError, match=r"^member 1 \(D2\) is on Lattice"):
+            fn(other, [st, st], 0.01, 1e-3)
+    with pytest.raises(ValueError, match="equal-length"):
+        cm.integrate(same, [st], 0.01, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # conservation and involution diagnostics
 # ---------------------------------------------------------------------------
@@ -956,11 +1058,12 @@ def rk4_residue_flow(sys_, st, spec, t_end, dt):
     return cm.CMState(y[:n], y[n:])
 
 
+@pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("family", ["A", "D"])
-def test_the_h4_flow_keeps_h2_and_the_spectrum(family):
+def test_the_h4_flow_keeps_h2_and_the_spectrum(family, n):
     # the commutative hierarchy, dynamically: the flow of H_4 = res z^-1 tr
     # L^4 leaves the closed-form H_2 and the spectrum of L(z) where they are
-    sys_, st = cm.conservation_initial_data(family, 3, np.random.default_rng(20240817))
+    sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
     end = rk4_residue_flow(sys_, st, (4, 1), 1.0, 1e-2)
     assert np.abs(end.q - st.q).max() > 1e-4
     h0 = cm.hamiltonian(sys_, st)
@@ -968,6 +1071,25 @@ def test_the_h4_flow_keeps_h2_and_the_spectrum(family):
     zs = cm.conservation_z_samples(sys_.lattice)
     pairs = zip(cm.lax_matrix(sys_, st, zs), cm.lax_matrix(sys_, end, zs))
     assert max(cm.eigenvalue_drift(a, b) for a, b in pairs) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_the_h2_and_h4_flows_commute(family):
+    # {H_2, H_4} = 0 makes the two flows commute: H_2 then H_4 ends where H_4
+    # then H_2 does.  B and C are left out: their brackets are not zero (the
+    # strict xfail below), and the B H_4 flows run away (see CHANGES.md)
+    sys_, st = cm.conservation_initial_data(family, 3, np.random.default_rng(20240817))
+
+    def h2(s):
+        traj = cm.integrate(sys_, s, 0.5, 1e-2)
+        return traj.state(len(traj) - 1)
+
+    def h4(s):
+        return rk4_residue_flow(sys_, s, (4, 1), 0.5, 1e-2)
+
+    a, b = h4(h2(st)), h2(h4(st))
+    assert np.abs(a.q - st.q).max() > 1e-2
+    assert np.abs(a.q - b.q).max() <= 1e-12 and np.abs(a.p - b.p).max() <= 1e-12
 
 
 def test_contour_radius_guard_applies_to_every_residue():
@@ -1009,6 +1131,20 @@ def test_b_family_isospectral_under_canonical_flow():
     w = abs(sys_.lattice.omega1)
     _, rep = cm.run_conservation(sys_, st, 1.0, 1e-3, z_samples=[complex(0.3 * w, 0.2 * w)])
     assert rep["max_spec_drift"] < 1e-6
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the B and C residue Hamiltonians are not in involution, the "
+                          "bracket form of the B/C isospectrality reds of criterion 8: "
+                          "{H_2, H_4} reads 0.12 (B2), 1.4 (B3), 1.6e-4 (C2) and 1.1e-3 (C3); "
+                          "no so(2n+1) or sp(2n) replacement has been found, see CHANGES.md")
+def test_b_and_c_residue_hamiltonians_in_involution():
+    worst = 0.0
+    for family in ("B", "C"):
+        for n in (2, 3):
+            sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
+            worst = max(worst, *cm.involution_table(sys_, st, [(2, 1), (4, 1)], nodes=32).values())
+    assert worst < 1e-6
 
 
 # ---------------------------------------------------------------------------
