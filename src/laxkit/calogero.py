@@ -3,10 +3,10 @@
 Families A (gl, n particles), B (so(2n+1)), C (sp(2n)) and D (so(2n)) with
 pairwise Weierstrass interactions.  The Lax matrices are sigma-quotient
 matrices on the torus, valued in the defining algebra of the family.
-Everything a system reads comes from one coupling- and q0-free table per
-(family, n), built once and shared; ``CMSystem``, a frozen dataclass, binds
-its coupling coefficients and q0 constants at construction.  Each
-off-diagonal entry of L is a coefficient times a product of sigma values
+Everything a system reads comes from one q0-free table per (family, n),
+built once and shared; ``CMSystem``, a frozen dataclass, binds its q0
+constants at construction.  Each off-diagonal entry of L is a fixed
+coefficient (+-1, or -2 on the C diagonal) times a product of sigma values
 over a product of sigma values at linear forms a z + r.q + c, so sigma' on
 the same forms gives dL/dq exactly, and the involution brackets of the
 residue Hamiltonians res z^{-m} tr L(z)^p come off one contour.  The root
@@ -34,7 +34,6 @@ import csv
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "CMState",
     "CollisionError",
     "check_state",
-    "default_couplings",
     "lax_matrix",
     "hamiltonian",
     "residue_hamiltonian",
@@ -67,10 +65,12 @@ __all__ = [
 ]
 
 FAMILIES = ("A", "B", "C", "D")
+_EPS = np.finfo(float).eps
 
 
 class CollisionError(RuntimeError):
-    """Particle collision or pole encounter; carries the partial trajectory.
+    """Particle collision, non-generic state, argument beyond the lattice
+    reduction's precision or pole encounter; carries the partial trajectory.
 
     ``kind`` names the argument that hit the lattice (``q_i-q_j``,
     ``q_i+q_j``, ``q_i``, ``q0``, ``q_i-q0`` or ``q_i+q0``) and
@@ -90,35 +90,15 @@ class CollisionError(RuntimeError):
 CONSERVATION_PERIOD = 40.0
 
 
-def default_couplings(family, n):
-    """Couplings satisfying the reduction products: f_ij f_ji = 1 for the A
-    block, f^B_ij f^C_ji = -1 off the diagonal, f^B_ii f^C_ii = -2 for the C
-    family (the sign that makes the residue route reproduce the conventional
-    closed form), f^a = f^b = 1 for the B columns."""
-    c = {"f": np.ones((n, n))}
-    if family in ("B", "C", "D"):
-        c["fB"] = np.ones((n, n))
-        c["fC"] = -np.ones((n, n))
-        if family == "C":
-            np.fill_diagonal(c["fB"], 1.0)
-            np.fill_diagonal(c["fC"], -2.0)
-    if family == "B":
-        c["fa"] = np.ones(n)
-        c["fb"] = np.ones(n)
-    return c
-
-
 @dataclass(frozen=True)
 class CMSystem:
-    """A Calogero-Moser system.  Frozen: the table, the constants k q0 and
-    the coupling gather are bound once at construction, so a field cannot
-    change under them; build a new system for new data.  ``couplings`` holds
-    read-only float copies of the arrays passed, behind a read-only mapping."""
+    """A Calogero-Moser system.  Frozen: the table and the constants k q0
+    are bound once at construction, so a field cannot change under them;
+    build a new system for new data."""
 
     family: str
     n: int
     lattice: Lattice = field(default_factory=Lattice)
-    couplings: MappingProxyType = None
     q0: complex = 0.53
 
     def __post_init__(self):
@@ -126,39 +106,12 @@ class CMSystem:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.n < 1:
             raise ValueError("need at least one particle")
-        given = default_couplings(self.family, self.n) if self.couplings is None else self.couplings
-        frozen = {name: np.array(value, dtype=float) for name, value in given.items()}
-        for value in frozen.values():
-            value.flags.writeable = False
-        object.__setattr__(self, "couplings", MappingProxyType(frozen))
-        self._validate_couplings()
         t = _table(self.family, self.n)
         # the constants c = k q0 of the plan rows, then of the Lax forms
         plan_c, lax_c = np.split(t.k * complex(self.q0), [len(t.P)])
-        flat = np.concatenate([np.ravel(self.couplings[k]) for k in t.names])
-        for name, value in (("_table", t), ("_plan_c", plan_c), ("_lax_c", lax_c),
-                            ("_coef", t.mult * flat[t.ref])):
+        for name, value in (("_table", t), ("_plan_c", plan_c), ("_lax_c", lax_c)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_flow", _flow([self]))
-
-    def _validate_couplings(self):
-        c = self.couplings
-        f = np.asarray(c["f"])
-        prod = f * f.T
-        off = ~np.eye(self.n, dtype=bool)
-        # the decoupled limit (a pair of vanishing couplings) stays admissible
-        pair_zero = (f == 0) & (f.T == 0)
-        bad = off & ~pair_zero & ~np.isclose(prod, 1.0, atol=1e-12)
-        if bad.any():
-            raise ValueError("A-block couplings must satisfy f_ij f_ji = 1")
-        if self.family in ("B", "C", "D"):
-            fb, fc = np.asarray(c["fB"]), np.asarray(c["fC"])
-            if not np.allclose((fb * fc.T)[off], -1.0, atol=1e-12):
-                raise ValueError("block couplings must satisfy fB_ij fC_ji = -1")
-            if self.family == "C":
-                d = np.diag(fb) * np.diag(fc)
-                if not np.allclose(np.abs(d), 2.0, atol=1e-12):
-                    raise ValueError("C-family diagonal couplings must have |fB_ii fC_ii| = 2")
 
     @property
     def matrix_size(self):
@@ -249,9 +202,11 @@ def _guarded(flow, q, fn):
         raise _collision_error(flow, exc.index) from None
 
 
-def _collision_error(flow, index):
+def _collision_error(flow, index, size=None):
     """CollisionError naming the flow's label ``index`` and, in a batch, its
-    member: a plan row within the guard radius of the lattice or, past a lone
+    member: a plan row within the guard radius of the lattice (a weighted row
+    is a collision, a row of weight 0 only guards L(z)), a plan row of
+    modulus ``size`` beyond the lattice reduction's precision or, past a lone
     member's plan rows, a pole form of L's gauge that is a zero of sigma."""
     m = int(np.searchsorted(flow.rows[1:-1], index, "right"))
     t, index = flow.tables[m], index - flow.rows[m]
@@ -259,48 +214,51 @@ def _collision_error(flow, index):
     label = kind
     for sym, k in zip(("i", "j"), particles):
         label = label.replace(f"_{sym}", f"_{k}")
-    if index < len(t.P):
-        message = (f"particle collision: argument {label} (kind {kind}) within "
-                   f"{flow.lattice._guard_radius:.1e} of a lattice point")
+    where = f"argument {label} (kind {kind})"
+    near = f"within {flow.lattice._guard_radius:.1e} of a lattice point"
+    if size is not None:
+        message = f"imprecise state: {where} has |x| = {size:.1e}, beyond the lattice reduction's precision"
+    elif index >= len(t.P):
+        message = f"particle on a lattice point: {where} is a zero of sigma(q), a pole of the gauge of L(z)"
+    elif t.w[index]:
+        message = f"particle collision: {where} {near}"
     else:
-        message = (f"particle on a lattice point: argument {label} (kind {kind}) is a zero "
-                   f"of sigma(q), a pole of the gauge of L(z)")
+        message = f"non-generic state: {where} {near}: H has no term there, but L(z) is not generic"
     return CollisionError(message, kind=kind, particles=particles, member=m if len(flow.tables) > 1 else None)
 
 
 def _check(flow, q):
-    """``check_state`` on the flow's arguments, naming the first hit."""
+    """``check_state`` on the flow's arguments, naming the first argument
+    whose rounding |x| eps reaches the guard radius, else the first hit."""
     lat = flow.lattice
-    hit = np.flatnonzero(lat.lattice_distance(flow.P @ q + flow.c) < lat._guard_radius)
+    x = flow.P @ q + flow.c
+    size, limit = np.abs(x), lat._guard_radius / _EPS
+    if size.max(initial=0.0) >= limit:
+        i = int(np.argmax(size >= limit))
+        raise _collision_error(flow, i, size[i])
+    hit = np.flatnonzero(lat.lattice_distance(x) < lat._guard_radius)
     if hit.size:
         raise _collision_error(flow, hit[0])
 
 
 def check_state(sys_, state):
     """Raise CollisionError, naming the argument, if one of the state's
-    collision arguments lies within the guard radius of the lattice."""
+    collision arguments lies within the guard radius of the lattice or is
+    too large for the lattice reduction to resolve that radius."""
     _check(sys_._flow, state.q)
 
 
-# the coupling arrays a family's Lax matrix reads, flattened and joined in
-# this order into the vector its coefficients are gathered from: f, fB and
-# fC are (n, n), fa and fb (n,)
-_COUPLINGS = {"A": ("f",), "B": ("f", "fB", "fC", "fa", "fb"), "C": ("f", "fB", "fC"),
-              "D": ("f", "fB", "fC")}
-
-_Table = namedtuple("_Table", "size H P w kappa labels k a Q free poles u v names ref mult num den")
+_Table = namedtuple("_Table", "size H P w kappa labels k a Q free poles u v coef num den")
 
 
 def _root_coupling(alpha):
-    """The coupling (name, index, multiplier) of f_alpha on the root alpha:
-    f_ab on e_a - e_b; fB_ab e_ab and fC_ba e_ab on +-(e_a + e_b), a < b, with
-    e_ab = (-1)^(a+b+1), so that the entries of the pair multiply to wp(z) -
-    wp(q_a + q_b)."""
+    """The coefficient f_alpha of the root alpha: 1 on e_a - e_b, and e_ab
+    on e_a + e_b and -e_ab on -(e_a + e_b), a < b, with e_ab = (-1)^(a+b+1),
+    so that the entries of the pair multiply to wp(z) - wp(q_a + q_b)."""
     a, b = (i for i, x in enumerate(alpha) if x)
     if alpha[a] != alpha[b]:
-        return ("f", (a, b), 1.0) if alpha[a] > 0 else ("f", (b, a), 1.0)
-    sign = (-1.0) ** (a + b + 1)
-    return ("fB", (a, b), sign) if alpha[a] > 0 else ("fC", (b, a), sign)
+        return 1.0
+    return (-1.0) ** (a + b + 1) * (1.0 if alpha[a] > 0 else -1.0)
 
 
 def _bc_rows(family, n, form):
@@ -308,11 +266,11 @@ def _bc_rows(family, n, form):
     and symmetric for C, and for B the border columns.
 
     For a pair a < b (a <= b for C) with x = q_a + q_b, the upper block has
-    B_ab = fB_ab s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and the lower block
-    C_ba = fC_ba s(z+x) s(z-q_a) / (s(z) s(z+q_b) s(x)).  The B border has
-    the columns a_i = fa s(z-q0-q_i) s(z) / (s(z-q0) s(z-q_i) s(q_i)) and
-    b_i = fb s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0) s(q_i)) at (i, n) and
-    (n+1+i, n), with -b_i and -a_i in the middle row."""
+    B_ab = s(z-x) s(z+q_b) / (s(z) s(z-q_a) s(x)) and the lower block C_ba =
+    -s(z+x) s(z-q_a) / (s(z) s(z+q_b) s(x)), -2 times that on the C
+    diagonal.  The B border has the columns a_i = s(z-q0-q_i) s(z) /
+    (s(z-q0) s(z-q_i) s(q_i)) and b_i = s(z-q0+q_i) s(z-q_i) / (s(z) s(z-q0)
+    s(q_i)) at (i, n) and (n+1+i, n), with -b_i and -a_i in the middle row."""
     lo = n + 1 if family == "B" else n
     sign = 1.0 if family == "C" else -1.0
     z = form(1)
@@ -321,38 +279,37 @@ def _bc_rows(family, n, form):
         x = form(0, (a, 1), (b, 1))
         upper = ([form(1, (a, -1), (b, -1)), form(1, (b, 1))], [z, form(1, (a, -1)), x])
         lower = ([form(1, (a, 1), (b, 1)), form(1, (a, -1))], [z, form(1, (b, 1)), x])
-        fb, fc = ("fB", (a, b)), ("fC", (b, a))
-        rows += [(a, lo + b, (*fb, 1.0), *upper), (lo + b, a, (*fc, 1.0), *lower)]
+        c = -2.0 if a == b else -1.0
+        rows += [(a, lo + b, 1.0, *upper), (lo + b, a, c, *lower)]
         if a != b:
-            rows += [(b, lo + a, (*fb, sign), *upper), (lo + a, b, (*fc, sign), *lower)]
+            rows += [(b, lo + a, sign, *upper), (lo + a, b, c * sign, *lower)]
     if family == "B":
         for i in range(n):
             col_a = ([form(1, (i, -1), k=-1), z], [form(1, k=-1), form(1, (i, -1)), form(0, (i, 1))])
             col_b = ([form(1, (i, 1), k=-1), form(1, (i, -1))], [z, form(1, k=-1), form(0, (i, 1))])
-            fa, fb = ("fa", (i,)), ("fb", (i,))
-            rows += [(i, n, (*fa, 1.0), *col_a), (n, lo + i, (*fa, -1.0), *col_a),
-                     (n, i, (*fb, -1.0), *col_b), (lo + i, n, (*fb, 1.0), *col_b)]
+            rows += [(i, n, 1.0, *col_a), (n, lo + i, -1.0, *col_a),
+                     (n, i, -1.0, *col_b), (lo + i, n, 1.0, *col_b)]
     return rows
 
 
 @lru_cache(maxsize=None)
 def _table(family, n):
-    """The coupling- and q0-free description of a system, built once per
-    (family, n) and shared, read-only, by every system of the family and
-    size: ``CMSystem`` adds the constants c = k q0 and the Lax coefficients.
+    """The q0-free description of a system, built once per (family, n) and
+    shared, read-only, by every system of the family and size: ``CMSystem``
+    adds the constants c = k q0.
 
     The closed form reads the ``_plan`` rows P, weights w and kinetic
     coefficient kappa, exact (P has entries 0, +-1, 2 and w has 0, 1, 2): H =
     kappa p.p + w . wp(P q + c), qdot = 2 kappa p and pdot = -G wp'(P q + c)
     with the force matrix G = P^T diag(w) of the ``_flow``.  The Lax matrix
-    reads one row (u, v, coupling, numerator forms, denominator forms) per
-    off-diagonal entry, L_uv = mult f prod s(numerator) / prod s(denominator)
-    with f the coupling entry ``ref`` of the vector that gathers the arrays
-    ``names`` flattened, each form a z + r.q + k q0 stored once in Q (z-free
-    first, then the others with their ``a``; ``poles`` are the z-free forms in
-    some denominator), and the Cartan rows H.  k holds the q0 multipliers of
-    the plan rows, then of the forms; ``labels`` the ``_label`` of each plan
-    row, then of each pole form.
+    reads one row (u, v, coefficient, numerator forms, denominator forms) per
+    off-diagonal entry, L_uv = coef prod s(numerator) / prod s(denominator)
+    with a fixed coefficient ``coef`` (+-1, or -2 on the C diagonal), each
+    form a z + r.q + k q0 stored once in Q (z-free first, then the others
+    with their ``a``; ``poles`` are the z-free forms in some denominator), and
+    the Cartan rows H.  k holds the q0 multipliers of the plan rows, then of
+    the forms; ``labels`` the ``_label`` of each plan row, then of each pole
+    form.
 
     A root row is f_alpha (E_alpha)_uv Phi(alpha(q), z) h^alpha, Phi(x, z) =
     s(z - x) / (s(z) s(x)), h^alpha = prod_i h_i^alpha_i: the torus gauge
@@ -381,8 +338,8 @@ def _table(family, n):
             top, bottom = gauge[i] if w > 0 else gauge[i][::-1]
             num += [top] * abs(w)
             den += [bottom] * abs(w)
-        name, idx, sign = _root_coupling(alpha)
-        rows += [(u, v, (name, idx, sign * e), num, den)
+        f = _root_coupling(alpha)
+        rows += [(u, v, f * e, num, den)
                  for u, row in enumerate(b.rows) for v, e in enumerate(row) if e]
     if family in ("B", "C"):
         rows += _bc_rows(family, n, form)
@@ -394,7 +351,6 @@ def _table(family, n):
         return np.array([[index[f] for f in row[k]] + [len(forms)] * (width - len(row[k]))
                          for row in rows], dtype=int).reshape(len(rows), width)
 
-    offset = {"f": 0, "fB": n * n, "fC": 2 * n * n, "fa": 3 * n * n, "fb": 3 * n * n + n}
     X = np.array(forms, dtype=float).reshape(len(forms), n + 2)
     free = sum(f[0] == 0 for f in forms)
     den = gather(4)
@@ -406,10 +362,7 @@ def _table(family, n):
                    labels=tuple(_label(r, k) for r, k in zip(np.vstack([P, X[poles, 1:-1]]),
                                                               np.concatenate([pk, X[poles, -1]]))),
                    k=np.concatenate([pk, X[:, -1]]), a=X[free:, 0], Q=X[:, 1:-1], free=free,
-                   poles=poles, u=u, v=v, names=_COUPLINGS[family],
-                   ref=np.array([offset[name] + np.ravel_multi_index(idx, (n,) * len(idx))
-                                 for _, _, (name, idx, _), _, _ in rows], dtype=int),
-                   mult=np.array([r[2][2] for r in rows], dtype=float),
+                   poles=poles, u=u, v=v, coef=np.array([r[2] for r in rows], dtype=float),
                    num=gather(3), den=den)
     for arr in table:
         if isinstance(arr, np.ndarray):
@@ -444,7 +397,7 @@ def _lax(sys_, state, nodes, gradient=False):
     S = table(s, np.ones)
     den = S[:, t.den]
     L = np.zeros((len(nodes), t.size, t.size), dtype=complex)
-    L[:, t.u, t.v] = sys_._coef * S[:, t.num].prod(axis=-1) / den.prod(axis=-1)
+    L[:, t.u, t.v] = t.coef * S[:, t.num].prod(axis=-1) / den.prod(axis=-1)
     d = np.arange(t.size)
     L[:, d, d] = t.H @ state.p
     if not gradient:
@@ -455,7 +408,7 @@ def _lax(sys_, state, nodes, gradient=False):
     terms = np.where(np.eye(t.num.shape[1], dtype=bool), dS[:, t.num[:, None]], S[:, t.num[:, None]])
     dnum = np.einsum("krw,rwi->kri", terms.prod(axis=-1), r[t.num])
     dden = np.einsum("krw,rwi->kri", dS[:, t.den] / den, r[t.den])
-    return L, (sys_._coef / den.prod(axis=-1))[..., None] * dnum - L[:, t.u, t.v, None] * dden
+    return L, (t.coef / den.prod(axis=-1))[..., None] * dnum - L[:, t.u, t.v, None] * dden
 
 
 def lax_matrix(sys_, state, z):

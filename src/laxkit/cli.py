@@ -309,6 +309,8 @@ def cmd_verify(args):
 
 
 def cmd_cm(args):
+    if args.q0 is not None and args.family != "B":
+        return _usage_error("--q0 applies to the B family only")
     if args.n < 1:
         return _usage_error("--n must be at least 1")
     if args.dt <= 0:

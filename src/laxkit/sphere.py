@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rank, rref
@@ -404,7 +405,9 @@ class SliceWindow:
 
     The homogeneous subspaces defined by divisor bounds are not disjoint, so
     "the band of degrees hit by a commutator" is measured as the smallest
-    window whose span contains it exactly.
+    window whose span contains it exactly.  The basis is evaluated at the
+    samples on the first membership test, so reading ``slices`` makes no
+    evaluation.
     """
 
     def __init__(self, cfg, lo, hi):
@@ -412,18 +415,10 @@ class SliceWindow:
         self.lo = lo
         self.hi = hi
         self.slices = {m: build_homogeneous_subspace(cfg, m) for m in range(lo, hi + 1)}
-        self._samples = self._sample_points()
-        self._evals = {
-            m: [[b.eval(x) for x in self._samples] for b in self.slices[m].basis]
-            for m in self.slices
-        }
-        self._columns = {
-            m: [[a for ev in evs for a in ev.flatten()] for evs in self._evals[m]]
-            for m in self._evals
-        }
         self._solvers = {}
 
-    def _sample_points(self):
+    @cached_property
+    def _samples(self):
         # Sampling is an exact membership test: any discrepancy function lies
         # in a space of rational functions whose pole + zero budget is below
         # the sample count, so vanishing at all samples forces vanishing.
@@ -440,6 +435,14 @@ class SliceWindow:
                 pts.append(x)
             x = x + 1
         return pts
+
+    @cached_property
+    def _evals(self):
+        return {m: [[b.eval(x) for x in self._samples] for b in sl.basis] for m, sl in self.slices.items()}
+
+    @cached_property
+    def _columns(self):
+        return {m: [[a for ev in evs for a in ev.flatten()] for evs in e] for m, e in self._evals.items()}
 
     def _sample_vector(self, mat):
         out = []

@@ -34,19 +34,16 @@ def state_for(sys_, seed=3, **kw):
 
 
 # ---------------------------------------------------------------------------
-# couplings and structure
+# structure
 # ---------------------------------------------------------------------------
 
 
 def test_coupling_validation():
-    c = cm.default_couplings("A", 2)
-    c["f"][0, 1] = 2.0
-    with pytest.raises(ValueError):
-        cm.CMSystem("A", 2, LAT, couplings=c)
-    c = cm.default_couplings("C", 2)
-    c["fC"][0, 0] = 1.0
-    with pytest.raises(ValueError):
-        cm.CMSystem("C", 2, LAT, couplings=c)
+    # the Lax coefficients are fixed: a system takes no couplings, so none
+    # can break its identities
+    assert [f.name for f in dataclasses.fields(cm.CMSystem)] == ["family", "n", "lattice", "q0"]
+    with pytest.raises(TypeError):
+        cm.CMSystem("A", 2, LAT, couplings={"f": np.ones((2, 2))})
     with pytest.raises(ValueError):
         cm.CMSystem("E", 2, LAT)
 
@@ -103,16 +100,6 @@ def test_a_family_trace_is_total_momentum():
     st = state_for(sys_)
     for z in (0.2 + 0.3j, 0.4 - 0.2j, 0.6 + 0.1j, 1.1 + 0.7j, 0.9 - 0.4j):
         assert abs(np.trace(cm.lax_matrix(sys_, st, z)) - st.p.sum()) < 1e-10
-
-
-def test_decoupled_limit_vanishes():
-    c = cm.default_couplings("A", 2)
-    c["f"][:] = 0.0
-    np.fill_diagonal(c["f"], 1.0)  # diagonal unused; keep validator happy
-    sys_ = cm.CMSystem("A", 2, LAT, couplings=c)
-    st = cm.CMState(np.array([1.1, 3.4]), np.zeros(2))
-    L = cm.lax_matrix(sys_, st, 0.7 + 0.4j)
-    assert np.linalg.norm(L) == 0
 
 
 def test_collision_guard():
@@ -196,7 +183,7 @@ def test_one_table_per_family_and_size(monkeypatch):
     _perfbench_workloads().build("cm-residue", 1)
     assert len(builds) == len(set(builds)) == 8
     # systems of one (family, n) share the table; its arrays are read-only
-    a, b = make("B", 4), make("B", 4, q0=1.7, couplings=cm.default_couplings("B", 4))
+    a, b = make("B", 4), make("B", 4, q0=1.7)
     assert a._table is b._table and len(builds) == 9
     arrays = [x for x in a._table if isinstance(x, np.ndarray)]
     assert arrays and not any(x.flags.writeable for x in arrays)
@@ -205,32 +192,16 @@ def test_one_table_per_family_and_size(monkeypatch):
 
 
 def test_a_system_is_frozen():
-    # q0 and the couplings are bound into constants at construction, so
-    # assigning them afterwards would leave L(z) built from the old values
+    # q0 is bound into constants at construction, so assigning it
+    # afterwards would leave L(z) built from the old value
     sys_ = make("B", 2, q0=0.3)
     st = state_for(sys_)
     lax = cm.lax_matrix(sys_, st, 0.21 + 0.3j)
-    for name, value in (("q0", 0.35), ("couplings", cm.default_couplings("B", 2))):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(sys_, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.q0 = 0.35
     assert sys_.q0 == 0.3
     assert np.array_equal(cm.lax_matrix(sys_, st, 0.21 + 0.3j), lax)
     assert not np.allclose(cm.lax_matrix(make("B", 2, q0=0.35), st, 0.21 + 0.3j), lax)
-
-
-def test_couplings_are_read_only_copies():
-    # a write would leave the bound coefficients stale and skip validation
-    given = cm.default_couplings("B", 2)
-    sys_ = make("B", 2, couplings=given)
-    with pytest.raises(ValueError):
-        sys_.couplings["f"][0, 1] = 2.0
-    with pytest.raises(TypeError):
-        sys_.couplings["f"] = np.ones((2, 2))
-    # the caller's dict and arrays stay its own, and writable
-    given["f"][0, 1] = 2.0
-    assert sys_.couplings["f"][0, 1] == 1.0 and given["f"].flags.writeable
-    assert sys_.couplings.keys() == given.keys()
-    assert np.array_equal(make("B", 2).couplings["fb"], np.ones(2))
 
 
 def test_a_particle_on_a_lattice_point_is_named():
@@ -291,19 +262,9 @@ def test_lax_matrix_node_axis(family, n, lat):
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def random_couplings(family, n, rng):
-    """Couplings that meet the reduction products and are otherwise random,
-    so that a transposed coupling index shows in the entries."""
-    f = np.exp(rng.uniform(-0.5, 0.5, (n, n)))
-    c = {"f": np.triu(f, 1) + np.tril(1 / f.T, -1) + np.eye(n)}
-    if family != "A":
-        fB = np.exp(rng.uniform(-0.5, 0.5, (n, n))) * rng.choice([-1.0, 1.0], (n, n))
-        c["fB"], c["fC"] = fB, -1 / fB.T
-        if family == "C":
-            np.fill_diagonal(c["fC"], -2 / np.diag(fB))
-    if family == "B":
-        c["fa"], c["fb"] = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
-    return c
+# the fixed Lax coefficients: 1 on the gl block, the upper off-diagonal block
+# and the B border, -1 on the lower block and -2 on its C diagonal
+F, FB, FC, FC_DIAG = 1.0, 1.0, -1.0, -2.0
 
 
 def entrywise_lax(sys_, st, z):
@@ -314,7 +275,7 @@ def entrywise_lax(sys_, st, z):
     its -transpose, the skew (B) or symmetric (C) off-diagonal blocks and,
     for B, the border columns a_i and b_i."""
     s = sys_.lattice.sigma
-    q, p, n, c = st.q, st.p, sys_.n, sys_.couplings
+    q, p, n = st.q, st.p, sys_.n
     size = {"A": n, "B": 2 * n + 1}.get(sys_.family, 2 * n)
     L = np.zeros((size, size), dtype=complex)
 
@@ -324,7 +285,7 @@ def entrywise_lax(sys_, st, z):
     def gl(i, j):
         if i == j:
             return p[i]
-        return (c["f"][i, j] * s(z + q[j] - q[i]) * s(z - q[j]) * s(q[i])
+        return (F * s(z + q[j] - q[i]) * s(z - q[j]) * s(q[i])
                 / (s(z) * s(z - q[i]) * s(q[i] - q[j]) * s(q[j])))
 
     if sys_.family == "A":
@@ -335,13 +296,13 @@ def entrywise_lax(sys_, st, z):
     if sys_.family == "D":
         for i in range(n):
             for j in range(n):
-                L[i, j] = p[i] if i == j else c["f"][i, j] * phi(q[i] - q[j])
+                L[i, j] = p[i] if i == j else F * phi(q[i] - q[j])
                 L[n + j, n + i] = -L[i, j]
             for j in range(i + 1, n):
                 e = (-1.0) ** (i + j + 1)
-                L[i, n + j] = c["fB"][i, j] * e * phi(q[i] + q[j])
+                L[i, n + j] = FB * e * phi(q[i] + q[j])
                 L[j, n + i] = -L[i, n + j]
-                L[n + j, i] = -c["fC"][j, i] * e * phi(-q[i] - q[j])
+                L[n + j, i] = -FC * e * phi(-q[i] - q[j])
                 L[n + i, j] = -L[n + j, i]
         h = [s(z + x / 2) / s(z - x / 2) for x in q]
         g = h + [1 / x for x in h]
@@ -355,15 +316,15 @@ def entrywise_lax(sys_, st, z):
     for a in range(n):
         for b in range(a if sys_.family == "C" else a + 1, n):
             x = q[a] + q[b]
-            bv = c["fB"][a, b] * s(z - x) * s(z + q[b]) / (s(z) * s(z - q[a]) * s(x))
-            cv = c["fC"][b, a] * s(z + x) * s(z - q[a]) / (s(z) * s(z + q[b]) * s(x))
+            bv = FB * s(z - x) * s(z + q[b]) / (s(z) * s(z - q[a]) * s(x))
+            cv = (FC_DIAG if a == b else FC) * s(z + x) * s(z - q[a]) / (s(z) * s(z + q[b]) * s(x))
             L[a, lo + b], L[b, lo + a] = bv, sign * bv
             L[lo + a, b], L[lo + b, a] = sign * cv, cv
     if sys_.family == "B":
         q0 = sys_.q0
         for i in range(n):
-            av = c["fa"][i] * s(z - q0 - q[i]) * s(z) / (s(z - q0) * s(z - q[i]) * s(q[i]))
-            bv = c["fb"][i] * s(z - q0 + q[i]) * s(z - q[i]) / (s(z) * s(z - q0) * s(q[i]))
+            av = F * s(z - q0 - q[i]) * s(z) / (s(z - q0) * s(z - q[i]) * s(q[i]))
+            bv = F * s(z - q0 + q[i]) * s(z - q[i]) / (s(z) * s(z - q0) * s(q[i]))
             L[i, n], L[n, i], L[n, n + 1 + i], L[n + 1 + i, n] = av, -bv, -av, bv
     return L
 
@@ -373,7 +334,7 @@ def entrywise_lax(sys_, st, z):
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_lax_matrix_matches_the_entry_formulas(family, n, lat):
     rng = np.random.default_rng(7 * n + len(family))
-    sys_ = cm.CMSystem(family, n, lat, couplings=random_couplings(family, n, rng), q0=0.51 * 6)
+    sys_ = cm.CMSystem(family, n, lat, q0=0.51 * 6)
     st = cm.random_state(sys_, rng)
     zs = NODES[-3:]
     got = cm.lax_matrix(sys_, st, zs)
@@ -594,6 +555,9 @@ def test_plan_of_distinct_arguments_matches_the_pairwise_definition(family, n, l
         assert np.all(np.abs(pdot - pdot_ref) <= 1e-13 * pdot_scale)
 
 
+NON_GENERIC = ": H has no term there, but L(z) is not generic"
+
+
 @pytest.mark.parametrize("family, q, kind, particles, label", [
     ("A", [1.0, 1.0 + 1e-9], "q_i-q_j", (1, 2), "q_1-q_2"),
     ("B", [0.51 * 6 + 1e-9, 1.3], "q_i-q0", (1,), "q_1-q0"),
@@ -604,9 +568,47 @@ def test_equations_of_motion_collision_message(family, q, kind, particles, label
     sys_ = make(family)
     with pytest.raises(cm.CollisionError) as exc:
         cm.equations_of_motion(sys_, cm.CMState(np.array(q), np.zeros(2)))
-    assert str(exc.value) == (f"particle collision: argument {label} (kind {kind}) "
-                              "within 6.0e-03 of a lattice point")
+    where = f"argument {label} (kind {kind}) within 6.0e-03 of a lattice point"
+    # B's q_i - q0 row has no term in H: it only guards L(z)
+    want = f"non-generic state: {where}{NON_GENERIC}" if family == "B" else f"particle collision: {where}"
+    assert str(exc.value) == want
     assert (exc.value.kind, exc.value.particles) == (kind, particles)
+
+
+def test_a_row_of_weight_zero_names_a_non_generic_state():
+    # D's H has no wp(2 q_i) term: q_1 + q_1 on the lattice only guards L(z)
+    sys_ = cm.CMSystem("D", 2, Lattice(40, 40j))
+    st = cm.CMState(np.array([0.0, 9.0]), np.zeros(2))
+    with pytest.raises(cm.CollisionError) as exc:
+        cm.check_state(sys_, st)
+    assert str(exc.value) == ("non-generic state: argument q_1+q_1 (kind q_i+q_j) within "
+                              "4.0e-02 of a lattice point" + NON_GENERIC)
+    assert (exc.value.kind, exc.value.particles, exc.value.member) == ("q_i+q_j", (1, 1), None)
+    # the rule is the plan's weights: the rows of weight 0 are these, and
+    # only they say so
+    guards = {"A": set(), "B": {"q_i+q_i", "q0", "q_i-q0", "q_i+q0"}, "C": {"q_i"}, "D": {"q_i+q_i", "q_i"}}
+    for family, want in guards.items():
+        flow = make(family, 3)._flow
+        seen = set()
+        for row, (weight, (kind, parts)) in enumerate(zip(flow.tables[0].w, flow.tables[0].labels)):
+            msg = str(cm._collision_error(flow, row))
+            assert msg.startswith("particle collision" if weight else "non-generic state"), (family, row)
+            if not weight:
+                seen.add("q_i+q_i" if len(parts) == 2 and parts[0] == parts[1] else kind)
+        assert seen == want, family
+
+
+def test_an_argument_beyond_the_reduction_precision_fails_loudly():
+    # at |x| = 4e36 the lattice reduction keeps no digit of the argument
+    sys_ = cm.CMSystem("A", 2, Lattice(40, 40j))
+    st = cm.CMState(np.array([5e36, 1e36]), np.zeros(2))
+    want = ("imprecise state: argument q_1-q_2 (kind q_i-q_j) has |x| = 4.0e+36, "
+            "beyond the lattice reduction's precision")
+    for call in (lambda: cm.check_state(sys_, st), lambda: cm.lax_matrix(sys_, st, 0.3 + 0.2j)):
+        with pytest.raises(cm.CollisionError) as exc:
+            call()
+        assert str(exc.value) == want
+        assert (exc.value.kind, exc.value.particles) == ("q_i-q_j", (1, 2))
 
 
 def test_total_momentum_conserved_a_family():
@@ -855,14 +857,15 @@ def test_moving_points_are_poles(family):
 
 def test_symplectic_degree_one_violation():
     # the C matrix breaks the degree-one condition at q_i through the single
-    # entry C_ii, whose coefficient is f^C_ii s(3q_i) / (s(q_i) s(2q_i)^2)
+    # entry C_ii, whose coefficient is f^C_ii s(3q_i) / (s(q_i) s(2q_i)^2),
+    # |f^C_ii| = 2
     rng = np.random.default_rng(12)
     sys_, st = cm.conservation_initial_data("C", 3, rng)
     s = sys_.lattice.sigma
     rep = cm.expansion_violations(sys_, st)
     for i, q in enumerate(st.q):
         got = next(r["violation"] for r in rep if r["point"] == q and r["degree"] == 1)
-        want = abs(sys_.couplings["fC"][i, i] * s(3 * q) / (s(q) * s(2 * q) ** 2))
+        want = abs(2 * s(3 * q) / (s(q) * s(2 * q) ** 2))
         assert abs(got - want) < 1e-9 * want
 
 

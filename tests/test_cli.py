@@ -109,6 +109,18 @@ def test_cm_q0_flag_on_the_default_lattice(tmp_path, capsys):
     assert data["q0"] == "2.75" and data["completed"]
 
 
+@pytest.mark.parametrize("family", ["A", "C", "D"])
+def test_cm_q0_applies_to_the_b_family_only(tmp_path, capsys, family):
+    # rejected before any work, from a flag or from the config file alike
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cm": {"family": family, "n": 2, "T": 0, "q0": 2.75}}))
+    for argv in (["cm", "--family", family, "--n", "2", "--T", "0", "--q0", "2.75"],
+                 ["--config", str(conf), "cm"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --q0 applies to the B family only\n"
+
+
 def test_cm_collision_abort_exit_code(tmp_path, capsys):
     # tiny torus and long horizon: the attractive pair potential guarantees
     # a collision, the CSV is flushed with the truncation marker

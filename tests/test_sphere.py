@@ -307,6 +307,21 @@ def test_band_measurement_dual_route(gl2_window, rng):
             assert (symbolic_recombination(win, a) - c).is_zero()
 
 
+def test_a_window_samples_only_when_asked(gl2_cfg, monkeypatch):
+    # reading the slices makes no evaluation; the first membership test does
+    calls = []
+    real = RationalMatrix.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(RationalMatrix, "eval", counted)
+    win = sp.SliceWindow(gl2_cfg, -2, 2)
+    assert all(win.slices[m].dim for m in range(-2, 3)) and calls == []
+    assert sp.almost_graded_bound(win, [(-1, 1), (0, 0)]) == 0 and calls
+
+
 # ---------------------------------------------------------------------------
 # cocycle
 # ---------------------------------------------------------------------------
