@@ -193,11 +193,11 @@ def _flow(systems):
     return _Flow(tables, lat, P, np.concatenate([s._plan_c for s in systems]), G, v, rows, coords)
 
 
-def _guarded(flow, q, fn):
-    """``fn`` (a guarded lattice function) at the flow's arguments P q + c; a
-    guard hit becomes the CollisionError naming the argument."""
+def _guarded(flow, x, fn):
+    """``fn`` (a guarded lattice function) at the flow's arguments x; a guard
+    hit becomes the CollisionError naming the argument."""
     try:
-        return fn(flow.P @ q + flow.c)
+        return fn(x)
     except PoleProximityError as exc:
         raise _collision_error(flow, exc.index) from None
 
@@ -227,24 +227,34 @@ def _collision_error(flow, index, size=None):
     return CollisionError(message, kind=kind, particles=particles, member=m if len(flow.tables) > 1 else None)
 
 
-def _check(flow, q):
-    """``check_state`` on the flow's arguments, naming the first argument
-    whose rounding |x| eps reaches the guard radius, else the first hit."""
-    lat = flow.lattice
+def _args(flow, q):
+    """The flow's arguments P q + c, after the size test of ``check_state``:
+    the CollisionError names the first argument whose rounding |x| eps
+    reaches the guard radius."""
     x = flow.P @ q + flow.c
-    size, limit = np.abs(x), lat._guard_radius / _EPS
+    size, limit = np.abs(x), flow.lattice._guard_radius / _EPS
     if size.max(initial=0.0) >= limit:
         i = int(np.argmax(size >= limit))
         raise _collision_error(flow, i, size[i])
-    hit = np.flatnonzero(lat.lattice_distance(x) < lat._guard_radius)
-    if hit.size:
-        raise _collision_error(flow, hit[0])
+    return x
+
+
+def _check(flow, q):
+    """``check_state`` on the flow: the size test of ``_args``, then the
+    guard of the lattice functions on the arguments (|x0| below the guard
+    radius, x0 the argument reduced to the fundamental cell), naming the
+    first hit."""
+    _guarded(flow, _args(flow, q), flow.lattice._reduced)
 
 
 def check_state(sys_, state):
     """Raise CollisionError, naming the argument, if one of the state's
-    collision arguments lies within the guard radius of the lattice or is
-    too large for the lattice reduction to resolve that radius."""
+    collision arguments is too large for the lattice reduction to resolve
+    the guard radius, or else lies within the guard radius of the lattice.
+    The second test is the guard of wp and wp' (|x0| below the radius, x0
+    the argument reduced to the fundamental cell), so a state that passes
+    here passes the guarded calls of ``hamiltonian`` and
+    ``equations_of_motion``."""
     _check(sys_._flow, state.q)
 
 
@@ -435,9 +445,10 @@ def hamiltonian(sys_, state):
     over the system's plan (residue-normalized sign: negative kinetic term;
     B family restricted to the frozen-q0 submanifold, constants dropped).
 
-    One guarded wp call on the plan's arguments stands for ``check_state``."""
+    The size test of ``check_state`` and one guarded wp call on the plan's
+    arguments stand for ``check_state``."""
     t = sys_._table
-    wp = _guarded(sys_._flow, state.q, sys_.lattice.wp)
+    wp = _guarded(sys_._flow, _args(sys_._flow, state.q), sys_.lattice.wp)
     return _real_if_close(t.kappa * np.sum(state.p * state.p) + t.w @ wp)
 
 
@@ -517,10 +528,11 @@ def hamiltonian_from_residue(sys_, state, nodes=64):
 # ---------------------------------------------------------------------------
 
 
-def _force(flow, q):
-    """pdot = -G wp'(P q + c) over the flow, from one guarded wp' call."""
+def _force(flow, x):
+    """pdot = -G wp'(x) at the flow's arguments x = P q + c, from one
+    guarded wp' call."""
     # -1.0 times, not negated: the two differ in the sign of zero imaginary parts
-    return -1.0 * (flow.G @ _guarded(flow, q, flow.lattice.wp_prime))
+    return -1.0 * (flow.G @ _guarded(flow, x, flow.lattice.wp_prime))
 
 
 def equations_of_motion(sys_, state):
@@ -528,8 +540,10 @@ def equations_of_motion(sys_, state):
     pdot = -P^T (w * wp'(P q + c)) = -G wp'(P q + c), its gradient over the
     system's plan: the one-member case of the flow ``integrate`` steps.
 
-    One guarded wp' call on the plan's arguments stands for ``check_state``."""
-    return sys_._flow.v * state.p, _force(sys_._flow, state.q)
+    The size test of ``check_state`` and one guarded wp' call on the plan's
+    arguments stand for ``check_state``."""
+    flow = sys_._flow
+    return flow.v * state.p, _force(flow, _args(flow, state.q))
 
 
 @dataclass
@@ -551,7 +565,7 @@ def _rk4_step(flow, q, p, dt):
     n = len(q)
 
     def rhs(y):
-        return np.concatenate([flow.v * y[n:], _force(flow, y[:n])])
+        return np.concatenate([flow.v * y[n:], _force(flow, flow.P @ y[:n] + flow.c)])
 
     y = np.concatenate([q, p])
     k1 = rhs(y)
@@ -564,9 +578,9 @@ def _rk4_step(flow, q, p, dt):
 
 def _leapfrog_step(flow, q, p, dt):
     # separable H = T(p) + V(q): kick-drift-kick, two force calls
-    p = p + dt / 2 * _force(flow, q)
+    p = p + dt / 2 * _force(flow, flow.P @ q + flow.c)
     q = q + dt * (flow.v * p)
-    return q, p + dt / 2 * _force(flow, q)
+    return q, p + dt / 2 * _force(flow, flow.P @ q + flow.c)
 
 
 _STEPPERS = {"rk4": _rk4_step, "leapfrog": _leapfrog_step}
@@ -575,7 +589,10 @@ _STEPPERS = {"rk4": _rk4_step, "leapfrog": _leapfrog_step}
 def integrate(sys_, state0, t_end, dt, scheme="rk4", record_every=1):
     """Fixed-step integration; aborts with the partial trajectory attached
     on collision, naming the time of the failed step (t = 0 for a colliding
-    initial state).  Equal-length sequences of systems and states on one
+    initial state).  The initial state meets both tests of ``check_state``;
+    the stages meet the guard of their wp' call, and a step that leaves the
+    finite numbers ends the run, with no size test per stage.
+    Equal-length sequences of systems and states on one
     lattice give the list of their trajectories, each bit for bit its own
     run's, from one guarded wp' call per stage on the stacked ``_flow``; a
     batch's errors start with ``member i (B2): ``, carry ``member`` i and
@@ -687,20 +704,28 @@ def conservation_z_samples(lattice):
 # ---------------------------------------------------------------------------
 
 
+def _greedy_pairs(dist):
+    """The greedy matching on a square distance matrix, as (row, column)
+    pairs in the order taken: the closest remaining pair first, ties to the
+    first in row-major order."""
+    dist = dist.copy()
+    pairs = []
+    for _ in range(len(dist)):
+        i, j = divmod(int(np.argmin(dist)), dist.shape[1])
+        pairs.append((i, j))
+        dist[i] = np.inf
+        dist[:, j] = np.inf
+    return pairs
+
+
 def eigenvalue_drift(l0, l1):
-    """Greedy matched multiset distance between eigenvalue sets."""
-    a = list(np.linalg.eigvals(l0))
-    b = list(np.linalg.eigvals(l1))
-    worst = 0.0
-    while a:
-        i, j = min(
-            ((i, j) for i in range(len(a)) for j in range(len(b))),
-            key=lambda ij: abs(a[ij[0]] - b[ij[1]]),
-        )
-        worst = max(worst, abs(a[i] - b[j]))
-        a.pop(i)
-        b.pop(j)
-    return worst
+    """Greedy matched multiset distance between eigenvalue sets: the largest
+    distance of the ``_greedy_pairs`` on one distance matrix."""
+    d = np.linalg.eigvals(l0)[:, None] - np.linalg.eigvals(l1)
+    # hypot rounds as abs of one complex scalar does; np.abs of an array
+    # can differ from both by an ulp
+    dist = np.hypot(d.real, d.imag)
+    return max((float(dist[p]) for p in _greedy_pairs(dist)), default=0.0)
 
 
 def _residue_gradients(sys_, state, specs, nodes=64):

@@ -326,7 +326,10 @@ def cmd_cm(args):
     seed = _seed_of(args)
     rng = np.random.default_rng(seed)
     if args.period != calogero.CONSERVATION_PERIOD or tau != 1j:
-        lat = Lattice(args.period, args.period * tau)
+        try:
+            lat = Lattice(args.period, args.period * tau)
+        except ValueError as exc:
+            return _usage_error(f"--tau {args.tau}: {exc}")
         q0 = args.q0 if args.q0 is not None else 0.085 * args.period
         sys_ = calogero.CMSystem(args.family, args.n, lat, q0=q0)
         state = calogero.random_state(sys_, rng, p_scale=0.12,

@@ -2,15 +2,21 @@
 
 The period basis is Gauss-reduced once per lattice, so the nome satisfies
 |q| <= e^{-pi sqrt(3)/2} and a handful of Jacobi theta terms give full
-double precision.  One evaluator serves sigma, sigma', zeta, wp and wp': it
-reduces the arguments once to the fundamental cell (sigma, sigma' and zeta
-restore their quasi-periodicity factors from the integer shifts), guards
-them once and sums theta_1 and its derivatives along one row per argument.
+double precision.  sigma, sigma', zeta, wp and wp' share one helper that
+reduces the arguments to the fundamental cell, z = z0 + m Ar + n Br
+elementwise (sigma, sigma' and zeta restore their quasi-periodicity factors
+from the integer shifts), and guards them; each then sums theta_1 and its
+derivatives along one row per argument and applies its formula directly.
 sigma and sigma' are entire and unguarded; zeta, wp and wp' raise
-PoleProximityError when any argument lies within the guard radius of a
-lattice point.  All functions take a scalar (returning a Python complex) or
-an array of any shape, and a value does not depend on the shape or length
-of the batch it came in.
+PoleProximityError when any argument lies within the guard radius r of a
+lattice point.  The guard tests |z0| < r on the reduced argument alone: a
+lattice point other than 0 lies at least half the cell's height, area /
+(2 |Br|), from the reduced cell, so while r is below that (``Lattice``
+raises ValueError otherwise) |z0| < r holds exactly when the argument is
+within r of the lattice, and |z0| is then its distance to the lattice.  All
+functions take a scalar (returning a Python complex) or an array of any
+shape, and a value does not depend on the shape or length of the batch it
+came in.
 
 The theta series is summed in factored form.  With s = sin u and c = cos u,
 sin(ku) = (-1)^n T_k(s) and cos(ku) = T_k(c) for odd k = 2n + 1 (T_k the
@@ -23,15 +29,17 @@ Values there stay as accurate as the rounding of u itself.
 Everything that does not depend on the arguments is built once per lattice:
 the conjugated basis and denominators of the reduction, the guard radius and
 one (2, 2, 1, T) block of the weights of theta_1 to theta_1''' over those
-powers.  wp has its own block, with E2/3 theta_1 folded into the theta_1''
-row, so its constant term costs no cancelling sum at run time.  A call
-reduces the arguments in one (N, 2) pass.  sigma alone takes Horner's rule
-in s^2, which pays on the wide calls of L(z) on a contour (hundreds to
-thousands of arguments).  The others raise [s, c] to the odd powers in one
-operation and form all their theta sums as one product and one row sum per
-argument: a fixed two dozen or so numpy operations on the 1 to 19
-arguments of the equations of motion for n <= 3, where Horner's rule would
-add about six.
+powers.  wp and wp' have blocks of their own.  wp's folds E2/3 theta_1 into
+the theta_1'' row, so its constant term costs no cancelling sum at run
+time.  wp''s folds in its scale K = -(pi/Ar)^3, with the rows theta_1,
+theta_1', 3K theta_1'' and K theta_1''', so its formula (t3 - t2 r1)/t0 +
+2K r1^3 takes seven array operations.  A call reduces the arguments in one
+(N, 2) pass.  sigma alone takes Horner's rule in s^2, which pays on the
+wide calls of L(z) on a contour (hundreds to thousands of arguments).  The
+others raise [s, c] to the odd powers in one operation and form all their
+theta sums as one product and one row sum per argument: a fixed two dozen
+or so numpy operations on the 1 to 19 arguments of the equations of
+motion for n <= 3, where Horner's rule would add about six.
 """
 
 from __future__ import annotations
@@ -114,7 +122,9 @@ class Lattice:
 
     ``omega1`` and ``omega2`` are the half-periods; the orientation
     Im(omega2/omega1) > 0 is required.  Weierstrass constants (quasi-periods,
-    g2, g3) are precomputed once; the guard radius is 1e-3 |omega1|.
+    g2, g3) are precomputed once; the guard radius is 1e-3 |omega1|, and it
+    must stay below half the reduced cell's height, area / (2 |Br|), the
+    premise of the guard on the reduced argument (ValueError otherwise).
     """
 
     def __init__(self, omega1=1.0, omega2=1.0j):
@@ -125,6 +135,14 @@ class Lattice:
         self.A = 2 * self.omega1
         self.B = 2 * self.omega2
         self.Ar, self.Br = _reduce_basis(self.A, self.B)
+        # |d| is the cell's area; a lattice point other than 0 is at least
+        # half its height over the longer side Br from the reduced cell
+        d = (self.Ar * np.conj(self.Br)).imag
+        self._guard_radius = 1e-3 * abs(self.omega1)
+        half_height = abs(d) / (2 * abs(self.Br))
+        if self._guard_radius >= half_height:
+            raise ValueError(f"guard radius {self._guard_radius:.3e} reaches half the reduced cell's "
+                             f"height {half_height:.3e}: the lattice is too thin for 1e-3 |omega1|")
         self.tau = self.Br / self.Ar
         self.q = cmath.exp(1j * cmath.pi * self.tau)
         Q = self.q * self.q
@@ -156,6 +174,11 @@ class Lattice:
         # wp = -(pi/Ar)^2 (theta_1''/theta_1 + E2/3 - (theta_1'/theta_1)^2): its
         # block folds the constant into the second-derivative row
         self._w, self._w_wp = _theta_weights(c, self.E2 / 3)
+        # wp' = K (r3 - 3 r2 r1 + 2 r1^3), r_k = theta_1^(k)/theta_1 and K =
+        # -(pi/Ar)^3: its block folds K, and the 3 of r2, into the rows
+        K = -((np.pi / self.Ar) ** 3)
+        self._w_wpp = self._w * np.array([[1, 1], [3 * K, K]]).reshape(2, 2, 1, 1)
+        self._wpp_2k = np.array(2 * K)
         # theta_1 over s = sin u, highest power first, for Horner's rule in s^2
         self._horner = tuple(np.array(w) for w in self._w[0, 0, 0])
         # complex exponents: integer ones would be cast on every call
@@ -166,13 +189,10 @@ class Lattice:
         self._sigma_scale = np.array((self.Ar / np.pi) / th1p0)
         self._sigma_gauss = np.array(self.eta_Ar / (2 * self.Ar))
         self._wp_scale = np.array(-((np.pi / self.Ar) ** 2))
-        self._wpp_scale = np.array(-((np.pi / self.Ar) ** 3))
         # the lattice points next to the reduced cell: 0, +-Ar, +-Br, +-(Ar+Br), +-(Ar-Br)
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
-        self._guard_radius = 1e-3 * abs(self.omega1)
         # reduce: the integer shifts are Im(z conj(Br)) / d and Im(z conj(Ar)) / -d
-        d = (self.Ar * np.conj(self.Br)).imag
         self._shift_rows = np.array([np.conj(self.Br), np.conj(self.Ar)])
         self._shift_den = np.array([d, -d])
         # constants of the per-call arithmetic are 0-d arrays: numpy converts a
@@ -235,21 +255,24 @@ class Lattice:
         th = np.add.reduce(sc[:, :, None] ** self._odd * w, axis=-1)
         return th.reshape(2 * len(w), -1)[:orders].T
 
-    def _evaluate(self, z, formula, orders, guarded=True, w=None):
-        """``formula(z0, m, n, th)`` on the flattened ``z = z0 + m Ar + n Br``,
-        its last axis in the shape of ``z`` (a Python complex for a scalar
-        value), where ``th`` is ``_theta(z0, orders, w)``.  The formula sees
-        1-d arrays and that block."""
-        z = np.asarray(z, dtype=complex)
+    def _reduced(self, z, guarded=True):
+        """The flat z0, m, n of ``z = z0 + m Ar + n Br``.  Guarded, the first
+        argument with |z0| below the guard radius raises PoleProximityError
+        with |z0| as its distance: below half the cell's height, the
+        premise ``__init__`` checks, that is its distance to the lattice."""
         z0, m, n = self.reduce(z.ravel())
         if guarded:
             lim = self._guard_radius
-            dist = np.abs(z0[:, None] - self._nbrs)
-            if np.minimum.reduce(dist, axis=None, initial=np.inf) < lim:
-                near = dist.min(axis=1)
-                i = int(np.flatnonzero(near < lim)[0])
-                raise PoleProximityError(i, float(near[i]), lim)
-        val = formula(z0, m, n, self._theta(z0, orders, w))
+            dist = np.abs(z0)
+            if np.minimum.reduce(dist, initial=np.inf) < lim:
+                i = int(np.argmax(dist < lim))
+                raise PoleProximityError(i, float(dist[i]), lim)
+        return z0, m, n
+
+    @staticmethod
+    def _shaped(val, z):
+        """``val``, its last axis the flattened ``z``, in the shape of ``z``: a
+        Python complex for one value at a scalar."""
         return complex(val[0]) if z.ndim == 0 and val.ndim == 1 else val.reshape(val.shape[:-1] + z.shape)
 
     # -- Weierstrass functions -------------------------------------------------
@@ -261,55 +284,51 @@ class Lattice:
     def _sigma(self, z, orders):
         """sigma for ``orders`` 1; for 2, sigma and sigma' = sigma zeta stacked,
         both entire: sigma' reads theta_1' with no quotient by theta_1."""
-
-        def formula(z0, m, n, th):
-            etaw = m * self._eta_ar + n * self._eta_br
-            with np.errstate(over="ignore", invalid="ignore"):
-                # the quasi-periodicity factor overflows for arguments many
-                # periods out; callers guard ranges.  The sign is (-1)^(m + n
-                # + mn): half that exponent is a whole or a half integer, and
-                # floor costs far less than a float remainder
-                half = (m + n + m * n) * 0.5
-                sign = 1 - 4 * (half - np.floor(half))
-                expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + (m * self._half_ar + n * self._half_br))
-                if orders == 2:  # zeta = eta_Ar z0 / Ar + etaw + (pi / Ar) theta_1' / theta_1
-                    zeta_part = 2 * self._sigma_gauss * z0 + etaw
-                    th = np.stack([th[:, 0], th[:, 0] * zeta_part + self._u_scale * th[:, 1]])
-                return sign * self._sigma_scale * np.exp(expo) * th
-
-        return self._evaluate(z, formula, orders, guarded=False)
+        z = np.asarray(z, dtype=complex)
+        z0, m, n = self._reduced(z, guarded=False)
+        th = self._theta(z0, orders)
+        etaw = m * self._eta_ar + n * self._eta_br
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the quasi-periodicity factor overflows for arguments many
+            # periods out; callers guard ranges.  The sign is (-1)^(m + n +
+            # mn): half that exponent is a whole or a half integer, and floor
+            # costs far less than a float remainder
+            half = (m + n + m * n) * 0.5
+            sign = 1 - 4 * (half - np.floor(half))
+            expo = self._sigma_gauss * z0 * z0 + etaw * (z0 + (m * self._half_ar + n * self._half_br))
+            if orders == 2:  # zeta = eta_Ar z0 / Ar + etaw + (pi / Ar) theta_1' / theta_1
+                zeta_part = 2 * self._sigma_gauss * z0 + etaw
+                th = np.stack([th[:, 0], th[:, 0] * zeta_part + self._u_scale * th[:, 1]])
+            val = sign * self._sigma_scale * np.exp(expo) * th
+        return self._shaped(val, z)
 
     def zeta(self, z):
         """Weierstrass zeta (odd, quasi-periodic, simple poles)."""
-
-        def formula(z0, m, n, th):
-            r1 = th[:, 1] / th[:, 0]
-            return self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * r1 + m * self.eta_Ar + n * self.eta_Br
-
-        return self._evaluate(z, formula, 2)
+        z = np.asarray(z, dtype=complex)
+        z0, m, n = self._reduced(z)
+        th = self._theta(z0, 2)
+        r1 = th[:, 1] / th[:, 0]
+        return self._shaped(self.eta_Ar * z0 / self.Ar + (np.pi / self.Ar) * r1
+                            + m * self.eta_Ar + n * self.eta_Br, z)
 
     def wp(self, z):
         """Weierstrass P function."""
-
-        def formula(z0, m, n, th):
-            r = th[:, 1:] / th[:, :1]
-            r1 = r[:, 0]
-            return self._wp_scale * (r[:, 1] - r1 * r1)
-
-        return self._evaluate(z, formula, 3, w=self._w_wp)
+        z = np.asarray(z, dtype=complex)
+        th = self._theta(self._reduced(z)[0], 3, self._w_wp)
+        r = th[:, 1:] / th[:, :1]
+        r1 = r[:, 0]
+        return self._shaped(self._wp_scale * (r[:, 1] - r1 * r1), z)
 
     def wp_prime(self, z):
         """Derivative of the Weierstrass P function."""
-
-        def formula(z0, m, n, th):
-            # the terms cancel where wp' is small (large Im tau), so their order
-            # sets the rounding there: the factored r3 - r1 (3 r2 - 2 r1^2)
-            # moves such values by 2e-14 of |wp'| + median |wp'|
-            r = th[:, 1:] / th[:, :1]
-            r1 = r[:, 0]
-            return self._wpp_scale * (r[:, 2] - 3 * th[:, 2] * r1 / th[:, 0] + 2 * r1**3)
-
-        return self._evaluate(z, formula, 4)
+        z = np.asarray(z, dtype=complex)
+        # rows theta_1, theta_1', 3K theta_1'', K theta_1''': the terms cancel
+        # where wp' is small (large Im tau), so their order sets the rounding
+        # there: the factored r3 - r1 (3 r2 - 2 r1^2) moves such values by
+        # 2e-14 of |wp'| + median |wp'|
+        t0, t1, t2, t3 = self._theta(self._reduced(z)[0], 4, self._w_wpp).T
+        r1 = t1 / t0
+        return self._shaped((t3 - t2 * r1) / t0 + self._wpp_2k * r1**3, z)
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -604,7 +604,10 @@ def test_an_argument_beyond_the_reduction_precision_fails_loudly():
     st = cm.CMState(np.array([5e36, 1e36]), np.zeros(2))
     want = ("imprecise state: argument q_1-q_2 (kind q_i-q_j) has |x| = 4.0e+36, "
             "beyond the lattice reduction's precision")
-    for call in (lambda: cm.check_state(sys_, st), lambda: cm.lax_matrix(sys_, st, 0.3 + 0.2j)):
+    # the closed form's guarded wp and wp' calls alone would give numbers
+    assert np.isfinite(sys_.lattice.wp_prime(st.q[0] - st.q[1]))
+    for call in (lambda: cm.check_state(sys_, st), lambda: cm.lax_matrix(sys_, st, 0.3 + 0.2j),
+                 lambda: cm.hamiltonian(sys_, st), lambda: cm.equations_of_motion(sys_, st)):
         with pytest.raises(cm.CollisionError) as exc:
             call()
         assert str(exc.value) == want
@@ -885,6 +888,46 @@ def test_eigenvalue_drift_metric():
     a = np.diag([1.0, 2.0, 3.0])
     b = np.diag([3.0 + 1e-8, 1.0, 2.0])
     assert cm.eigenvalue_drift(a, b) < 2e-8
+
+
+def greedy_reference(l0, l1):
+    """The greedy matching over Python lists: the closest remaining pair
+    first, the first such pair in row-major order; the pairs, as indices
+    into the eigenvalue arrays, and the largest distance."""
+    a, b = list(enumerate(np.linalg.eigvals(l0))), list(enumerate(np.linalg.eigvals(l1)))
+    pairs, worst = [], 0.0
+    while a:
+        i, j = min(((i, j) for i in range(len(a)) for j in range(len(b))),
+                   key=lambda ij: abs(a[ij[0]][1] - b[ij[1]][1]))
+        worst = max(worst, abs(a[i][1] - b[j][1]))
+        pairs.append((a.pop(i)[0], b.pop(j)[0]))
+    return pairs, worst
+
+
+def test_eigenvalue_drift_is_the_greedy_matching():
+    # random sets, sets with exactly tied distances (a lattice of values,
+    # and repeated eigenvalues), and Lax matrices along a B3 run
+    rng = np.random.default_rng(29)
+    cases = [(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)),
+              rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for k in range(1, 8) for _ in range(20)]
+    for _ in range(40):
+        k = int(rng.integers(2, 8))
+        cases.append((np.diag(rng.integers(-2, 3, k) + 1j * rng.integers(-2, 3, k)),
+                      np.diag(rng.integers(-2, 3, k) + 1j * rng.integers(-2, 3, k) + (1 + 1j) / 2)))
+    cases.append((np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([1.5, 1.5, 1.5, 0.5])))
+    sys_, st = cm.conservation_initial_data("B", 3, rng)
+    traj = cm.integrate(sys_, st, 0.1, 1e-3)
+    zs = cm.conservation_z_samples(sys_.lattice)
+    cases += list(zip(cm.lax_matrix(sys_, traj.state(0), zs), cm.lax_matrix(sys_, traj.state(-1), zs)))
+    ties = 0
+    for l0, l1 in cases:
+        pairs, worst = greedy_reference(l0, l1)
+        d = np.linalg.eigvals(l0)[:, None] - np.linalg.eigvals(l1)
+        dist = np.hypot(d.real, d.imag)
+        ties += len(np.unique(dist)) < dist.size
+        assert cm._greedy_pairs(dist) == pairs
+        assert cm.eigenvalue_drift(l0, l1) == worst
+    assert ties > 40
 
 
 def central_gradient(h, state):

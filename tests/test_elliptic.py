@@ -257,3 +257,46 @@ def test_values_independent_of_batch_shape(lat):
         whole = fn(wide)
         for size in (1, 7, 64):
             assert np.array_equal(np.concatenate([fn(wide[i:i + size]) for i in range(0, wide.size, size)]), whole)
+
+
+def test_a_lattice_too_thin_for_the_guard_is_refused():
+    # omega1 = 1, omega2 = t i with t < 1: the reduced cell is 2t by 2, half
+    # its height t, and the guard radius 1e-3
+    with pytest.raises(ValueError, match="half the reduced cell's height"):
+        Lattice(1.0, 0.9e-3j)
+    assert Lattice(1.0, 0.01j)._guard_radius == 1e-3
+
+
+@pytest.mark.parametrize("lat", ORACLE_LATTICES + [Lattice(40, 40j)],
+                         ids=["tau=i", "tau=0.3+1.2i", "oblique", "tau=6i", "tau=100i", "omega=40"])
+def test_guard_on_the_reduced_argument_is_the_lattice_distance_test(lat):
+    # near every lattice point of a 7 x 7 block, at, inside and outside the
+    # guard radius, and near the cell's corners and edge midpoints: a guarded
+    # call raises exactly where lattice_distance is below the radius, with
+    # that distance, alone and at its place in a batch
+    rng = np.random.default_rng(29)
+    r = lat._guard_radius
+    m, n = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4))
+    points = (m * lat.Ar + n * lat.Br).ravel()
+    radii = r * np.array([0.0, 1e-6, 0.5, 0.999, 1.0, 1.001, 2.0, 50.0])
+    offsets = np.concatenate([radii * np.exp(2j * np.pi * rng.random(radii.size)),
+                              r * rng.uniform(0, 2, 8) * np.exp(2j * np.pi * rng.random(8))])
+    near = (points[:, None] + offsets).ravel()
+    corners = np.array([(a * lat.Ar + b * lat.Br) / 2 for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b])
+    edges = (points[:, None] + corners + r * (rng.random((points.size, corners.size)) - 0.5)).ravel()
+    z = np.concatenate([near, edges])
+    dist = lat.lattice_distance(z)
+    assert np.any(dist < r) and np.any((dist >= r) & (dist < 2 * r))
+    for fn in (lat.zeta, lat.wp, lat.wp_prime):
+        for x, d in zip(z, dist):
+            if d < r:
+                with pytest.raises(PoleProximityError) as exc:
+                    fn(x)
+                assert (exc.value.index, exc.value.distance) == (0, d)
+            else:
+                fn(x)
+    first = int(np.argmax(dist < r))
+    with pytest.raises(PoleProximityError) as exc:
+        lat.wp_prime(z)
+    assert (exc.value.index, exc.value.distance) == (first, dist[first])
+    assert np.all(np.isfinite(lat.wp_prime(z[dist >= r])))
