@@ -34,18 +34,19 @@ the theta_1'' row, so its constant term costs no cancelling sum at run
 time.  wp''s folds in its scale K = -(pi/Ar)^3, with the rows theta_1,
 theta_1', 3K theta_1'' and K theta_1''', so its formula (t3 - t2 r1)/t0 +
 2K r1^3 takes seven array operations.  A call reduces the arguments in one
-(N, 2) pass.  sigma alone takes Horner's rule in s^2, which pays on the
-wide calls of L(z) on a contour (hundreds to thousands of arguments).  The
-others raise [s, c] to the odd powers in one operation and form all their
-theta sums as one product and one row sum per argument: a fixed two dozen
-or so numpy operations on the 1 to 19 arguments of the equations of
-motion for n <= 3, where Horner's rule would add about six.
+pass per lattice coordinate.  sigma alone takes Horner's rule in s^2, which
+pays on the wide calls of L(z) on a contour (hundreds to thousands of
+arguments).  The others raise [s, c] to the odd powers in one operation and
+form all their theta sums as one product and one row sum per argument: a
+fixed two dozen or so numpy operations on the 1 to 19 arguments of the
+equations of motion for n <= 3, where Horner's rule would add about six.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -125,6 +126,9 @@ class Lattice:
     g2, g3) are precomputed once; the guard radius is 1e-3 |omega1|, and it
     must stay below half the reduced cell's height, area / (2 |Br|), the
     premise of the guard on the reduced argument (ValueError otherwise).
+    The reduced Im tau must stay below log(max float) / (k_max pi 0.51), for
+    the highest odd power k_max of the theta table (about 147.7 with k_max =
+    3), or the powers of sin u overflow over the cell (ValueError otherwise).
     """
 
     def __init__(self, omega1=1.0, omega2=1.0j):
@@ -168,6 +172,12 @@ class Lattice:
         nmax = 1
         while math.pi * im * ((nmax + 0.5) ** 2 - (2 * nmax + 1) * 0.51) < 46 and nmax < 64:
             nmax += 1
+        # the odd powers of sin u and cos u, up to k_max = 2 nmax + 1, grow as
+        # e^(k_max |Im u|) and must stay finite over that range
+        limit = math.log(sys.float_info.max) / ((2 * nmax + 1) * math.pi * 0.51)
+        if im >= limit:
+            raise ValueError(f"reduced Im tau {im:.4g} reaches the limit {limit:.4g}: the theta table's "
+                             f"powers of sin u and cos u up to {2 * nmax + 1} overflow over the cell")
         ns = np.arange(nmax + 1)
         k = 2 * ns + 1
         c = 2 * (-1.0) ** ns * self.q ** ((ns + 0.5) ** 2)
@@ -193,8 +203,8 @@ class Lattice:
         la = np.array([self.Ar, self.Br, self.Ar + self.Br, self.Ar - self.Br])
         self._nbrs = np.concatenate([[0], la, -la])
         # reduce: the integer shifts are Im(z conj(Br)) / d and Im(z conj(Ar)) / -d
-        self._shift_rows = np.array([np.conj(self.Br), np.conj(self.Ar)])
-        self._shift_den = np.array([d, -d])
+        self._conj_br, self._conj_ar = np.array(np.conj(self.Br)), np.array(np.conj(self.Ar))
+        self._d, self._neg_d = np.array(d), np.array(-d)
         # constants of the per-call arithmetic are 0-d arrays: numpy converts a
         # Python scalar operand anew on every call
         self._ar, self._br = np.array(self.Ar), np.array(self.Br)
@@ -217,8 +227,10 @@ class Lattice:
     def reduce(self, z):
         """z0 in the fundamental cell plus integer shifts: z = z0 + m Ar + n Br."""
         z = np.asarray(z, dtype=complex)
-        mn = np.rint((z[..., None] * self._shift_rows).imag / self._shift_den)
-        m, n = mn[..., 0], mn[..., 1]
+        # one pass per coordinate; the quotient by d stays a division of its
+        # own, since a row with 1/d folded in rounds some shifts differently
+        m = np.rint((z * self._conj_br).imag / self._d)
+        n = np.rint((z * self._conj_ar).imag / self._neg_d)
         return z - m * self._ar - n * self._br, m, n
 
     def lattice_distance(self, z):

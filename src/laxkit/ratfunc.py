@@ -341,6 +341,18 @@ def _laurent(nums, den, point, hi):
     return out, den
 
 
+def _residue(num, den, point):
+    """Residue of (num / den) dz at a point or INF, for a quotient that need
+    not be reduced: one coefficient of the integer expansion, degree -1 at a
+    finite point and minus degree 1 in 1/z at INF."""
+    degree = 1 if point is INF else -1
+    (t,), d = _laurent([num], den, point, degree)
+    c = 0 if t is None or degree < t[0] else t[1][degree - t[0]]
+    if not c:
+        return _ZERO
+    return Fraction(-c if point is INF else c, d)
+
+
 def _poles_within(nums, den, points):
     """``RatFunc.poles_within`` of every reduced nums[k] / den (None for a
     zero numerator), from the numerator valuations at the listed roots of
@@ -495,12 +507,7 @@ class RatFunc:
         minus the coefficient of 1/z in the expansion, the degree-1
         coefficient in the local coordinate 1/z.  Only that one coefficient
         is made a Fraction."""
-        degree = 1 if point is INF else -1
-        (t,), d = _laurent([self.num], self.den, point, degree)
-        c = 0 if t is None or degree < t[0] else t[1][degree - t[0]]
-        if not c:
-            return _ZERO
-        return Fraction(-c if point is INF else c, d)
+        return _residue(self.num, self.den, point)
 
     def poles_within(self, points):
         """Pole orders at the listed points plus any leftover denominator.
@@ -550,6 +557,12 @@ def _dot(row, col):
                     for j, y in enumerate(b.n):
                         out[i + j] += x * y
     return _poly(out, den)
+
+
+def _trace_dot(a, b):
+    """Numerator of tr(A B) = sum_ij a[i][j] b[j][i] for numerator matrices a
+    and b: one ``_dot`` over the entry pairs, with no matrix product."""
+    return _dot([x for r in a for x in r], [x for c in zip(*b) for x in c])
 
 
 def _products(a, b):
@@ -691,16 +704,20 @@ class RationalMatrix:
         return self._shape(_poles_within(self._flat(), self.den, points))
 
     def matpow(self, p):
+        """The p-th power by repeated squaring, starting from the first
+        factor it multiplies (the identity only for p = 0)."""
         if p < 0:
             raise ValueError("negative matrix power")
-        acc = RationalMatrix.over([[_poly([int(i == j)]) for j in range(self.m)] for i in range(self.n)],
-                                  _ONE)
-        base = self
+        if not p:
+            return RationalMatrix.over([[_poly([int(i == j)]) for j in range(self.m)] for i in range(self.n)],
+                                       _ONE)
+        acc, base = None, self
         while p:
             if p & 1:
-                acc = acc @ base
-            base = base @ base if p > 1 else base
+                acc = base if acc is None else acc @ base
             p >>= 1
+            if p:
+                base = base @ base
         return acc
 
     def __repr__(self):

@@ -26,7 +26,8 @@ from operator import mul
 
 from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rank, rref
 from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
-from .ratfunc import INF, Poly, RatFunc, RationalMatrix, _poly, _primitive, rat_const
+from .ratfunc import (INF, Poly, RatFunc, RationalMatrix, _dot, _poly, _primitive, _residue, _trace_dot,
+                      rat_const)
 
 __all__ = [
     "SphereConfig",
@@ -247,13 +248,6 @@ class Slice:
         return len(self.basis)
 
 
-def _support(basis):
-    """The nonzero (basis index, entry) pairs of the basis at each (u, v)."""
-    size = basis[0].n
-    return [[[(bi, b.rows[u][v]) for bi, b in enumerate(basis) if b.rows[u][v]] for v in range(size)]
-            for u in range(size)]
-
-
 def _int_matrix(m):
     """(s m, s) for the least s > 0 that makes s m an integer matrix."""
     rows, s = _int_rows(m.rows)
@@ -349,28 +343,34 @@ def _assemble(cfg, div, vectors):
     algebra basis b.
 
     The sections share one skeleton, s_si = zeros z^si / poles, so every
-    matrix is one denominator, the product of the poles, over the
-    numerators zeros P(z), where the coefficients of P are that entry's
-    coordinates.  Each vector is scaled to integers by one lcm, and P is
-    formed from the scaled coordinates of the basis elements that have the
-    entry in their support, then multiplied by zeros in integers."""
-    dim = cfg.alg.dim
-    zeros, poles, count = _skeleton(div)
-    support = _support(cfg.alg.basis)
+    matrix is one denominator, the product of the poles, over numerators
+    zeros P(z).  Each vector is scaled to integers by one lcm; basis element
+    bi contributes zeros P_bi(z), P_bi having its scaled coordinates as
+    coefficients, to the entries where it is nonzero.  So zeros is
+    multiplied once per basis element that the vector touches, in integers,
+    and each entry is the integer combination of those products that the
+    basis entries (``alg.entries``) give."""
+    alg = cfg.alg
+    dim, size = alg.dim, alg.size
+    zeros, poles, _ = _skeleton(div)
     out = []
     for coords in vectors:
         ci, cd = _ints(coords)
-        cols = [ci[bi::dim] for bi in range(dim)]
-        nums = []
-        for srow in support:
-            nrow = []
-            for sup in srow:
-                p = [0] * count
-                for bi, e in sup:
-                    p = [x + e * y for x, y in zip(p, cols[bi])]
-                nrow.append(_poly(p, cd) * zeros)
-            nums.append(nrow)
-        out.append(RationalMatrix.over(nums, poles))
+        acc = [[None] * size for _ in range(size)]
+        for bi, entries in enumerate(alg.entries):
+            col = ci[bi::dim]
+            if not any(col):
+                continue
+            prod = [0] * (len(col) + len(zeros.n) - 1)
+            for i, x in enumerate(col):
+                if x:
+                    for j, y in enumerate(zeros.n):
+                        prod[i + j] += x * y
+            for u, v, e in entries:
+                a = acc[u][v]
+                acc[u][v] = [e * y for y in prod] if a is None else [x + e * y for x, y in zip(a, prod)]
+        den = cd * zeros.d
+        out.append(RationalMatrix.over([[_poly(a or [], den) for a in r] for r in acc], poles))
     return out
 
 
@@ -549,10 +549,32 @@ def connection_form_tail(cfg, omega, gamma_index):
     return {p: c for p, c in coeffs.items() if not c.is_zero()}
 
 
+def _pairing(l1, l2, omega):
+    """(num, den), not reduced, with num / den = tr(L1 (dL2 - [omega, L2])).
+
+    By the cyclicity of the trace that is tr(L1 dL2) + tr(omega [L1, L2]).
+    With L_i = N_i / D_i, the first term is (tr(N1 N2') D2 - tr(N1 N2) D2')
+    / (D1 D2^2): two trace dots over the entry pairs, with no derivative
+    matrix and no matrix product.  The second term, over Dw D1 D2 for omega
+    = W / Dw, reads the entry (j, i) of [N1, N2] only where W[i][j] is
+    nonzero: one dot of 2n pairs each, then one dot with those W[i][j]."""
+    n1, n2, d2 = l1.nums, l2.nums, l2.den
+    num = (_trace_dot(n1, [[a.derivative() for a in r] for r in n2]) * d2
+           - _trace_dot(n1, n2) * d2.derivative())
+    den = l1.den * d2 * d2
+    if omega is None:
+        return num, den
+    w, size = omega.nums, omega.n
+    pairs = [(w[i][j], _dot(n1[j] + n2[j], [r[i] for r in n2] + [-r[i] for r in n1]))
+             for i in range(size) for j in range(size) if w[i][j].n]
+    wc = _dot([a for a, _ in pairs], [c for _, c in pairs])
+    return num * omega.den + wc * d2, den * omega.den
+
+
 def pairing_one_form(l1, l2, omega=None):
-    """Scalar F with F dz = <L, (d - ad omega) L'> under the trace pairing."""
-    dl2 = l2.derivative()
-    return (l1 @ (dl2 if omega is None else dl2 - omega.comm(l2))).trace()
+    """Scalar F with F dz = <L, (d - ad omega) L'> under the trace pairing,
+    as a reduced ``RatFunc`` (from ``_pairing``'s quotient)."""
+    return RatFunc(*_pairing(l1, l2, omega))
 
 
 def check_connection_form(cfg, omega):
@@ -570,9 +592,13 @@ def check_connection_form(cfg, omega):
 def cocycle_eta(cfg, l1, l2, omega):
     """Local 2-cocycle: sum of residues over the P points of the pairing
     one-form.  Exact rational output; ``check_connection_form`` checks the
-    connection form's expansion at every gamma point."""
-    f = pairing_one_form(l1, l2, omega)
-    return sum((f.residue_at(p) for p in cfg.p_points), Fraction(0))
+    connection form's expansion at every gamma point.
+
+    The residues are read off ``_pairing``'s unreduced quotient: a residue
+    does not depend on common factors of numerator and denominator, so the
+    one-form is never reduced (no gcd)."""
+    num, den = _pairing(l1, l2, omega)
+    return sum((_residue(num, den, p) for p in cfg.p_points), Fraction(0))
 
 
 def cocycle_holomorphy_tail(cfg, l1, l2, omega, gamma):

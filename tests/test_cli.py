@@ -156,7 +156,7 @@ def test_cm_bad_tau_usage_error(capsys):
 
 @pytest.mark.parametrize("command, key, bad", [
     ("cm", "n", 0), ("cm", "dt", 0), ("cm", "dt", -0.1), ("cm", "period", 0), ("cm", "tau", "x"),
-    ("cm", "tau", "0.0005j"),
+    ("cm", "tau", "0.0005j"), ("cm", "tau", "0.003j"),
     ("involution", "n", 0), ("involution", "powers", "2,x"), ("involution", "powers", "2,-2"),
     ("involution", "powers", "0,2"), ("verify", "pairs", 0)])
 def test_bad_option_values_are_usage_errors(tmp_path, capsys, command, key, bad):

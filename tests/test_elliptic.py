@@ -267,6 +267,82 @@ def test_a_lattice_too_thin_for_the_guard_is_refused():
     assert Lattice(1.0, 0.01j)._guard_radius == 1e-3
 
 
+@pytest.mark.parametrize("omega2, im_tau", [(180j, "180"), (0.0045j, "222.2"), (0.003j, "333.3"),
+                                           (1j / 147.7, "147.7")])
+def test_a_lattice_too_thin_for_the_theta_table_is_refused(omega2, im_tau):
+    # at reduced Im tau >= log(max float) / (3 pi 0.51), about 147.7, sin(u)^3
+    # overflows on the cell: wp, zeta and wp' warned at Im tau 180, sigma(0.3)
+    # was 0 at 222 and the constructor divided by zero at 333
+    with pytest.raises(ValueError, match=rf"reduced Im tau {im_tau} reaches the limit 147\.7"):
+        Lattice(1.0, omega2)
+
+
+@pytest.mark.parametrize("im_tau", [100, 147.6])
+def test_a_thin_lattice_below_the_theta_limit_evaluates_over_its_cell(im_tau):
+    # the corners, edge midpoints and random points of the reduced cell (off
+    # the guard radius), where |Im u| reaches pi Im tau / 2: every function
+    # finite, with no overflow warning (warnings are errors here)
+    lat = Lattice(1.0, 1j / im_tau)
+    assert abs(lat.tau.imag - im_tau) < 1e-9
+    rng = np.random.default_rng(30)
+    a, b = np.meshgrid([-0.5, -0.25, 0.25, 0.5], [-0.5, 0.5])
+    frac = np.concatenate([(a + 1j * b).ravel(), rng.uniform(-0.5, 0.5, 40) + 1j * rng.uniform(-0.5, 0.5, 40)])
+    z = lat.Ar * frac.real + lat.Br * frac.imag
+    for fn in (lat.sigma, lat.zeta, lat.wp, lat.wp_prime):
+        assert np.all(np.isfinite(fn(z)))
+
+
+def _reduce_by_broadcast(lat, z):
+    # the (N, 2) formula that Lattice.reduce replaced
+    rows = np.array([np.conj(lat.Br), np.conj(lat.Ar)])
+    d = (lat.Ar * np.conj(lat.Br)).imag
+    mn = np.rint((np.asarray(z, complex)[..., None] * rows).imag / np.array([d, -d]))
+    m, n = mn[..., 0], mn[..., 1]
+    return z - m * lat.Ar - n * lat.Br, m, n
+
+
+def _criterion_8_arguments():
+    # the wp' arguments of criterion 8's batch (eight systems on Lattice(40,
+    # 40i)) over its first 25 rk4 steps
+    import laxkit.calogero as cm
+    rng = np.random.default_rng(20240817)
+    systems, states = zip(*(cm.conservation_initial_data(family, n, rng)
+                            for family in "ABCD" for n in (2, 3)))
+    flow = cm._flow(systems)
+    q, p = np.concatenate([s.q for s in states]), np.concatenate([s.p for s in states])
+    seen = []
+    lat = flow.lattice
+    wp_prime = lat.wp_prime
+    lat.wp_prime = lambda x: seen.append(x.copy()) or wp_prime(x)
+    try:
+        for _ in range(25):
+            q, p = cm._rk4_step(flow, q, p, 1e-3)
+    finally:
+        del lat.wp_prime
+    return lat, np.concatenate(seen)
+
+
+def test_reduce_is_bit_identical_to_the_broadcast_formula():
+    rng = np.random.default_rng(31)
+    cases = [_criterion_8_arguments()]
+    for lat in ORACLE_LATTICES + [Lattice(40, 40j)]:
+        scale = abs(lat.Ar) + abs(lat.Br)
+        z = scale * (rng.uniform(-5, 5, 1612) + 1j * rng.uniform(-5, 5, 1612))
+        # and points on the half-lines between lattice rows, where rounding
+        # the quotient in another order flips rint's choice
+        a, b, u = rng.integers(-4, 5, 1000), rng.integers(-4, 5, 1000), rng.uniform(-0.5, 0.5, 1000)
+        half = np.concatenate([(a + 0.5) * lat.Ar + (b + u) * lat.Br, (a + u) * lat.Ar + (b + 0.5) * lat.Br])
+        cases.append((lat, np.concatenate([z, half])))
+    assert cases[0][1].size == 100 * 70
+    for lat, z in cases:
+        got, want = lat.reduce(z), _reduce_by_broadcast(lat, z)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        # one argument alone, as the scalar path sees it
+        for x in z[:50]:
+            assert complex(lat.reduce(x)[0]) == complex(_reduce_by_broadcast(lat, x)[0])
+
+
 @pytest.mark.parametrize("lat", ORACLE_LATTICES + [Lattice(40, 40j)],
                          ids=["tau=i", "tau=0.3+1.2i", "oblique", "tau=6i", "tau=100i", "omega=40"])
 def test_guard_on_the_reduced_argument_is_the_lattice_distance_test(lat):

@@ -237,6 +237,27 @@ def _keys(rows):
     return [[_key(e) for e in r] for r in rows]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_matpow_is_the_repeated_product(seed, monkeypatch):
+    # repeated squaring from the first factor, not from the identity: the
+    # numerators and denominator of L @ L @ ... @ L, the identity at p = 0,
+    # and floor(log2 p) squarings plus one product per further set bit
+    rng = random.Random(seed)
+    z = rat_z()
+    n = rng.choice([2, 3])
+    a = RationalMatrix([[_random_entry(rng, z) for _ in range(n)] for _ in range(n)])
+    want = RationalMatrix.over([[Poly([int(i == j)]) for j in range(n)] for i in range(n)], Poly([1]))
+    products = []
+    matmul = RationalMatrix.__matmul__
+    monkeypatch.setattr(RationalMatrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    for p in range(5):
+        products.clear()
+        got = a.matpow(p)
+        assert len(products) == max(p.bit_length() + bin(p).count("1") - 2, 0), p
+        assert (got.nums, got.den) == (want.nums, want.den), p
+        want = matmul(want, a) if p else a
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_matrix_operations_match_entrywise_references(seed):
     import random

@@ -8,7 +8,7 @@ import pytest
 from laxkit import formal as fm
 from laxkit import liealg as la
 from laxkit import sphere as sp
-from laxkit.exact import Mat, mat_inverse, nullspace, rref
+from laxkit.exact import Mat, _ints, mat_inverse, nullspace, rref
 from laxkit.ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
 
 
@@ -244,6 +244,53 @@ def test_assemble_matches_sum_of_terms(kind, p_points, gammas, framed):
             assert _entries(mat) == _entries(_assemble_by_sums(cfg, scalars, v))
 
 
+def _assemble_entrywise(cfg, div, vectors):
+    """The assembly as one polynomial product per matrix entry: the entry's
+    coordinate polynomial, summed over the basis elements nonzero there,
+    times the zeros skeleton (the formula ``_assemble`` replaced)."""
+    alg = cfg.alg
+    zeros, poles, count = sp._skeleton(div)
+    out = []
+    for coords in vectors:
+        ci, cd = _ints(coords)
+        cols = [ci[bi::alg.dim] for bi in range(alg.dim)]
+        nums = []
+        for u in range(alg.size):
+            row = []
+            for v in range(alg.size):
+                p = [0] * count
+                for bi, b in enumerate(alg.basis):
+                    if b.rows[u][v]:
+                        p = [x + b.rows[u][v] * y for x, y in zip(p, cols[bi])]
+                row.append(Poly([F(x, cd) for x in p]) * zeros)
+            nums.append(row)
+        out.append(RationalMatrix.over(nums, poles))
+    return out
+
+
+@pytest.mark.parametrize("kind,root,gammas,framed", [
+    ("sp", 1, (F(3), F(5)), True),       # depth 2, framed: up to 10 products for 16 entries
+    ("so_odd", 2, (F(3),), False),       # depth 2
+    ("so_odd", 2, (F(3), F(-5, 2)), True),
+])
+def test_assemble_matches_the_entrywise_products(kind, root, gammas, framed):
+    rng = random.Random(30)
+    alg, dec = la.catalog_grading(kind, 2, root)
+    frames = tuple(fm.random_group_element(alg, rng) for _ in gammas) if framed else None
+    cfg = sp.SphereConfig(dec, (F(-1, 3),), (INF,), gammas, frames)
+    for m in (-1, 0, 1, 2):
+        div = sp.divisor_for_degree(cfg, m)
+        sections = sp._sections(div)
+        ncand = sections.m * alg.dim
+        vectors = sp._slice_kernel(cfg, sections)[0][:6] + [
+            [rng.choice([0, 0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4))])
+             for _ in range(ncand)]
+            for _ in range(2)
+        ] + [[0] * ncand]
+        for got, want in zip(sp._assemble(cfg, div, vectors), _assemble_entrywise(cfg, div, vectors)):
+            assert (got.nums, got.den) == (want.nums, want.den), (m, got)
+
+
 def test_g2_rejected():
     alg, dec = la.catalog_grading("g2", 2, 2)
     with pytest.raises(NotImplementedError):
@@ -426,6 +473,67 @@ def test_total_residue_of_pairing_form_vanishes(gl2_cfg, gl2_window, rng):
     assert leftover == 0
     total = sum(f.residue_at(c) for c in pts) + f.residue_at(INF)
     assert total == 0
+
+
+def _pairing_by_matrices(l1, l2, omega=None):
+    """The pairing one-form by matrix products, tr(L1 (dL2 - [omega, L2]))
+    reduced (the route ``_pairing`` replaced)."""
+    dl2 = l2.derivative()
+    return (l1 @ (dl2 if omega is None else dl2 - omega.comm(l2))).trace()
+
+
+def _random_assembled(rng, cfg, div):
+    """An algebra-valued function with poles on the divisor, from random
+    coordinates (it need not meet the expansion conditions)."""
+    ncand = len(sp.section_basis(div)) * cfg.alg.dim
+    return sp._assemble(cfg, div, [[rng.choice([0, rng.randint(-2, 2), F(rng.randint(-3, 3), 2)])
+                                     for _ in range(ncand)]])[0]
+
+
+def _pairing_cases():
+    """(cfg, omega, members): unframed gl(2) (diagonal omega), two P points
+    with finite Q points (omega with its correction term), framed gl(2) and
+    sp(4) (omega not diagonal), each with a zero member."""
+    rng = random.Random(31)
+    cases = []
+    gl2 = la.catalog_grading("gl", 2, 1)[1]
+    sp4 = la.catalog_grading("sp", 2, 1)[1]
+    frames = lambda dec, k: tuple(fm.random_group_element(dec.alg, rng) for _ in range(k))
+    for dec, p_points, q_points, gammas, framed in [
+        (gl2, (F(0),), (INF,), (F(3),), False),
+        (gl2, (F(0), F(1)), (F(7),), (F(3), F(5)), False),
+        (gl2, (F(0), F(1)), (F(7), F(-4)), (F(3), F(5)), False),
+        (gl2, (F(0),), (INF,), (F(3), F(5)), True),
+        (sp4, (F(-1, 2),), (INF,), (F(3), F(5)), True),
+    ]:
+        cfg = sp.SphereConfig(dec, p_points, q_points, gammas, frames(dec, len(gammas)) if framed else None)
+        members = []
+        for m in (-1, 0, 1):
+            div = sp.divisor_for_degree(cfg, m)
+            if dec is gl2:
+                members.append(rand_member(rng, sp.build_homogeneous_subspace(cfg, m, check_dim=False).basis))
+            members.append(_random_assembled(rng, cfg, div))
+        members.append(members[0].scale(rat_const(0)))
+        cases.append((cfg, sp.standard_connection_form(cfg), members))
+    return cases
+
+
+def test_pairing_matches_the_matrix_product_route():
+    seen = set()
+    for cfg, omega, members in _pairing_cases():
+        off_diagonal = any(omega.nums[i][j].n for i in range(omega.n) for j in range(omega.n) if i != j)
+        finite_q = INF not in cfg.q_points
+        seen |= {("framed", off_diagonal), ("finite q", finite_q)}
+        for l1, l2 in itertools.product(members, repeat=2):
+            for form in (None, omega):
+                want = _pairing_by_matrices(l1, l2, form)
+                got = sp.pairing_one_form(l1, l2, form)
+                assert (got.num, got.den) == (want.num, want.den)
+            want = sum((want.residue_at(p) for p in cfg.p_points), F(0))
+            assert sp.cocycle_eta(cfg, l1, l2, omega) == want
+            seen.add(("nonzero", bool(want)))
+    assert {("framed", True), ("framed", False), ("finite q", True), ("nonzero", True),
+            ("nonzero", False)} <= seen
 
 
 def test_cocycle_locality_window(gl2_cfg, gl2_window):
