@@ -259,10 +259,9 @@ def _taylor(p, c, n):
     return [q[k] * pw[k] for k in range(top)], p.d * pw[deg]
 
 
-def _valuation(p, c, limit=None):
-    """Order of vanishing at c of a nonzero polynomial (at most limit)."""
-    t = _taylor(p, c, len(p.n) if limit is None else limit)[0]
-    return next((i for i, x in enumerate(t) if x), len(t))
+def _valuation(p, c):
+    """Order of vanishing at c of a nonzero polynomial."""
+    return next(i for i, x in enumerate(_taylor(p, c, len(p.n))[0]) if x)
 
 
 def _series_inverse(u, nterms):
@@ -275,15 +274,6 @@ def _series_inverse(u, nterms):
     for k in range(1, nterms):
         w.append(-sum(v[i - 1] * w[k - i] for i in range(1, min(k, len(v)) + 1)))
     return w
-
-
-def _orders(nums, den, point):
-    """Order of every nums[k] / den at a point of P^1 (None for a zero
-    numerator), with the denominator's valuation taken once."""
-    if point is INF:
-        return [den.degree - a.degree if a.n else None for a in nums]
-    vd = _valuation(den, point)
-    return [_valuation(a, point) - vd if a.n else None for a in nums]
 
 
 def _laurent(nums, den, point, hi):
@@ -351,29 +341,6 @@ def _residue(num, den, point):
     if not c:
         return _ZERO
     return Fraction(-c if point is INF else c, d)
-
-
-def _poles_within(nums, den, points):
-    """``RatFunc.poles_within`` of every reduced nums[k] / den (None for a
-    zero numerator), from the numerator valuations at the listed roots of
-    den; the leftover takes a gcd only when den has roots off the list."""
-    points = list(dict.fromkeys(points))
-    mults = {c: _valuation(den, c) for c in points if c is not INF}
-    off_list = den.degree > sum(mults.values())
-    out = []
-    for a in nums:
-        if not a.n:
-            out.append(None)
-            continue
-        orders = {}
-        for c in points:
-            k = a.degree - den.degree if c is INF else mults[c] - _valuation(a, c, mults[c])
-            if k > 0:
-                orders[c] = k
-        # the reduced denominator has degree den.degree - deg gcd(a, den)
-        finite = sum(k for c, k in orders.items() if c is not INF)
-        out.append((orders, den.degree - a.gcd(den).degree - finite if off_list else 0))
-    return out
 
 
 _ONE = _poly([1])
@@ -485,13 +452,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.eval(x) / d
 
-    def order_at(self, point):
-        """Valuation at a point of P^1 (positive = zero, negative = pole).
-
-        Returns None for the identically zero function.
-        """
-        return _orders([self.num], self.den, point)[0]
-
     def laurent_at(self, point, upto):
         """Laurent coefficients at a finite point or INF, degrees <= upto.
 
@@ -508,14 +468,6 @@ class RatFunc:
         coefficient in the local coordinate 1/z.  Only that one coefficient
         is made a Fraction."""
         return _residue(self.num, self.den, point)
-
-    def poles_within(self, points):
-        """Pole orders at the listed points plus any leftover denominator.
-
-        Returns (orders: dict, leftover_degree: int); a nonzero leftover
-        degree means the function has poles outside the given list.
-        """
-        return _poles_within([self.num], self.den, points)[0] or ({}, 0)
 
     def __repr__(self):
         return f"RatFunc({self.num!r}/{self.den!r})"
@@ -656,20 +608,13 @@ class RationalMatrix:
         return RationalMatrix.over(_products(self.nums, other.nums), self.den * other.den)
 
     def comm(self, other):
-        ab, ba = _products(self.nums, other.nums), _products(other.nums, self.nums)
-        return RationalMatrix.over([[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)],
+        """[A, B]: entry (i, j) is one ``_dot`` of 2n pairs, the row i of A
+        next to the row i of B against the column j of B next to the negated
+        column j of A, with no product matrix."""
+        a, b = self.nums, other.nums
+        cols = [cb + tuple(-x for x in ca) for cb, ca in zip(zip(*b), zip(*a))]
+        return RationalMatrix.over([[_dot(ra + rb, c) for c in cols] for ra, rb in zip(a, b)],
                                    self.den * other.den)
-
-    def trace(self):
-        acc = _poly([])
-        for i in range(min(self.n, self.m)):
-            acc = acc + self.nums[i][i]
-        return RatFunc(acc, self.den)
-
-    def derivative(self):
-        """(N' D - N D') / D^2."""
-        d, dd = self.den, self.den.derivative()
-        return RationalMatrix.over([[a.derivative() * d - a * dd for a in r] for r in self.nums], d * d)
 
     def eval(self, x):
         d = self.den.eval(x)
@@ -693,15 +638,6 @@ class RationalMatrix:
         as a dict degree -> Mat of Fractions."""
         rows, d = self.laurent_numerators(point, lo, hi)
         return {p: Mat([[Fraction(x, d) if x else _ZERO for x in r] for r in m]) for p, m in rows.items()}
-
-    def order_at(self, point):
-        """Pointwise minimum of entry orders (None if identically zero)."""
-        return min((o for o in _orders(self._flat(), self.den, point) if o is not None), default=None)
-
-    def poles_within(self, points):
-        """``RatFunc.poles_within`` of every reduced entry, as rows (None for
-        a zero entry)."""
-        return self._shape(_poles_within(self._flat(), self.den, points))
 
     def matpow(self, p):
         """The p-th power by repeated squaring, starting from the first

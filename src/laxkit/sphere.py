@@ -25,9 +25,9 @@ from functools import cached_property
 from operator import mul
 
 from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rank, rref
-from .formal import MatrixLaurent, MOpExpansion, predicted_bracket, validate_mop
+from .formal import MatrixLaurent, MOpExpansion, commutator, predicted_bracket, validate_mop
 from .ratfunc import (INF, Poly, RatFunc, RationalMatrix, _dot, _poly, _primitive, _residue, _trace_dot,
-                      rat_const)
+                      _valuation, rat_const)
 
 __all__ = [
     "SphereConfig",
@@ -803,76 +803,111 @@ def _reference_laurent(cfg, gi, f, lo, hi):
     return {p: Mat(_int_product(_int_product(Gi.rows, r), G.rows)) for p, r in rows.items()}, d * sg * si
 
 
-def lax_tangency_check(cfg, l, m_op, pole_orders):
-    """Verify the Lax-equation tangency structure of [L, M].
+def _pole_bounds(f, points):
+    """Bounds on the pole order of f at each point: the valuation of its
+    denominator at a finite point, its degree excess at INF."""
+    out = {c: _valuation(f.den, c) for c in points if c is not INF}
+    out[INF] = max(a.degree for r in f.nums for a in r) - f.den.degree
+    return out
 
-    At every gamma point L and M are expanded over degrees -k..k in the
-    reference frame, as a ``formal.MatrixLaurent`` and a
-    ``formal.MOpExpansion`` whose nu is read off the h-component of M's
-    residue.  Both run in integers: L's coefficients are integer matrices
-    over one scale s_L and M's over another, s_M, with h's integer multiple
-    H = hd h and H[j0][j0] folded into s_M, so that nu s_M is an integer.
-    ``formal.validate_mop`` gives the m-expansion findings (a scale does not
-    change them).  ``formal.predicted_bracket`` is bilinear in (L, M), so on
-    the scaled series it gives s_L s_M times the coefficients of [L, M] at
-    degrees -k-1..0 that the point-motion relations predict; the bracket
-    of the rational functions, with coefficients N_p / d in the reference
-    frame, must meet them as predicted_p d == N_p s_L s_M (labels "bottom"
-    at -k-1, "coefficient" above).  The relations live in ``formal`` only,
-    for any depth k.  The bracket must have no pole of order above k + 1 at
-    a gamma ("pole-order"), and away from the gammas its divisor must be
-    bounded by the pole budget of L (``pole_orders``), the nontrivial
+
+def lax_tangency_check(cfg, l, m_op, pole_orders):
+    """Verify the Lax-equation tangency structure of [L, M] from the Laurent
+    series of L and M.
+
+    Every listed point c (a gamma point or a key of ``pole_orders``) bounds
+    the poles of L and M there by the valuations v_L, v_M of their
+    denominators at c, and INF by their degree excess.
+
+    At every gamma point L and M are expanded once in the reference frame,
+    L from degree -max(k, v_L) up to max(k, v_M) and M the other way round,
+    so that ``formal.commutator`` of the two series gives [L, M] exactly
+    through degree 0.  All of it runs in integers: L's coefficients are
+    integer matrices over one scale s_L and M's over another, s_M, with h's
+    integer multiple H = hd h and H[j0][j0] folded into s_M, so that nu s_M
+    is an integer (nu is the h-component of M's residue).  Over degrees
+    -k..k, a ``formal.MatrixLaurent`` of L and a ``formal.MOpExpansion`` of
+    M give the m-expansion findings (``formal.validate_mop``; a scale does
+    not change them) and, ``formal.predicted_bracket`` being bilinear, s_L
+    s_M times the coefficients of [L, M] at degrees -k-1..0 that the
+    point-motion relations predict.  The series bracket, s_L s_M times
+    [L, M], must equal them (labels "bottom" at -k-1, "coefficient" above),
+    and must have no pole of order above k + 1 ("pole-order", with the
+    bracket's order).  The relations live in ``formal`` only, for any depth.
+
+    Away from the gammas the divisor of [L, M] must be bounded by the pole
+    budget of L (``pole_orders``; 0 at INF when unlisted), the nontrivial
     cancellation coming from the gradient structure of M at its private
-    pole.
+    pole.  At a listed point where v_L + v_M exceeds the budget b, L and M
+    are expanded there, through degrees v_M - b - 1 and v_L - b - 1, and
+    every entry whose bracket has a coefficient below degree -b is reported
+    with its pole order.  An entry has a pole off the list ("stray-pole",
+    reported alone) iff the factor r of den(L) den(M) with no listed root
+    does not divide its numerator in [L, M]; so the rational bracket is
+    formed only when r is not constant.
     """
     dec = cfg.dec
     k = dec.depth
     H, hd = _int_matrix(dec.h)
     j0 = next(i for i in range(H.n) if H.rows[i][i])
     hj = H.rows[j0][j0]
-    bracket = l.comm(m_op)
+    gammas = [Fraction(g) for g in cfg.gamma_points]
+    finite = [p for p in pole_orders if p is not INF and p not in gammas]
+    vl, vm = _pole_bounds(l, gammas + finite), _pole_bounds(m_op, gammas + finite)
     gamma_residuals = {}
     nus = {}
-    ok = True
-    for gidx, g in enumerate(cfg.gamma_points):
-        gf = Fraction(g)
-        mc, sm = _reference_laurent(cfg, gidx, m_op, -k, k)
+    for gidx, (g, gf) in enumerate(zip(cfg.gamma_points, gammas)):
+        # L over -bl..bm and M over -bm..bl give [L, M] through degree 0
+        bl, bm = max(k, vl[gf]), max(k, vm[gf])
+        mc, sm = _reference_laurent(cfg, gidx, m_op, -bm, bl)
         # nu = mc[-1][j0][j0] / (sm h[j0][j0]), so nu (sm hj) = hd mc[-1][j0][j0]
         mjj = mc[-1].rows[j0][j0]
         mc = {p: c.scale(hj) for p, c in mc.items()}
-        mc[-1] = mc[-1] - H.scale(mjj)
         sm *= hj
         nus[g] = Fraction(hd * mjj, sm)
-        mop = MOpExpansion(hd * mjj, MatrixLaurent(dec, mc, k))
+        reg = {p: c for p, c in mc.items() if p >= -k}
+        reg[-1] = mc[-1] - H.scale(mjj)
+        mop = MOpExpansion(hd * mjj, MatrixLaurent(dec, reg, k))
         bad = [("m-expansion", p) for p in sorted({p for p, _ in validate_mop(mop)})]
-        order = bracket.order_at(gf)
-        if order is not None and order < -k - 1:
+        lc, _ = _reference_laurent(cfg, gidx, l, -bl, bm)
+        bracket = commutator(MatrixLaurent(dec, lc, bm), MatrixLaurent(dec, mc, bl))
+        order = min(bracket.coeffs, default=0)
+        if order < -k - 1:
             bad.append(("pole-order", order))
-        lc, sl = _reference_laurent(cfg, gidx, l, -k, k)
         predicted = predicted_bracket(MatrixLaurent(dec, lc, k), mop)
-        nb, sb = _reference_laurent(cfg, gidx, bracket, -k - 1, 0)
-        for p, c in nb.items():
-            if c.scale(sl * sm) != predicted.coefficient(p).scale(sb):
+        for p in range(-k - 1, 1):
+            if bracket.coefficient(p) != predicted.coefficient(p):
                 bad.append(("bottom" if p == -k - 1 else "coefficient", p))
-        if bad:
-            ok = False
         gamma_residuals[g] = bad
+    away = finite + [INF]
+    orders = {}  # (entry, point) -> pole order of [L, M] over the budget
+    for pt in away:
+        budget = max(pole_orders.get(pt, 0), 0)
+        if vl[pt] + vm[pt] <= budget:
+            continue
+        series = [MatrixLaurent(dec, {p: Mat(r) for p, r in f.laurent_numerators(pt, -v, hi)[0].items()}, hi)
+                  for f, v, hi in ((l, vl[pt], vm[pt] - budget - 1), (m_op, vm[pt], vl[pt] - budget - 1))]
+        bracket = commutator(*series)
+        for p in sorted(c for c in bracket.coeffs if c < -budget):
+            for i, row in enumerate(bracket.coeffs[p].rows):
+                for j, x in enumerate(row):
+                    if x:
+                        orders.setdefault(((i, j), pt), -p)
+    stray = set()
+    if sum(vl[c] + vm[c] for c in gammas + finite) < l.den.degree + m_op.den.degree:
+        bracket = l.comm(m_op)
+        r = bracket.den
+        for c in gammas + finite:
+            for _ in range(vl[c] + vm[c]):
+                r = r // Poly([-c, 1])
+        stray = {(i, j) for i, row in enumerate(bracket.nums) for j, a in enumerate(row) if (a % r).n}
     divisor_violations = []
-    allowed = set(Fraction(g) for g in cfg.gamma_points)
-    points = list(allowed) + [p for p in pole_orders if p is not INF] + [INF]
-    for i, row in enumerate(bracket.poles_within(points)):
-        for j, entry in enumerate(row):
-            if entry is None:
-                continue
-            orders, leftover = entry
-            if leftover:
-                divisor_violations.append(((i, j), "stray-pole"))
-                continue
-            for pt, o in orders.items():
-                if pt not in allowed and o > pole_orders.get(pt, 0):
-                    divisor_violations.append(((i, j), pt, o))
-    if divisor_violations:
-        ok = False
+    for ij in ((i, j) for i in range(l.n) for j in range(l.n)):
+        if ij in stray:
+            divisor_violations.append((ij, "stray-pole"))
+        else:
+            divisor_violations.extend((ij, pt, orders[ij, pt]) for pt in away if (ij, pt) in orders)
+    ok = not divisor_violations and not any(gamma_residuals.values())
     return TangencyReport(ok, gamma_residuals, divisor_violations, nus)
 
 
