@@ -9,7 +9,8 @@ constants at construction.  Each off-diagonal entry of L is a fixed
 coefficient (+-1, or -2 on the C diagonal) times a product of sigma values
 over a product of sigma values at linear forms a z + r.q + c, so sigma' on
 the same forms gives dL/dq exactly, and the involution brackets of the
-residue Hamiltonians res z^{-m} tr L(z)^p come off one contour.  The root
+residue Hamiltonians res z^{-m} tr L(z)^p come off one contour, a circle
+of 32 nodes (``_circle``), as does every Laurent coefficient of L.  The root
 entries are the torus gauge of the root-sum form p.H + sum_alpha f_alpha
 Phi(alpha(q), z) E_alpha, Phi(x, z) = sigma(z - x) / (sigma(z) sigma(x));
 for B and C the roots are the gl(n) roots, and the off-diagonal blocks and
@@ -66,6 +67,7 @@ __all__ = [
 
 FAMILIES = ("A", "B", "C", "D")
 _EPS = np.finfo(float).eps
+_CONTOUR_NODES = 32  # the trapezoid rule on the _circle errs like 3^-N (Trefethen & Weideman 2014)
 
 
 class CollisionError(RuntimeError):
@@ -465,19 +467,18 @@ def _pole_set(sys_, state):
     return np.concatenate([[0j], moving_points(sys_, state)[0], extra])
 
 
-def _circle(sys_, state, center, nodes):
-    """The offsets w of the ``nodes`` contour nodes center + w on the circle
-    rule of ``residue_hamiltonian`` around ``center``, over ``_pole_set``
-    (the one-particle A system at a lattice point has no pole past 1e-4
-    |omega1|)."""
+def _circle(sys_, state, center):
+    """The offsets w of the 32 nodes center + w of the one circle rule: radius
+    a third of the lattice distance to the nearest pole of ``_pole_set`` past
+    1e-4 |omega1| or to the translates of the center's, a shortest period
+    |Ar| away, so the trapezoid error is 3^-32 = 5e-16 of the terms."""
     lat = sys_.lattice
     dist = lat.lattice_distance(_pole_set(sys_, state) - center)
-    dist = dist[dist > 1e-4 * abs(lat.omega1)]
-    radius = float(np.min(dist)) / 3.0 if dist.size else 0.1 * abs(lat.omega1)
+    radius = float(np.min(dist[dist > 1e-4 * abs(lat.omega1)], initial=abs(lat.Ar))) / 3.0
     if radius < 10 * lat._guard_radius:
         raise ValueError(f"contour radius collides with a neighbouring pole: radius {radius:.3e} "
                          f"at {complex(center):.6g}, below 10 guard radii")
-    return radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return radius * np.exp(2j * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES)
 
 
 def _check_specs(sys_, specs):
@@ -488,36 +489,35 @@ def _check_specs(sys_, specs):
         raise ValueError("odd trace powers vanish identically for this family")
 
 
-def _residues(sys_, state, specs, nodes):
+def _residues(sys_, state, specs):
     """res_{z=0} z^{-m} tr L(z)^power dz for each (power, m) of ``specs``, by
     trapezoidal quadrature on one ``_circle`` (exponentially accurate on the
     annulus of analyticity).  Each trace is the sum of the entries of L^(power
     - 1) times those of L transposed, with no last matrix product."""
     _check_specs(sys_, specs)
-    w = _circle(sys_, state, 0.0, nodes)
+    w = _circle(sys_, state, 0.0)
     ls = lax_matrix(sys_, state, w)
     out = []
     for power, m in specs:
         traces = np.einsum("kij,kji->k", np.linalg.matrix_power(ls, power - 1), ls)
-        out.append(np.sum(traces * w ** (1 - m)) / nodes)
+        out.append(np.mean(traces * w ** (1 - m)))
     return np.array(out)
 
 
-def residue_hamiltonian(sys_, state, m=1, power=2, nodes=64):
+def residue_hamiltonian(sys_, state, m=1, power=2):
     """res_{z=0} z^{-m} tr L(z)^power dz, the one-spec case of ``_residues``.
 
-    Every contour quadrature uses one circle rule (``_circle``): the radius
-    is a third of the lattice distance from the center to the nearest pole
-    of L(z) farther than 1e-4 |omega1|, or 0.1 |omega1| when there is none,
-    and a radius below 10 guard radii raises ValueError."""
-    return _residues(sys_, state, [(power, m)], nodes)[0]
+    Every contour quadrature uses the one 32-node circle rule of ``_circle``,
+    a third of the way to the nearest other pole or period, so its error
+    falls like 3^-32; a radius below 10 guard radii raises ValueError."""
+    return _residues(sys_, state, [(power, m)])[0]
 
 
-def hamiltonian_from_residue(sys_, state, nodes=64):
+def hamiltonian_from_residue(sys_, state):
     """Second-order Hamiltonian through the residue route: -1/2 of the
     residue of z^{-1} tr L^2, plus the exact constant 2 n wp(q0) restoring
     the B-family restriction convention."""
-    val = -0.5 * residue_hamiltonian(sys_, state, m=1, power=2, nodes=nodes)
+    val = -0.5 * residue_hamiltonian(sys_, state, m=1, power=2)
     if sys_.family == "B":
         val = val + 2 * sys_.n * sys_.lattice.wp(sys_.q0)
     return _real_if_close(val)
@@ -728,39 +728,39 @@ def eigenvalue_drift(l0, l1):
     return max((float(dist[p]) for p in _greedy_pairs(dist)), default=0.0)
 
 
-def _residue_gradients(sys_, state, specs, nodes=64):
+def _residue_gradients(sys_, state, specs):
     """The exact (dH/dq, dH/dp), each (len(specs), n), of H = res z^{-m} tr
     L^p for the (p, m) ``specs``, by the quadrature of ``_residues`` on one
     ``_circle`` and one ``_lax`` call: dH/dq_i = res z^{-m} p sum_rows
     (L^(p-1))_vu dL_uv/dq_i, dH/dp_i = res z^{-m} p sum_d (L^(p-1))_dd H_di."""
     _check_specs(sys_, specs)
-    w = _circle(sys_, state, 0.0, nodes)
+    w = _circle(sys_, state, 0.0)
     ls, dls = _lax(sys_, state, w, gradient=True)
     t = sys_._table
     lp = np.array([np.linalg.matrix_power(ls, power - 1) for power, _ in specs])
-    weight = np.array([power * w ** (1 - m) / nodes for power, m in specs])
+    weight = np.array([power * w ** (1 - m) / len(w) for power, m in specs])
     return (np.einsum("sk,skr,kri->si", weight, lp[:, :, t.v, t.u], dls),
             np.einsum("sk,skd,di->si", weight, np.diagonal(lp, axis1=2, axis2=3), t.H))
 
 
-def involution_table(sys_, state, specs, nodes=64):
+def involution_table(sys_, state, specs):
     """Pairwise Poisson brackets of residue Hamiltonians: a dict mapping
     pairs of the (power, m) labels of ``specs`` to |bracket|, from the exact
     gradients of ``_residue_gradients`` (one circle and one sigma/sigma'
     call per table); a single spec gives {} without evaluating anything."""
     if len(specs) < 2:
         return {}
-    gq, gp = _residue_gradients(sys_, state, specs, nodes)
+    gq, gp = _residue_gradients(sys_, state, specs)
     return {(sa, sb): abs(complex(gq[a] @ gp[b] - gp[a] @ gq[b]))
             for a, sa in enumerate(specs) for b, sb in enumerate(specs) if a < b}
 
 
-def _laurent(sys_, state, center, degrees, nodes=64):
-    """The radius of the ``_circle`` at ``center`` and the Laurent coefficients
-    of L(z) there at ``degrees`` (poles within 1e-4 |omega1| of the center
-    count as enclosed, as a slightly moved pole along a trajectory needs)."""
-    w = _circle(sys_, state, center, nodes)
-    return w[0].real, np.tensordot(w ** -np.c_[degrees], lax_matrix(sys_, state, center + w), 1) / nodes
+def _laurent(sys_, state, center, degrees):
+    """The radius of the 32-node ``_circle`` at ``center`` and the Laurent
+    coefficients of L(z) there at ``degrees`` (poles within 1e-4 |omega1| of
+    the center count as enclosed, their translates a period away do not)."""
+    w = _circle(sys_, state, center)
+    return w[0].real, np.tensordot(w ** -np.c_[degrees], lax_matrix(sys_, state, center + w), 1) / len(w)
 
 
 def tyurin_residue_check(sys_, state, flow_probe=None):
@@ -818,14 +818,14 @@ def moving_points(sys_, state):
     return np.concatenate([pts, -pts]), np.vstack([plus, -plus])
 
 
-def expansion_violations(sys_, state, nodes=64):
+def expansion_violations(sys_, state):
     """Violations of the local expansion conditions at the moving poles.
 
     At a moving point with grading element h of depth k, the Laurent
     coefficient L_p of L(z) at degree p must lie in the level-p filtration,
     i.e. vanish at the entries (u, v) with h_u - h_v > p, for p = -k..k-1;
     p = -k-1 is checked too (no pole beyond order k).  The coefficients come
-    from trapezoidal quadrature on the ``_circle`` at the point.  Returns
+    from the 32-node quadrature on the ``_circle`` at the point.  Returns
     one dict per point and degree with the largest offending entry
     ("violation") and, with every coefficient scaled by radius^p, that entry
     over the largest coefficient entry at the point ("relative").
@@ -835,7 +835,7 @@ def expansion_violations(sys_, state, nodes=64):
     degrees = np.arange(-k - 1, k)
     out = []
     for gamma, hd in zip(points, gradings):
-        radius, coeffs = _laurent(sys_, state, gamma, degrees, nodes)
+        radius, coeffs = _laurent(sys_, state, gamma, degrees)
         scaled = np.abs(coeffs) * radius ** degrees[:, None, None]
         bad = (hd[:, None] - hd[None, :])[None] > degrees[:, None, None]
         scale = scaled.max()

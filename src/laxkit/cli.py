@@ -353,7 +353,7 @@ def cmd_cm(args):
     report["seed"] = seed
     if args.brackets:
         powers = [2, 3] if args.family == "A" else [2, 4]
-        table = calogero.involution_table(sys_, state, [(p, 1) for p in powers], nodes=32)
+        table = calogero.involution_table(sys_, state, [(p, 1) for p in powers])
         report["bracket_table"] = {f"{a}|{b}": v for (a, b), v in table.items()}
     if args.out:
         calogero.write_trajectory_csv(args.out, sys_, traj, z_samples=z_samples)

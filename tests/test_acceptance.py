@@ -238,7 +238,7 @@ def test_criterion_09_involution():
             worst = 0.0
             for _ in range(5):
                 sys_, st = cm.conservation_initial_data(family, n, rng)
-                table = cm.involution_table(sys_, st, specs, nodes=32)
+                table = cm.involution_table(sys_, st, specs)
                 worst = max(worst, max(table.values()))
             rows.append((family, n, worst))
     elapsed = time.time() - t0

@@ -365,7 +365,8 @@ def test_lax_matrix_makes_one_sigma_call(family):
 
 
 def reference_residue(sys_, st, m, power, radius, nodes=64):
-    """The per-node loop: trace sum and the mean size of its terms."""
+    """The per-node loop, finer than the library's 32-node rule: trace sum and
+    the mean size of its terms."""
     acc, scale = 0.0, 0.0
     for k in range(nodes):
         zk = radius * np.exp(2j * np.pi * k / nodes)
@@ -379,12 +380,13 @@ def reference_residue(sys_, st, m, power, radius, nodes=64):
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
 def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
-    sys_, st = batch_case(family, 3, LAT)
-    got = cm.residue_hamiltonian(sys_, st, m=m, power=power)
-    dist = sys_.lattice.lattice_distance(cm._pole_set(sys_, st))
-    radius = float(np.min(dist[dist > 1e-4 * abs(LAT.omega1)])) / 3.0
-    ref, scale = reference_residue(sys_, st, m, power, radius)
-    assert abs(got - ref) <= 1e-13 * scale
+    for lat in (LAT, SKEW):
+        sys_, st = batch_case(family, 3, lat)
+        got = cm.residue_hamiltonian(sys_, st, m=m, power=power)
+        dist = lat.lattice_distance(cm._pole_set(sys_, st))
+        radius = float(np.min(dist[dist > 1e-4 * abs(lat.omega1)], initial=abs(lat.Ar))) / 3.0
+        ref, scale = reference_residue(sys_, st, m, power, radius)
+        assert abs(got - ref) <= 1e-13 * scale, lat
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -392,10 +394,10 @@ def test_residue_hamiltonian_matches_per_node_loop(family, m, power):
 def test_residue_traces_match_the_matrix_power_trace(family, n):
     sys_, st = batch_case(family, n, LAT)
     powers = [1, 2, 3, 4] if family == "A" else [2, 4]
-    got = cm._residues(sys_, st, [(p, 1) for p in powers], 64)
-    ls = cm.lax_matrix(sys_, st, cm._circle(sys_, st, 0.0, 64))
+    got = cm._residues(sys_, st, [(p, 1) for p in powers])
+    ls = cm.lax_matrix(sys_, st, cm._circle(sys_, st, 0.0))
     for value, power in zip(got, powers):
-        ref = np.sum(np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)) / 64
+        ref = np.sum(np.trace(np.linalg.matrix_power(ls, power), axis1=1, axis2=2)) / len(ls)
         assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
@@ -405,7 +407,7 @@ def test_matrix_residue_matches_per_node_loop(order):
     center = st.q[1]
     got_radius, (got,) = cm._laurent(sys_, st, center, [-order])
     dist = sys_.lattice.lattice_distance(cm._pole_set(sys_, st) - center)
-    radius = float(np.min(dist[dist > 1e-4 * abs(SKEW.omega1)])) / 3.0
+    radius = float(np.min(dist[dist > 1e-4 * abs(SKEW.omega1)], initial=abs(SKEW.Ar))) / 3.0
     assert abs(got_radius - radius) <= 1e-15 * radius
     ref = np.zeros_like(got)
     for k in range(64):
@@ -453,6 +455,20 @@ def test_residue_route_matches_closed_form(family):
     h1 = cm.hamiltonian(sys_, st)
     h2 = cm.hamiltonian_from_residue(sys_, st)
     assert abs(h1 - h2) < 1e-9 * max(1.0, abs(h1))
+
+
+@pytest.mark.parametrize("omega2", [0.3j, 0.06j, 0.05j, 0.02j])
+def test_residue_circle_excludes_the_translates_of_the_puncture(omega2):
+    # the translates of z = 0 lie a period 2 |omega2| away; below 0.06j they
+    # are nearer than a third of the distance to the moving poles.  A circle
+    # bounded by those poles alone read H 0.3% off at 0.06j, and 2140.23 for
+    # 328.98 at 0.05j, where it enclosed the translates
+    lat = Lattice(1.0, omega2)
+    sys_ = cm.CMSystem("A", 2, lat)
+    st = cm.CMState(np.array([0.31, 0.62]), np.array([0.1, -0.05]))
+    assert abs(cm._circle(sys_, st, 0.0)[0]) <= abs(lat.Ar) / 3.0
+    h1 = cm.hamiltonian(sys_, st)
+    assert abs(cm.hamiltonian_from_residue(sys_, st) - h1) <= 1e-12 * abs(h1)
 
 
 def test_residue_hamiltonian_conventions():
@@ -958,10 +974,10 @@ def poisson_bracket(ha, hb, state):
     return complex(np.sum(gqa * gpb - gpa * gqb))
 
 
-def oracle_table(sys_, st, specs, nodes=64):
+def oracle_table(sys_, st, specs):
     """``involution_table`` from the central-difference oracle, one bracket
     per pair."""
-    fns = {s: partial(cm.residue_hamiltonian, sys_, m=s[1], power=s[0], nodes=nodes) for s in specs}
+    fns = {s: partial(cm.residue_hamiltonian, sys_, m=s[1], power=s[0]) for s in specs}
     return {(a, b): abs(poisson_bracket(fns[a], fns[b], st))
             for i, a in enumerate(specs) for b in specs[i + 1:]}
 
@@ -1042,7 +1058,7 @@ def test_residue_gradients_match_the_oracle(family, n):
     sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
     specs = [(2, 1), (4, 1), (4, 2)]
     gq, gp = cm._residue_gradients(sys_, st, specs)
-    fq, fp = central_gradient(lambda s: cm._residues(sys_, s, specs, 64), st)
+    fq, fp = central_gradient(lambda s: cm._residues(sys_, s, specs), st)
     for got, want in ((gq, fq), (gp, fp)):
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     table, oracle = cm.involution_table(sys_, st, specs), oracle_table(sys_, st, specs)
@@ -1062,14 +1078,14 @@ def test_a_numerator_zero_on_the_contour_keeps_the_brackets_finite():
     sys_ = cm.CMSystem("A", 2, Lattice(40, 40j))
     st = cm.CMState(np.array([9.0, 12.0]), np.array([0.05, -0.03]))
     cm.check_state(sys_, st)
-    w = cm._circle(sys_, st, 0.0, 32)
+    w = cm._circle(sys_, st, 0.0)
     assert w[0] == st.q[1] - st.q[0]
     specs = [(2, 1), (3, 1), (4, 1)]
     with np.errstate(all="raise"):
-        table = cm.involution_table(sys_, st, specs, nodes=32)
+        table = cm.involution_table(sys_, st, specs)
         L, dL = cm._lax(sys_, st, w, gradient=True)
     assert L[0, 1, 0] == 0 and np.isfinite(dL).all()
-    oracle = oracle_table(sys_, st, specs, nodes=32)
+    oracle = oracle_table(sys_, st, specs)
     assert all(np.isfinite(v) and v < 1e-16 and abs(v - oracle[k]) < 1e-9 for k, v in table.items())
 
 
@@ -1189,7 +1205,7 @@ def test_b_and_c_residue_hamiltonians_in_involution():
     for family in ("B", "C"):
         for n in (2, 3):
             sys_, st = cm.conservation_initial_data(family, n, np.random.default_rng(20240817))
-            worst = max(worst, *cm.involution_table(sys_, st, [(2, 1), (4, 1)], nodes=32).values())
+            worst = max(worst, *cm.involution_table(sys_, st, [(2, 1), (4, 1)]).values())
     assert worst < 1e-6
 
 
