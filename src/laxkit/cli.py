@@ -166,7 +166,7 @@ def _suite_dims(seed):
     return checks
 
 
-def _gl2_cocycle_setup(seed):
+def _gl2_cocycle_setup():
     alg, dec = liealg.catalog_grading("gl", 2, 1)
     cfg = sphere.SphereConfig(dec, (Fraction(0),), (INF,), (Fraction(3),))
     window = sphere.SliceWindow(cfg, -3, 3)
@@ -186,7 +186,7 @@ def _rand_member(rng, sl):
 
 def _suite_cocycle(seed, triples=50):
     rng = random.Random(seed)
-    cfg, win, omega = _gl2_cocycle_setup(seed)
+    cfg, win, omega = _gl2_cocycle_setup()
     checks = []
     tail_bad = None
     for m in (-1, 0, 1):

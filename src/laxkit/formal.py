@@ -29,7 +29,6 @@ __all__ = [
     "random_mop",
     "random_group_element",
     "conjugate_series",
-    "predicted_bracket",
     "validate_tyurin_form",
     "TyurinReport",
 ]
@@ -282,45 +281,6 @@ def conjugate_series(e, g):
     """Coefficient-wise conjugation g . coeff . g^{-1}."""
     ginv = mat_inverse(g)
     return MatrixLaurent(e.dec, {p: g @ m @ ginv for p, m in e.coeffs.items()}, e.trunc)
-
-
-# ---------------------------------------------------------------------------
-# point-motion relations at a marked point
-# ---------------------------------------------------------------------------
-#
-# The Lax equation Ldot = [L, M] on a Lax operator algebra moves the marked
-# point with z_dot = -nu and fixes the coefficients of Ldot there:
-#
-#     Ldot_p = sum_{i+j=p} [L_i, M_j] + nu ((p+1) L_{p+1} - [h, L_{p+1}])
-#
-# for p = -depth..0, M_j being the regular part of M.  The coefficient of
-# [L, M] at degree p is then Ldot_p + (p+1) z_dot L_{p+1}, in which the
-# (p+1) L_{p+1} terms cancel.  ``predicted_bracket`` is the one statement of
-# these relations; ``sphere.lax_tangency_check`` reads them from here at every
-# gamma point, for any depth.
-
-
-def predicted_bracket(lax, mop):
-    """Coefficients of [L, M] at degrees -depth-1..0 that the point-motion
-    relations predict: sum_{i+j=p} [L_i, M_j] - nu [h, L_{p+1}] for
-    p = -depth..0, and depth nu L_{-depth} at the bottom degree -depth-1.
-
-    Reads L and the regular part of M up to degree depth."""
-    dec = lax.dec
-    k = dec.depth
-    nu = mop.nu
-    coeffs = {-k - 1: lax.coefficient(-k).scale(k * nu)}
-    for p in range(-k, 1):
-        acc = Mat.zeros(dec.alg.size)
-        for i in range(-k, p + k + 1):
-            li = lax.coeffs.get(i)
-            mj = mop.series.coeffs.get(p - i)
-            if li is not None and mj is not None:
-                acc = acc + li.comm(mj)
-        if nu:
-            acc = acc - dec.h.comm(lax.coefficient(p + 1)).scale(nu)
-        coeffs[p] = acc
-    return MatrixLaurent(dec, coeffs, 0)
 
 
 # ---------------------------------------------------------------------------

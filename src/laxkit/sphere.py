@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import mul
 
 from .exact import ColumnSolver, Mat, _int_product, _int_rows, _ints, mat_inverse, nullspace, rank, rref
-from .formal import MatrixLaurent, MOpExpansion, commutator, predicted_bracket, validate_mop
+from .formal import MatrixLaurent, MOpExpansion, commutator, validate_mop
 from .ratfunc import (INF, Poly, RatFunc, RationalMatrix, _dot, _poly, _primitive, _residue, _trace_dot,
                       _valuation, rat_const)
 
@@ -158,7 +158,8 @@ class SphereConfig:
 
     def q_degrees(self, m):
         """Divisor coefficients at the Q points for slice index m (the
-        balanced-rounding schedule; bounded deviation from a_j m)."""
+        balanced-rounding schedule: with two Q points, each stays within a
+        bounded distance of m n / 2, n the number of P points)."""
         n = self.n_points
         total = m * n + n - 1
         if len(self.q_points) == 1:
@@ -166,12 +167,6 @@ class SphereConfig:
         half = Fraction(m * n, 2)
         d1 = math.ceil(half)
         return (d1, total - d1)
-
-    def a_weights(self):
-        n = self.n_points
-        if len(self.q_points) == 1:
-            return (Fraction(n),)
-        return (Fraction(n, 2), Fraction(n, 2))
 
     def l_value(self):
         """The filtration count (sum dim of negative filtrations + 1) |Gamma|
@@ -823,17 +818,24 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
     L from degree -max(k, v_L) up to max(k, v_M) and M the other way round,
     so that ``formal.commutator`` of the two series gives [L, M] exactly
     through degree 0.  All of it runs in integers: L's coefficients are
-    integer matrices over one scale s_L and M's over another, s_M, with h's
-    integer multiple H = hd h and H[j0][j0] folded into s_M, so that nu s_M
-    is an integer (nu is the h-component of M's residue).  Over degrees
-    -k..k, a ``formal.MatrixLaurent`` of L and a ``formal.MOpExpansion`` of
-    M give the m-expansion findings (``formal.validate_mop``; a scale does
-    not change them) and, ``formal.predicted_bracket`` being bilinear, s_L
-    s_M times the coefficients of [L, M] at degrees -k-1..0 that the
-    point-motion relations predict.  The series bracket, s_L s_M times
-    [L, M], must equal them (labels "bottom" at -k-1, "coefficient" above),
-    and must have no pole of order above k + 1 ("pole-order", with the
-    bracket's order).  The relations live in ``formal`` only, for any depth.
+    integer matrices over one scale s_L, M's over another, s_M, and the
+    bracket is over s_L s_M.  With h's integer multiple H = hd h, nu (the
+    h-component of M's residue) is hd M_{-1}[j0][j0] / (s_M H[j0][j0]).  The
+    findings there, in this order:
+
+    - "m-expansion": M less nu h/z leaves the filtration below degree 0
+      (``formal.validate_mop``; only M's residue is rescaled, by H[j0][j0],
+      to take nu h off it in integers);
+    - "pole-order": the bracket has a pole of order above k + 1 (with the
+      bracket's order);
+    - "bottom": [L, M]_{-k-1} = k nu L_{-k}, the relation that moves the point
+      with z_dot = -nu, fails; it is one comparison, H[j0][j0] times the
+      bracket's coefficient against k hd M_{-1}[j0][j0] times L_{-k}, so no
+      scale is folded into either series;
+    - "coefficient" at p = -k..0: the relations there are the commutator of
+      the series cut below degree -k (nu h/z stays in M_{-1}), and the bracket
+      differs from it by the sum of [L_i, M_j] over i + j = p with i or j
+      below -k.  So these comparisons run only where max(v_L, v_M) > k.
 
     Away from the gammas the divisor of [L, M] must be bounded by the pole
     budget of L (``pole_orders``; 0 at INF when unlisted), the nontrivial
@@ -859,25 +861,25 @@ def lax_tangency_check(cfg, l, m_op, pole_orders):
     for gidx, (g, gf) in enumerate(zip(cfg.gamma_points, gammas)):
         # L over -bl..bm and M over -bm..bl give [L, M] through degree 0
         bl, bm = max(k, vl[gf]), max(k, vm[gf])
+        lc, _ = _reference_laurent(cfg, gidx, l, -bl, bm)
         mc, sm = _reference_laurent(cfg, gidx, m_op, -bm, bl)
         # nu = mc[-1][j0][j0] / (sm h[j0][j0]), so nu (sm hj) = hd mc[-1][j0][j0]
         mjj = mc[-1].rows[j0][j0]
-        mc = {p: c.scale(hj) for p, c in mc.items()}
-        sm *= hj
-        nus[g] = Fraction(hd * mjj, sm)
-        reg = {p: c for p, c in mc.items() if p >= -k}
-        reg[-1] = mc[-1] - H.scale(mjj)
-        mop = MOpExpansion(hd * mjj, MatrixLaurent(dec, reg, k))
+        nus[g] = Fraction(hd * mjj, sm * hj)
+        reg = {p: c for p, c in mc.items() if -k <= p < -1}
+        reg[-1] = mc[-1].scale(hj) - H.scale(mjj)
+        mop = MOpExpansion(nus[g], MatrixLaurent(dec, reg, -1))
         bad = [("m-expansion", p) for p in sorted({p for p, _ in validate_mop(mop)})]
-        lc, _ = _reference_laurent(cfg, gidx, l, -bl, bm)
         bracket = commutator(MatrixLaurent(dec, lc, bm), MatrixLaurent(dec, mc, bl))
         order = min(bracket.coeffs, default=0)
         if order < -k - 1:
             bad.append(("pole-order", order))
-        predicted = predicted_bracket(MatrixLaurent(dec, lc, k), mop)
-        for p in range(-k - 1, 1):
-            if bracket.coefficient(p) != predicted.coefficient(p):
-                bad.append(("bottom" if p == -k - 1 else "coefficient", p))
+        # [L, M]_{-k-1} = k nu L_{-k}, both sides times s_L s_M hj
+        if bracket.coefficient(-k - 1).scale(hj) != lc[-k].scale(k * hd * mjj):
+            bad.append(("bottom", -k - 1))
+        if max(vl[gf], vm[gf]) > k:
+            cut = commutator(*(MatrixLaurent(dec, {p: c for p, c in f.items() if p >= -k}, k) for f in (lc, mc)))
+            bad.extend(("coefficient", p) for p in range(-k, 1) if bracket.coefficient(p) != cut.coefficient(p))
         gamma_residuals[g] = bad
     away = finite + [INF]
     orders = {}  # (entry, point) -> pole order of [L, M] over the budget

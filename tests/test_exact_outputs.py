@@ -72,7 +72,7 @@ def test_mops_suite_matrices_are_pinned():
 
 
 def test_cocycle_table_is_pinned():
-    cfg, window, omega = cli._gl2_cocycle_setup(0)
+    cfg, window, omega = cli._gl2_cocycle_setup()
     table = json.dumps(sphere.cocycle_table_json(cfg, window, omega), sort_keys=True)
     assert _digest(table) == "82699df42754a25e648958a50ebe7c194515007e6e98b400e88b95816c0d3fa0"
 

@@ -11,6 +11,7 @@ from laxkit import liealg as la
 from laxkit import sphere as sp
 from laxkit.exact import Mat, _ints, mat_inverse, nullspace, rref
 from laxkit.ratfunc import INF, Poly, RatFunc, RationalMatrix, rat_const
+from test_formal import _predicted_bracket
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +66,10 @@ def test_two_q_point_schedule_bounded():
     alg, dec = la.catalog_grading("gl", 2, 1)
     cfg = sp.SphereConfig(dec, (F(0),), (INF, F(9)), (F(3), F(5)))
     degs = [cfg.q_degrees(m) for m in range(-6, 7)]
-    a = cfg.a_weights()
+    n = cfg.n_points
     for m, (d1, d2) in zip(range(-6, 7), degs):
         assert d1 + d2 == m * 1 + 0
-        assert abs(d1 - a[0] * m) <= 1 and abs(d2 - a[1] * m) <= 2
+        assert abs(d1 - F(n, 2) * m) <= 1 and abs(d2 - F(n, 2) * m) <= 2
     # each point's degree is non-decreasing in m
     for j in (0, 1):
         seq = [d[j] for d in degs]
@@ -405,7 +406,6 @@ def test_connection_form_with_a_finite_q_point():
     # h/(z - gamma) + regular and the cocycle identity intact
     alg, dec = la.catalog_grading("gl", 2, 1)
     cfg = sp.SphereConfig(dec, (F(0), F(1)), (F(7),), (F(3), F(5)))
-    assert cfg.a_weights() == (F(2),)
     assert [cfg.q_degrees(m) for m in range(-2, 3)] == [(-3,), (-1,), (1,), (3,), (5,)]
     omega = sp.standard_connection_form(cfg)
     assert all(sp.connection_form_tail(cfg, omega, gi) == {} for gi in range(2))
@@ -695,6 +695,95 @@ def test_tangency_check_forms_no_rational_bracket(monkeypatch):
     monkeypatch.setattr(sp, "lax_tangency_check", counted_check)
     assert all(rep.ok for _, rep in cli._mop_samples(0))
     assert calls == {"comm": 0, "lax_tangency_check": 3}
+
+
+def test_tangency_check_makes_few_matrix_commutators(monkeypatch):
+    # the mops samples have no pole deeper than the depth at a gamma point, so
+    # each gamma point costs one series commutator of L and M
+    calls = [0]
+    comm = Mat.comm
+
+    def counted(a, b):
+        calls[0] += 1
+        return comm(a, b)
+
+    monkeypatch.setattr(Mat, "comm", counted)
+    assert all(rep.ok for _, rep in cli._mop_samples(0))
+    assert calls[0] == 45
+
+
+def _relation_sum_gamma_residuals(cfg, l, m_op):
+    """The gamma-point labels read against the point-motion relations term by
+    term: M's series over sm h[j0][j0], nu h/z split off its residue, and the
+    series bracket compared with ``_predicted_bracket`` at degrees -k-1..0."""
+    dec = cfg.dec
+    k = dec.depth
+    H, hd = sp._int_matrix(dec.h)
+    j0 = next(i for i in range(H.n) if H.rows[i][i])
+    hj = H.rows[j0][j0]
+    out = {}
+    for gidx, g in enumerate(cfg.gamma_points):
+        gf = F(g)
+        vl, vm = sp._pole_bounds(l, [gf])[gf], sp._pole_bounds(m_op, [gf])[gf]
+        bl, bm = max(k, vl), max(k, vm)
+        mc, sm = sp._reference_laurent(cfg, gidx, m_op, -bm, bl)
+        mjj = mc[-1].rows[j0][j0]
+        mc = {p: c.scale(hj) for p, c in mc.items()}
+        reg = {p: c for p, c in mc.items() if p >= -k}
+        reg[-1] = mc[-1] - H.scale(mjj)
+        mop = fm.MOpExpansion(hd * mjj, fm.MatrixLaurent(dec, reg, k))
+        bad = [("m-expansion", p) for p in sorted({p for p, _ in fm.validate_mop(mop)})]
+        lc, _ = sp._reference_laurent(cfg, gidx, l, -bl, bm)
+        bracket = fm.commutator(fm.MatrixLaurent(dec, lc, bm), fm.MatrixLaurent(dec, mc, bl))
+        order = min(bracket.coeffs, default=0)
+        if order < -k - 1:
+            bad.append(("pole-order", order))
+        predicted = _predicted_bracket(fm.MatrixLaurent(dec, lc, k), mop)
+        for p in range(-k - 1, 1):
+            if bracket.coefficient(p) != predicted.coefficient(p):
+                bad.append(("bottom" if p == -k - 1 else "coefficient", p))
+        out[g] = bad
+    return out
+
+
+def test_tangency_labels_match_the_relation_sums(mop_setup, monkeypatch):
+    # the bottom relation and the cut-series comparison give the labels that
+    # the full relation sums give, on second members that pass and that break
+    # every gamma label, at depth 1 and 2
+    checks = []
+    check = sp.lax_tangency_check
+
+    def recorded(cfg, l, m, pole_orders):
+        checks.append((cfg, l, m, pole_orders))
+        return check(cfg, l, m, pole_orders)
+
+    monkeypatch.setattr(sp, "lax_tangency_check", recorded)
+    list(cli._mop_samples(0))
+    monkeypatch.undo()
+    assert len(checks) == 3
+    cfg, pole_orders, space = mop_setup
+    z = RatFunc(Poly.x())
+    l = rand_member(random.Random("broken_second"), space.basis)
+    res = sp.construct_m_operator(cfg, l, power=2, pole_point=F(0), order=2,
+                                  norm_points=(F(7), F(11)))
+    checks.append((cfg, l, l, pole_orders))
+    # the inputs of test_broken_second_member_detected, then a pole of order 3
+    # at gamma point 3
+    for (u, v), f in [((1, 0), 1 / (z - 3)), ((0, 0), 1 / (z - 3)), ((0, 1), 1 / (z - 5) ** 2),
+                      ((1, 1), 1 / (z - 2)), ((0, 1), 1 / z ** 3), ((0, 1), 1 / (z * z - 2)),
+                      ((0, 1), 1 / (z - 9) ** 2), ((0, 1), z * z), ((0, 1), 1 / (z - 3) ** 3)]:
+        checks.append((cfg, l, res.matrix + RationalMatrix.from_scalar_matrix(Mat.unit(2, u, v), f),
+                       pole_orders))
+    cfg4, pole_orders4, l4 = depth_two_sp4(random.Random(0))
+    for e in (2, 3):
+        bad = l4 + RationalMatrix.from_scalar_matrix(Mat.unit(4, 0, 1), 1 / (z - 3) ** e)
+        checks.append((cfg4, l4, bad, pole_orders4))
+    labels = set()
+    for cfg, l, m, pole_orders in checks:
+        got = sp.lax_tangency_check(cfg, l, m, pole_orders).gamma_residuals
+        assert got == _relation_sum_gamma_residuals(cfg, l, m)
+        labels.update(lab for bad in got.values() for lab, _ in bad)
+    assert labels == {"m-expansion", "pole-order", "bottom", "coefficient"}
 
 
 @pytest.mark.parametrize("kind", ["sl", "so_even"])
